@@ -23,7 +23,7 @@ from .metrics import (
 )
 from .network import Network, build_network, cross_entropy, forward
 from .pruning import PruneSpec, apply_masks, prune_report, saliency, select_mask
-from .tensor_ops import INFINITE, condition_number, spectral_norm, svd
+from .tensor_ops import INFINITE, condition_number, layer_spectrum
 from .trainer import TrainConfig, config_from_dict, evaluate, run_tscnc
 
 __version__ = "0.1.0"
@@ -38,6 +38,6 @@ __all__ = [
     "condition_report", "local_lipschitz_estimate", "robustness_radius",
     "Network", "build_network", "cross_entropy", "forward",
     "PruneSpec", "apply_masks", "prune_report", "saliency", "select_mask",
-    "INFINITE", "condition_number", "spectral_norm", "svd",
+    "INFINITE", "condition_number", "layer_spectrum",
     "TrainConfig", "config_from_dict", "evaluate", "run_tscnc",
 ]

@@ -15,14 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .network import Network, backward, forward
-from .tensor_ops import (
-    INFINITE,
-    as_tensor,
-    frobenius_norm_sq,
-    rank_tolerance,
-    spectral_norm,
-    svd,
-)
+from .tensor_ops import INFINITE, as_tensor, frobenius_norm_sq, layer_spectrum
 
 _erf = np.vectorize(math.erf)
 
@@ -90,23 +83,15 @@ def condition_report(net: Network, epoch=None) -> ConditionReport:
     rows = []
     kmax = 0.0
     for li in net.parameterized_indices():
-        m = net.layers[li].effective_weight()
-        s = svd(m).singular_values
-        smax = float(s[0])
-        smin = float(s[-1])
-        tol = rank_tolerance(m.shape, smax)
-        rank = int((s > tol).sum())
-        if smax == 0.0 or smin <= tol:
-            kappa = INFINITE
-        else:
-            kappa = smax / smin
+        spec = layer_spectrum(net.layers[li].effective_weight())
         rows.append(
             LayerCondition(
                 layer=li, kind=net.layers[li].kind,
-                sigma_max=smax, sigma_min=smin, kappa=kappa, rank=rank,
+                sigma_max=spec.sigma_max, sigma_min=spec.sigma_min,
+                kappa=spec.kappa, rank=spec.rank,
             )
         )
-        kmax = max(kmax, kappa)
+        kmax = max(kmax, spec.kappa)
     return ConditionReport(layers=rows, kappa_max=kmax, epoch=epoch)
 
 
@@ -242,16 +227,13 @@ def check_eq7(net: Network, x, k: int, r: float, q: int, n: int, seed: int) -> d
     rows = []
     all_hold = True
     for li in net.parameterized_indices():
-        m = net.layers[li].effective_weight()
-        smax = spectral_norm(m)
-        s = svd(m).singular_values
-        tol = rank_tolerance(m.shape, float(s[0]))
-        kappa = INFINITE if s[0] == 0.0 or s[-1] <= tol else float(s[0] / s[-1])
+        spec = layer_spectrum(net.layers[li].effective_weight())
+        smax = spec.sigma_max
         lhs = INFINITE if smax == 0.0 else est.value / (2.0 * smax)
-        holds = bool(lhs <= kappa)
+        holds = bool(lhs <= spec.kappa)
         all_hold = all_hold and holds
         rows.append(
-            {"layer": li, "lhs": lhs, "kappa": kappa, "sigma_max": smax,
+            {"layer": li, "lhs": lhs, "kappa": spec.kappa, "sigma_max": smax,
              "holds": holds}
         )
     pis = net.parameterized_indices()

@@ -1,9 +1,10 @@
 """Dense float64 linear-algebra kernels.
 
-Matrix products, convolution lowering (im2col), a one-sided Jacobi SVD,
-power-iteration spectral norms, and condition numbers. Everything works on
-plain ``numpy.ndarray`` values in 64-bit floats; all functions are pure and
-deterministic for fixed inputs.
+Matrix products, convolution lowering (im2col), Frobenius norms, and
+layer spectra: LAPACK singular values (``numpy.linalg.svd``) with the one
+rule for condition number and numerical rank that every diagnostic uses.
+Everything works on plain ``numpy.ndarray`` values in 64-bit floats; all
+functions are pure and deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -18,20 +19,6 @@ from .errors import DimensionError, NumericError, ValidationError
 INFINITE = float("inf")
 
 _EPS = 2.0 ** -52
-
-
-@dataclass
-class SvdResult:
-    """Singular values (descending) and, on request, the singular vectors.
-
-    ``left_vectors`` has orthonormal columns (one per singular value) and
-    ``right_vectors`` likewise; ``left_vectors @ diag(singular_values)
-    @ right_vectors.T`` reconstructs the input matrix.
-    """
-
-    singular_values: np.ndarray
-    left_vectors: np.ndarray | None = None
-    right_vectors: np.ndarray | None = None
 
 
 def as_tensor(x) -> np.ndarray:
@@ -129,174 +116,53 @@ def frobenius_norm_sq(m) -> float:
     return float(np.sum(a * a))
 
 
-def spectral_norm(m, tol: float = 1e-10, max_iter: int = 20000) -> float:
-    """Largest singular value, by power iteration on the Gram operator.
-
-    Raises
-    ------
-    NumericError
-        If the iteration cap is reached before the estimate stabilises to
-        ``tol`` (relative); the exception carries the last residual.
-    """
-    a = _as_matrix(m)
-    if not np.any(a):
-        return 0.0
-    # Iterate on the smaller of the two Gram matrices.
-    b = a if a.shape[0] >= a.shape[1] else a.T
-    rng = np.random.default_rng(0x5EED)  # fixed start vector: deterministic
-    v = rng.standard_normal(b.shape[1])
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iter):
-        u = b @ v
-        w = b.T @ u
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # Start vector landed exactly in the null space; re-seed.
-            v = rng.standard_normal(b.shape[1])
-            v /= np.linalg.norm(v)
-            continue
-        v = w / nw
-        new_sigma = np.linalg.norm(b @ v)
-        if abs(new_sigma - sigma) <= tol * max(1.0, new_sigma):
-            return float(new_sigma)
-        sigma = new_sigma
-    raise NumericError(
-        f"power iteration did not converge in {max_iter} iterations",
-        residual=abs(new_sigma - sigma))
-
-
-def _complete_basis(u: np.ndarray, fixed: int, rng: np.random.Generator) -> None:
-    """Replace zero columns of ``u`` beyond index ``fixed`` with orthonormal
-    fill-ins (modified Gram-Schmidt against all other columns)."""
-    a = u.shape[0]
-    for j in range(fixed, u.shape[1]):
-        for _ in range(100):
-            cand = rng.standard_normal(a)
-            cand -= u[:, :j] @ (u[:, :j].T @ cand)
-            n = np.linalg.norm(cand)
-            if n > 1e-8:
-                u[:, j] = cand / n
-                break
-        else:  # pragma: no cover - would need adversarial dimensions
-            raise NumericError("failed to complete orthonormal basis")
-
-
-def svd(m, compute_vectors: bool = False, tol: float = 1e-12,
-        max_sweeps: int = 100) -> SvdResult:
-    """Singular value decomposition by one-sided Jacobi rotations.
-
-    Sweeps orthogonalise all column pairs of the working matrix until the
-    largest relative off-diagonal mass ``|<u_p, u_q>| / (|u_p| |u_q|)``
-    drops below ``tol``. Accurate and simple for the small matrices this
-    package handles.
-
-    Parameters
-    ----------
-    m : array, a x b
-    compute_vectors : bool
-        Also return orthonormal left/right singular vectors.
-
-    Raises
-    ------
-    NumericError
-        If convergence is not reached within ``max_sweeps`` sweeps; the
-        exception carries the remaining off-diagonal mass.
-    """
-    a0 = _as_matrix(m)
-    transposed = a0.shape[0] < a0.shape[1]
-    work = (a0.T if transposed else a0).copy()
-    rows, cols = work.shape
-
-    want_v = compute_vectors
-    v = np.eye(cols) if want_v else None
-    # Columns this far below the (rotation-invariant) Frobenius norm carry
-    # singular values beneath the numerical-rank cutoff; excluding them from
-    # the convergence sweep avoids stagnating on denormal cancellation noise.
-    floor_sq = frobenius_norm_sq(work) * 1e-36
-    off = 0.0
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(cols - 1):
-            for q in range(p + 1, cols):
-                app = work[:, p] @ work[:, p]
-                aqq = work[:, q] @ work[:, q]
-                apq = work[:, p] @ work[:, q]
-                if app <= floor_sq or aqq <= floor_sq:
-                    continue
-                # divide before combining the roots: app * aqq overflows
-                # for column norms past ~1e154 while the ratio itself is
-                # always at most 1 by Cauchy-Schwarz
-                ratio = (abs(apq) / np.sqrt(app)) / np.sqrt(aqq)
-                off = max(off, ratio)
-                if ratio <= tol:
-                    continue
-                zeta = (aqq - app) / (2.0 * apq)
-                if abs(zeta) > 1e150:
-                    t = 1.0 / (2.0 * zeta)
-                else:
-                    t = (1.0 if zeta >= 0.0 else -1.0) / (
-                        abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                up = work[:, p].copy()
-                work[:, p] = c * up - s * work[:, q]
-                work[:, q] = s * up + c * work[:, q]
-                if want_v:
-                    vp = v[:, p].copy()
-                    v[:, p] = c * vp - s * v[:, q]
-                    v[:, q] = s * vp + c * v[:, q]
-        if off <= tol:
-            break
-    else:
-        raise NumericError(
-            f"Jacobi SVD did not converge in {max_sweeps} sweeps",
-            residual=off)
-
-    sigmas = np.linalg.norm(work, axis=0)
-    order = np.argsort(-sigmas, kind="stable")
-    s = sigmas[order]
-    if not want_v:
-        return SvdResult(singular_values=s)
-
-    u = np.zeros((rows, cols))
-    nonzero = 0
-    for out_j, j in enumerate(order):
-        if sigmas[j] > 0.0:
-            u[:, out_j] = work[:, j] / sigmas[j]
-            nonzero = out_j + 1
-    if nonzero < cols:
-        _complete_basis(u, nonzero, np.random.default_rng(0xBA5E))
-    v = v[:, order]
-    if transposed:
-        u, v = v, u
-    return SvdResult(singular_values=s, left_vectors=u, right_vectors=v)
-
-
 def rank_tolerance(shape: tuple[int, int], sigma_max: float) -> float:
     """Numerical-rank cutoff: ``max(a, b) * sigma_max * 2**-52``."""
     return max(shape) * sigma_max * _EPS
 
 
-def numerical_rank(singular_values: np.ndarray, shape: tuple[int, int]) -> int:
-    """Number of singular values above the numerical-rank cutoff."""
-    if len(singular_values) == 0:
-        return 0
-    cut = rank_tolerance(shape, float(singular_values[0]))
-    return int(np.sum(singular_values > cut))
+@dataclass
+class LayerSpectrum:
+    """Singular values (descending) of one matrix, with the quantities the
+    diagnostics read off them."""
+
+    singular_values: np.ndarray
+    sigma_max: float
+    sigma_min: float
+    kappa: float
+    rank: int
+
+
+def layer_spectrum(m) -> LayerSpectrum:
+    """LAPACK singular values of ``m``, its condition number and rank.
+
+    ``rank`` counts the singular values above ``rank_tolerance``. ``kappa``
+    is ``sigma_max / sigma_min``, or ``INFINITE`` when the matrix is
+    numerically rank-deficient (smallest singular value at or below the
+    tolerance), which covers matrices with an all-zero row or column.
+
+    Raises
+    ------
+    DimensionError
+        If ``m`` is not 2-D.
+    ValidationError
+        If ``m`` has a non-finite entry.
+    NumericError
+        If LAPACK reports that the SVD did not converge.
+    """
+    a = _as_matrix(m)
+    try:
+        s = np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"SVD of a {a.shape} matrix failed: {exc}") from exc
+    smax = float(s[0])
+    smin = float(s[-1])
+    tol = rank_tolerance(a.shape, smax)
+    kappa = INFINITE if smax == 0.0 or smin <= tol else smax / smin
+    return LayerSpectrum(singular_values=s, sigma_max=smax, sigma_min=smin,
+                         kappa=kappa, rank=int((s > tol).sum()))
 
 
 def condition_number(m) -> float:
-    """Ratio of largest to smallest singular value.
-
-    Returns ``INFINITE`` when the matrix is numerically rank-deficient
-    (smallest singular value at or below the rank tolerance), which covers
-    matrices with an all-zero row or column.
-    """
-    a = _as_matrix(m)
-    s = svd(a).singular_values
-    smax = float(s[0])
-    smin = float(s[-1])
-    if smax == 0.0 or smin <= rank_tolerance(a.shape, smax):
-        return INFINITE
-    return smax / smin
+    """Ratio of largest to smallest singular value; see ``layer_spectrum``."""
+    return layer_spectrum(m).kappa

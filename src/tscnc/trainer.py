@@ -247,7 +247,12 @@ def _train_epoch(net, data, config, lr, velocity, rng):
 
 def evaluate(net: Network, data: Dataset, eval_attacks: dict,
              batch_size: int = 256, rng=None) -> dict:
-    """Clean and per-attack accuracy over the whole dataset."""
+    """Clean and per-attack accuracy over the whole dataset.
+
+    An example counts as robust under an attack only when both its clean and
+    its attacked prediction are right, so robust accuracy never exceeds clean
+    accuracy.
+    """
     n = len(data)
     correct = 0
     adv_correct = {name: 0 for name in eval_attacks}
@@ -257,11 +262,12 @@ def evaluate(net: Network, data: Dataset, eval_attacks: dict,
         xb = data.images[start : start + batch_size]
         yb = data.labels[start : start + batch_size]
         logits, _ = forward(net, xb)
-        correct += int((np.argmax(logits, axis=1) == yb).sum())
+        clean_ok = np.argmax(logits, axis=1) == yb
+        correct += int(clean_ok.sum())
         for name, spec in eval_attacks.items():
             adv = pgd(net, xb, yb, spec, rng=rng)
             alog, _ = forward(net, adv)
-            adv_correct[name] += int((np.argmax(alog, axis=1) == yb).sum())
+            adv_correct[name] += int((clean_ok & (np.argmax(alog, axis=1) == yb)).sum())
     return {
         "clean_acc": correct / n,
         "robust_acc": {name: c / n for name, c in adv_correct.items()},

@@ -11,6 +11,7 @@ asserts the same condition so pytest enforces it.
 import numpy as np
 import pytest
 
+from oracles import svd
 from tscnc.attacks import AttackSpec, fgsm, pgd
 from tscnc.checkpoint import load_checkpoint, save_checkpoint
 from tscnc.data import synth_blobs
@@ -33,7 +34,7 @@ from tscnc.pruning import (
     random_bernoulli_masks,
     saliency,
 )
-from tscnc.tensor_ops import condition_number, spectral_norm, svd
+from tscnc.tensor_ops import condition_number
 from tscnc.trainer import TrainConfig, evaluate, run_tscnc
 
 

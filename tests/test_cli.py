@@ -3,9 +3,12 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import pytest
 
+import tscnc
 from tscnc.checkpoint import load_checkpoint
 from tscnc.cli import _parse_attacks, main
 from tscnc.errors import ConfigError
@@ -207,3 +210,39 @@ class TestGlobalFlags:
         rc = main(["--threads", "0", "train", "--config", str(config_path),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+
+
+# the README quick-start config
+QUICKSTART = {
+    "dataset": "blobs-c6-d64-n60-s0.35",
+    "architecture": "mlp-32x16",
+    "epochs": 30,
+    "batch_size": 32,
+    "lr": 0.1,
+    "lr_milestones": [20],
+    "warmup_epochs": 3,
+    "lam": 0.001,
+    "train_attack": {"epsilon": 0.1, "step_size": 0.025, "steps": 5,
+                     "random_start": True},
+    "prune": {"sparsity": 0.95},
+    "seed": 0,
+}
+
+
+class TestBlasThreads:
+    def test_thread_counts_give_identical_bytes(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(QUICKSTART))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(tscnc.__file__)))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            subprocess.run(
+                [sys.executable, "-m", "tscnc.cli", "--quiet", "train",
+                 "--config", str(config), "--out", str(out)],
+                env=env, check=True, timeout=300)
+            outputs.append([(out / name).read_bytes()
+                            for name in ("model.tscn", "metrics.json")])
+        assert outputs[0] == outputs[1]

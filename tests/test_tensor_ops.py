@@ -1,23 +1,27 @@
 """Tests for the dense linear-algebra kernels.
 
 Every derived expectation is computed by an independent oracle in this file
-(triple-loop products, sliding-window convolution, power iteration) rather
-than by the code path under test.
+(triple-loop products, sliding-window convolution, power iteration) or in
+``oracles.py`` (the one-sided Jacobi SVD) rather than by the code path under
+test.
 """
 
 import numpy as np
 import pytest
 
+from oracles import spectral_norm, svd
+from tscnc.attacks import AttackSpec
 from tscnc.errors import DimensionError, NumericError, ValidationError
+from tscnc.pruning import PruneSpec
 from tscnc.tensor_ops import (
     INFINITE,
     condition_number,
     frobenius_norm_sq,
     im2col,
+    layer_spectrum,
     matmul,
-    spectral_norm,
-    svd,
 )
+from tscnc.trainer import TrainConfig, run_tscnc
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +213,91 @@ class TestSvd:
     def test_rejects_nan(self):
         with pytest.raises(ValidationError):
             svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+# ---------------------------------------------------------------------------
+# layer spectrum (LAPACK) against the Jacobi oracle
+# ---------------------------------------------------------------------------
+
+def jacobi_kappa_rank(m):
+    """Condition number and numerical rank from the Jacobi oracle's values."""
+    s = svd(m).singular_values
+    tol = max(m.shape) * s[0] * 2.0 ** -52
+    kappa = INFINITE if s[0] == 0.0 or s[-1] <= tol else s[0] / s[-1]
+    return s[0], kappa, int((s > tol).sum())
+
+
+def assert_spectrum_matches_jacobi(m):
+    got = layer_spectrum(m)
+    smax, kappa, rank = jacobi_kappa_rank(m)
+    assert got.rank == rank
+    assert abs(got.sigma_max - smax) <= 1e-12 * smax
+    assert (got.kappa == INFINITE) == (kappa == INFINITE)
+    if kappa != INFINITE:
+        assert abs(got.kappa - kappa) <= 1e-12 * kappa
+    return got
+
+
+def short_run_layers(**over):
+    base = dict(batch_size=32, lr=0.1, warmup_epochs=1, epochs=2, lam=0.001,
+                train_attack=AttackSpec(epsilon=0.1, step_size=0.025, steps=2,
+                                        random_start=True),
+                eval_attacks={}, seed=0)
+    base.update(over)
+    net, _ = run_tscnc(TrainConfig(**base))
+    return [net.layers[li].effective_weight() for li in net.parameterized_indices()]
+
+
+class TestLayerSpectrum:
+    def test_random_matrices(self):
+        rng = np.random.default_rng(19)
+        for _ in range(40):
+            m = rng.standard_normal(tuple(rng.integers(1, 13, size=2)))
+            assert assert_spectrum_matches_jacobi(m).rank == min(m.shape)
+        for shape in ((64, 32), (32, 16), (16, 6)):
+            assert_spectrum_matches_jacobi(rng.standard_normal(shape))
+
+    def test_masked_matrices_with_dead_rows_and_columns(self):
+        rng = np.random.default_rng(20)
+        infinite = 0
+        for keep in (0.5, 0.2, 0.05):
+            for shape in ((12, 8), (8, 12), (64, 32)):
+                m = rng.standard_normal(shape) * (rng.random(shape) < keep)
+                m[int(rng.integers(shape[0])), :] = 0.0
+                m[:, int(rng.integers(shape[1]))] = 0.0
+                got = assert_spectrum_matches_jacobi(m)
+                infinite += got.kappa == INFINITE
+        assert infinite > 0
+        assert layer_spectrum(np.zeros((4, 3))).rank == 0
+
+    def test_final_layers_of_short_quickstart_run(self):
+        layers = short_run_layers(dataset="blobs-c6-d64-n60-s0.35",
+                                  architecture="mlp-32x16",
+                                  prune=PruneSpec(sparsity=0.95))
+        assert [w.shape for w in layers] == [(64, 32), (32, 16), (16, 6)]
+        for w in layers:
+            assert_spectrum_matches_jacobi(w)
+
+    def test_final_layers_of_short_cnn_run(self):
+        layers = short_run_layers(dataset="blobs-c6-d64-n60-s0.6-i1x8x8",
+                                  architecture="cnn-4-32",
+                                  prune=PruneSpec(sparsity=0.9, protected=(0, 3)))
+        assert (256, 32) in [w.shape for w in layers]
+        for w in layers:
+            assert_spectrum_matches_jacobi(w)
+
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError):
+                layer_spectrum(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    def test_lapack_failure_is_numeric_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NumericError):
+            layer_spectrum(np.eye(3))
 
 
 # ---------------------------------------------------------------------------

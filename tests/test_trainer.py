@@ -4,8 +4,8 @@ metric bookkeeping, determinism, and failure reporting."""
 import numpy as np
 import pytest
 
-from tscnc.attacks import AttackSpec
-from tscnc.data import load_dataset
+from tscnc.attacks import AttackSpec, pgd
+from tscnc.data import Dataset, load_dataset
 from tscnc.errors import ConfigError, DivergenceError, ValidationError
 from tscnc.network import build_mlp, build_network, forward
 from tscnc.pruning import PruneSpec, prune_report
@@ -228,6 +228,23 @@ class TestEvaluate:
                        {"strong": AttackSpec(epsilon=0.1, step_size=0.025,
                                              steps=10)})
         assert res["robust_acc"]["strong"] <= res["clean_acc"]
+
+    def test_attack_landing_on_true_class_is_not_robust(self):
+        # margin |x - 0.5| - 0.2 for class 1: x = 0.45 is misclassified, and
+        # one full-budget sign step overshoots the valley to x = 0.75, where
+        # class 1 wins; the example still counts as not robust
+        net = build_mlp(1, [2], 2, seed=0)
+        net.layers[0].W = np.array([[1.0, -1.0]])
+        net.layers[0].b = np.array([-0.5, 0.5])
+        net.layers[2].W = np.array([[0.0, 1.0], [0.0, 1.0]])
+        net.layers[2].b = np.array([0.0, -0.2])
+        data = Dataset(images=np.array([[0.45]]), labels=np.array([1]), classes=2)
+        spec = AttackSpec(epsilon=0.3, step_size=0.3, steps=1)
+        adv = pgd(net, data.images, data.labels, spec)
+        assert int(np.argmax(forward(net, adv)[0][0])) == 1
+        res = evaluate(net, data, {"fgsm": spec})
+        assert res["clean_acc"] == 0.0
+        assert res["robust_acc"]["fgsm"] == 0.0
 
 
 class TestRunTscnc:
