@@ -21,10 +21,11 @@ from .metrics import (
     local_lipschitz_estimate,
     robustness_radius,
 )
-from .network import Network, build_network, cross_entropy, forward
+from .network import Network, backward, build_network, cross_entropy, forward
 from .pruning import PruneSpec, apply_masks, prune_report, saliency, select_mask
-from .tensor_ops import INFINITE, condition_number, layer_spectrum
-from .trainer import TrainConfig, config_from_dict, evaluate, run_tscnc
+from .tensor_ops import INFINITE, layer_spectrum
+from .trainer import (TrainConfig, config_from_dict, evaluate, run_tscnc,
+                      score_weights)
 
 __version__ = "0.1.0"
 
@@ -36,8 +37,8 @@ __all__ = [
     "StateError", "FormatError", "ConfigError", "DivergenceError",
     "check_eq7", "condition_constraint_grad", "condition_constraint_loss",
     "condition_report", "local_lipschitz_estimate", "robustness_radius",
-    "Network", "build_network", "cross_entropy", "forward",
+    "Network", "backward", "build_network", "cross_entropy", "forward",
     "PruneSpec", "apply_masks", "prune_report", "saliency", "select_mask",
-    "INFINITE", "condition_number", "layer_spectrum",
-    "TrainConfig", "config_from_dict", "evaluate", "run_tscnc",
+    "INFINITE", "layer_spectrum",
+    "TrainConfig", "config_from_dict", "evaluate", "run_tscnc", "score_weights",
 ]

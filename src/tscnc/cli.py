@@ -19,9 +19,9 @@ from .data import load_dataset
 from .errors import ConfigError, DivergenceError, FormatError, ValidationError
 from .metrics import check_eq7, condition_report
 from .metrics_io import write_metrics
-from .pruning import PruneSpec, apply_masks, magnitude_scores, prune_report, \
-    saliency, select_mask
-from .trainer import config_from_dict, evaluate, run_tscnc
+from .network import forward
+from .pruning import apply_masks, prune_report, select_mask
+from .trainer import config_from_dict, evaluate, run_tscnc, score_weights
 
 
 def _load_config(path, seed_override):
@@ -71,6 +71,11 @@ def _print(args, *parts):
         print(*parts)
 
 
+def _write_json(path, doc):
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+
+
 def _cmd_train(args):
     config = _load_config(args.config, args.seed)
     os.makedirs(args.out, exist_ok=True)
@@ -97,10 +102,7 @@ def _cmd_train(args):
         },
     )
     write_metrics(records, os.path.join(args.out, "metrics"))
-    report = prune_report(net)
-    with open(os.path.join(args.out, "prune_report.json"), "w",
-              encoding="utf-8") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
+    _write_json(os.path.join(args.out, "prune_report.json"), prune_report(net))
     _print(args, f"saved model and metrics under {args.out}")
     return 0
 
@@ -110,23 +112,10 @@ def _cmd_prune(args):
     ckpt = load_checkpoint(args.checkpoint)
     net = ckpt.net
     data = load_dataset(config.dataset, seed=config.seed)
-    spec = config.prune
-    if spec.sparsity <= 0.0:
+    if config.prune.sparsity <= 0.0:
         raise ConfigError("prune command needs prune.sparsity > 0 in the config")
-    if spec.criterion == "magnitude":
-        smap = magnitude_scores(net)
-    else:
-        rng = np.random.default_rng(config.seed)
-        order = rng.permutation(len(data))
-        stream = []
-        from .attacks import pgd
-
-        for start in range(0, len(data), config.batch_size):
-            idx = order[start : start + config.batch_size]
-            xb, yb = data.images[idx], data.labels[idx]
-            stream.append((pgd(net, xb, yb, config.train_attack, rng=rng), yb))
-        smap = saliency(net, stream)
-    apply_masks(net, select_mask(smap, spec))
+    smap = score_weights(net, data, config, np.random.default_rng(config.seed))
+    apply_masks(net, select_mask(smap, config.prune))
     os.makedirs(args.out, exist_ok=True)
     save_checkpoint(
         os.path.join(args.out, "model.tscn"), net,
@@ -134,9 +123,7 @@ def _cmd_prune(args):
                "config": {"dataset": config.dataset, "seed": config.seed}},
     )
     report = prune_report(net)
-    with open(os.path.join(args.out, "prune_report.json"), "w",
-              encoding="utf-8") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
+    _write_json(os.path.join(args.out, "prune_report.json"), report)
     _print(args, f"pruned to global sparsity {report['global_sparsity']:.4f}")
     return 0
 
@@ -154,8 +141,7 @@ def _cmd_evaluate(args):
     doc = {"clean_acc": result["clean_acc"],
            "robust_acc": result["robust_acc"]}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=2, sort_keys=True)
+        _write_json(args.out, doc)
     else:
         _print(args, json.dumps(doc, sort_keys=True))
     return 0
@@ -174,8 +160,6 @@ def _cmd_inspect(args):
     report = prune_report(net)
     _print(args, f"global sparsity {report['global_sparsity']:.4f}")
     x = np.full(net.input_shape, 0.5)
-    from .network import forward
-
     logits, _ = forward(net, x[None])
     order = np.argsort(logits[0])[::-1]
     k = int(order[1])

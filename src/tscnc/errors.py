@@ -14,7 +14,10 @@ class ValidationError(TscncError):
 
 
 class NumericError(TscncError):
-    """An iterative kernel failed to converge within its iteration cap."""
+    """A numerical kernel failed, such as an SVD that did not converge.
+
+    ``residual`` carries the kernel's remaining error when it reports one.
+    """
 
     def __init__(self, message, residual=None):
         super().__init__(message)

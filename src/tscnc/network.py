@@ -242,36 +242,6 @@ def input_gradient(net: Network, x, y) -> np.ndarray:
     return backward(net, cache, grad_logits).input
 
 
-def apply_scaling(net: Network, layer: int, mu: float) -> Network:
-    """Scale layer `layer` by mu and the next parameterized layer by 1/mu.
-
-    With only ReLU (and reshape) in between the network function is
-    unchanged for mu > 0.  Returns a new network; the argument is untouched.
-    """
-    if mu <= 0.0:
-        raise ValidationError(f"scaling factor must be positive, got {mu}")
-    if layer < 0 or layer >= len(net.layers) or not net.layers[layer].parameterized:
-        raise ValidationError(f"layer {layer} is not a parameterized layer")
-    nxt = None
-    for j in range(layer + 1, len(net.layers)):
-        if net.layers[j].parameterized:
-            nxt = j
-            break
-        if net.layers[j].kind not in ("relu", "flatten"):
-            raise ValidationError(
-                f"layer {j} ({net.layers[j].kind}) between scaled layers is not "
-                "positively homogeneous"
-            )
-    if nxt is None:
-        raise ValidationError(f"no parameterized layer follows layer {layer}")
-    out = net.clone()
-    out.layers[layer].W = out.layers[layer].W * mu
-    out.layers[layer].b = out.layers[layer].b * mu
-    out.layers[nxt].W = out.layers[nxt].W / mu
-    out.bump()
-    return out
-
-
 def _kaiming_uniform(rng, shape, fan_in):
     bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)

@@ -173,27 +173,3 @@ def prune_report(net: Network) -> dict:
         "layers": rows,
         "global_sparsity": zeros / total if total else 0.0,
     }
-
-
-def random_bernoulli_masks(net: Network, alphas, seed: int) -> dict:
-    """Independent keep-with-probability-(1-alpha) masks per prunable layer.
-
-    alphas is a scalar or one drop probability per prunable layer.  Used by
-    the Lipschitz monotonicity experiment, not by the training path.
-    """
-    prunable = net.prunable_indices()
-    if np.isscalar(alphas):
-        alphas = [float(alphas)] * len(prunable)
-    if len(alphas) != len(prunable):
-        raise ValidationError(
-            f"got {len(alphas)} drop rates for {len(prunable)} prunable layers"
-        )
-    for a in alphas:
-        if not 0.0 <= a < 1.0:
-            raise ValidationError(f"drop probability must lie in [0, 1), got {a}")
-    rng = np.random.default_rng(seed)
-    masks = {}
-    for li, a in zip(prunable, alphas):
-        shape = net.layers[li].Z.shape
-        masks[li] = (rng.uniform(size=shape) >= a).astype(float)
-    return masks

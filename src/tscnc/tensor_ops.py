@@ -1,10 +1,11 @@
 """Dense float64 linear-algebra kernels.
 
-Matrix products, convolution lowering (im2col), Frobenius norms, and
-layer spectra: LAPACK singular values (``numpy.linalg.svd``) with the one
-rule for condition number and numerical rank that every diagnostic uses.
-Everything works on plain ``numpy.ndarray`` values in 64-bit floats; all
-functions are pure and deterministic for fixed inputs.
+The gather plan that lowers a convolution to one matrix product
+(``im2col_indices``), Frobenius norms, and layer spectra: LAPACK singular
+values (``numpy.linalg.svd``) with the one rule for condition number and
+numerical rank that every diagnostic uses. Everything works on plain
+``numpy.ndarray`` values in 64-bit floats; all functions are pure and
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -33,21 +34,6 @@ def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValidationError(f"{name} contains non-finite entries")
     return a
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of ``a`` (m x k) and ``b`` (k x n).
-
-    Raises
-    ------
-    DimensionError
-        If the inner dimensions disagree; the message names both shapes.
-    """
-    a = as_tensor(a)
-    b = as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply shapes {a.shape} x {b.shape}")
-    return a @ b
 
 
 def im2col_indices(c_in: int, h: int, w: int, kernel_size: int, stride: int = 1,
@@ -85,29 +71,6 @@ def im2col_indices(c_in: int, h: int, w: int, kernel_size: int, stride: int = 1,
     cols = kcol[:, None] + ocol[None, :]
     idx = chan[:, None] * (hp * wp) + rows * wp + cols
     return idx, (out_h, out_w)
-
-
-def pad_image(x: np.ndarray, pad: int) -> np.ndarray:
-    """Zero-pad the two trailing (spatial) axes of ``x``."""
-    if pad == 0:
-        return x
-    widths = [(0, 0)] * (x.ndim - 2) + [(pad, pad), (pad, pad)]
-    return np.pad(x, widths)
-
-
-def im2col(x, kernel_size: int, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Lower a single image ``x`` (c_in x h x w) to patch columns.
-
-    The result has shape ``(c_in * k * k, out_h * out_w)``; multiplying a
-    ``(c_out, c_in * k * k)`` weight matrix against it performs the
-    convolution, so ``conv2d(x) == matmul(W, im2col(x)).reshape(...)``.
-    """
-    a = as_tensor(x)
-    if a.ndim != 3:
-        raise DimensionError(f"expected c x h x w input, got shape {a.shape}")
-    c, h, w = a.shape
-    idx, _ = im2col_indices(c, h, w, kernel_size, stride, pad)
-    return pad_image(a, pad).ravel()[idx]
 
 
 def frobenius_norm_sq(m) -> float:
@@ -161,8 +124,3 @@ def layer_spectrum(m) -> LayerSpectrum:
     kappa = INFINITE if smax == 0.0 or smin <= tol else smax / smin
     return LayerSpectrum(singular_values=s, sigma_max=smax, sigma_min=smin,
                          kappa=kappa, rank=int((s > tol).sum()))
-
-
-def condition_number(m) -> float:
-    """Ratio of largest to smallest singular value; see ``layer_spectrum``."""
-    return layer_spectrum(m).kappa

@@ -9,7 +9,7 @@ masks after every step, and records per-epoch metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .metrics import (
 from .network import Network, backward, build_network, cross_entropy, forward
 from .pruning import (
     PruneSpec,
+    SaliencyMap,
     apply_masks,
     magnitude_scores,
     prune_report,
@@ -60,8 +61,6 @@ class TrainConfig:
     prune: PruneSpec = field(default_factory=lambda: PruneSpec(sparsity=0.0))
     warmup_epochs: int = 10
     seed: int = 0
-    # reserved: smoothness-regularized inner objective; only None is accepted
-    trades_beta: object = None
 
     def validate(self) -> None:
         if self.epochs < 1:
@@ -79,10 +78,6 @@ class TrainConfig:
         if self.warmup_epochs < 0:
             raise ValidationError(
                 f"warmup_epochs must be non-negative, got {self.warmup_epochs}"
-            )
-        if self.trades_beta is not None:
-            raise ValidationError(
-                "trades_beta is reserved and not implemented; leave it null"
             )
         if not self.dataset:
             raise ValidationError("config needs a dataset id")
@@ -211,19 +206,36 @@ def sgd_step(net: Network, grads: dict, velocity: dict, lr: float,
     net.bump()
 
 
-def _batches(n, batch_size, order):
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
+def _adversarial_batches(net, data, config, rng):
+    """Shuffle, batch and attack ``data`` with ``config.train_attack``.
+
+    Yields ``(x_adv, y)`` lazily, so each batch is attacked against the
+    network as it stands when the batch is drawn.
+    """
+    order = rng.permutation(len(data))
+    for start in range(0, len(data), config.batch_size):
+        idx = order[start : start + config.batch_size]
+        xb, yb = data.images[idx], data.labels[idx]
+        yield pgd(net, xb, yb, config.train_attack, rng=rng), yb
+
+
+def score_weights(net: Network, data: Dataset, config: TrainConfig,
+                  rng) -> SaliencyMap:
+    """Score every prunable weight by ``config.prune.criterion``.
+
+    Magnitude scoring reads the weights alone; adversarial saliency takes
+    one shuffled pass of attacked batches from ``rng``.
+    """
+    if config.prune.criterion == "magnitude":
+        return magnitude_scores(net)
+    return saliency(net, _adversarial_batches(net, data, config, rng))
 
 
 def _train_epoch(net, data, config, lr, velocity, rng):
     """One pass of adversarial SGD; returns the mean attacked batch loss."""
-    order = rng.permutation(len(data))
     total = 0.0
     batches = 0
-    for idx in _batches(len(data), config.batch_size, order):
-        xb, yb = data.images[idx], data.labels[idx]
-        x_adv = pgd(net, xb, yb, config.train_attack, rng=rng)
+    for x_adv, yb in _adversarial_batches(net, data, config, rng):
         logits, cache = forward(net, x_adv)
         loss_e, grad_logits = cross_entropy(logits, yb)
         if not np.isfinite(loss_e):
@@ -289,14 +301,7 @@ def _record(net, config, epoch, lr, loss_e, data, rng) -> MetricsRecord:
         sparsity=prune_report(net)["global_sparsity"],
         kappa_max=crep.kappa_max,
         kappa_layers={row.layer: row.kappa for row in crep.layers},
-        condition=[
-            {
-                "layer": row.layer, "kind": row.kind,
-                "sigma_max": row.sigma_max, "sigma_min": row.sigma_min,
-                "kappa": row.kappa, "rank": row.rank,
-            }
-            for row in crep.layers
-        ],
+        condition=[asdict(row) for row in crep.layers],
     )
 
 
@@ -331,15 +336,7 @@ def run_tscnc(config: TrainConfig, data: Dataset | None = None,
                 )
 
     if config.prune.sparsity > 0.0:
-        if config.prune.criterion == "magnitude":
-            smap = magnitude_scores(net)
-        else:
-            order = rng.permutation(len(data))
-            stream = []
-            for idx in _batches(len(data), config.batch_size, order):
-                xb, yb = data.images[idx], data.labels[idx]
-                stream.append((pgd(net, xb, yb, config.train_attack, rng=rng), yb))
-            smap = saliency(net, stream)
+        smap = score_weights(net, data, config, rng)
         apply_masks(net, select_mask(smap, config.prune))
         velocity = {}  # stale momentum would push masked weights around
 

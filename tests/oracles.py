@@ -1,10 +1,18 @@
-"""Reference implementations that tests compare the package against.
+"""Reference implementations that tests compare the package against, and
+helpers that only tests use.
 
 The one-sided Jacobi SVD and the power-iteration spectral norm were the
 package's own spectrum kernels before it moved to LAPACK singular values
 (``tscnc.tensor_ops.layer_spectrum``). They stay here, unchanged, as
 independent oracles: Jacobi rotations are accurate to high relative
 precision even on graded matrices (Demmel & Veselic, 1992).
+
+The rest has no caller in the package: a checked matrix product, a
+single-image ``im2col`` built on the package's own gather plan
+(``tscnc.tensor_ops.im2col_indices``, so the im2col tests still check the
+indices the convolution layers use), the function-preserving layer
+rescaling behind the scale-invariance tests, and the random Bernoulli masks
+of the Lipschitz monotonicity experiment.
 """
 
 from __future__ import annotations
@@ -13,8 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tscnc.errors import NumericError
-from tscnc.tensor_ops import _as_matrix, frobenius_norm_sq
+from tscnc.errors import DimensionError, NumericError, ValidationError
+from tscnc.network import Network
+from tscnc.tensor_ops import (
+    _as_matrix,
+    as_tensor,
+    frobenius_norm_sq,
+    im2col_indices,
+)
 
 
 @dataclass
@@ -173,3 +187,95 @@ def svd(m, compute_vectors: bool = False, tol: float = 1e-12,
     if transposed:
         u, v = v, u
     return SvdResult(singular_values=s, left_vectors=u, right_vectors=v)
+
+
+def matmul(a, b) -> np.ndarray:
+    """Matrix product of ``a`` (m x k) and ``b`` (k x n).
+
+    Raises
+    ------
+    DimensionError
+        If the inner dimensions disagree; the message names both shapes.
+    """
+    a = as_tensor(a)
+    b = as_tensor(b)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise DimensionError(f"cannot multiply shapes {a.shape} x {b.shape}")
+    return a @ b
+
+
+def pad_image(x: np.ndarray, pad: int) -> np.ndarray:
+    """Zero-pad the two trailing (spatial) axes of ``x``."""
+    if pad == 0:
+        return x
+    widths = [(0, 0)] * (x.ndim - 2) + [(pad, pad), (pad, pad)]
+    return np.pad(x, widths)
+
+
+def im2col(x, kernel_size: int, stride: int = 1, pad: int = 0) -> np.ndarray:
+    """Lower a single image ``x`` (c_in x h x w) to patch columns.
+
+    The result has shape ``(c_in * k * k, out_h * out_w)``; multiplying a
+    ``(c_out, c_in * k * k)`` weight matrix against it performs the
+    convolution, so ``conv2d(x) == matmul(W, im2col(x)).reshape(...)``.
+    """
+    a = as_tensor(x)
+    if a.ndim != 3:
+        raise DimensionError(f"expected c x h x w input, got shape {a.shape}")
+    c, h, w = a.shape
+    idx, _ = im2col_indices(c, h, w, kernel_size, stride, pad)
+    return pad_image(a, pad).ravel()[idx]
+
+
+def apply_scaling(net: Network, layer: int, mu: float) -> Network:
+    """Scale layer `layer` by mu and the next parameterized layer by 1/mu.
+
+    With only ReLU (and reshape) in between the network function is
+    unchanged for mu > 0.  Returns a new network; the argument is untouched.
+    """
+    if mu <= 0.0:
+        raise ValidationError(f"scaling factor must be positive, got {mu}")
+    if layer < 0 or layer >= len(net.layers) or not net.layers[layer].parameterized:
+        raise ValidationError(f"layer {layer} is not a parameterized layer")
+    nxt = None
+    for j in range(layer + 1, len(net.layers)):
+        if net.layers[j].parameterized:
+            nxt = j
+            break
+        if net.layers[j].kind not in ("relu", "flatten"):
+            raise ValidationError(
+                f"layer {j} ({net.layers[j].kind}) between scaled layers is not "
+                "positively homogeneous"
+            )
+    if nxt is None:
+        raise ValidationError(f"no parameterized layer follows layer {layer}")
+    out = net.clone()
+    out.layers[layer].W = out.layers[layer].W * mu
+    out.layers[layer].b = out.layers[layer].b * mu
+    out.layers[nxt].W = out.layers[nxt].W / mu
+    out.bump()
+    return out
+
+
+def random_bernoulli_masks(net: Network, alphas, seed: int) -> dict:
+    """Independent keep-with-probability-(1-alpha) masks per prunable layer.
+
+    alphas is a scalar or one drop probability per prunable layer.  Used by
+    the Lipschitz monotonicity experiment, not by the training path.
+    """
+    prunable = net.prunable_indices()
+    if np.isscalar(alphas):
+        alphas = [float(alphas)] * len(prunable)
+    if len(alphas) != len(prunable):
+        raise ValidationError(
+            f"got {len(alphas)} drop rates for {len(prunable)} prunable layers"
+        )
+    for a in alphas:
+        if not 0.0 <= a < 1.0:
+            raise ValidationError(f"drop probability must lie in [0, 1), got {a}")
+    rng = np.random.default_rng(seed)
+    masks = {}
+    for li, a in zip(prunable, alphas):
+        shape = net.layers[li].Z.shape
+        masks[li] = (rng.uniform(size=shape) >= a).astype(float)
+    return masks

@@ -11,7 +11,7 @@ asserts the same condition so pytest enforces it.
 import numpy as np
 import pytest
 
-from oracles import svd
+from oracles import random_bernoulli_masks, svd
 from tscnc.attacks import AttackSpec, fgsm, pgd
 from tscnc.checkpoint import load_checkpoint, save_checkpoint
 from tscnc.data import synth_blobs
@@ -31,10 +31,9 @@ from tscnc.network import (
 from tscnc.pruning import (
     PruneSpec,
     apply_masks,
-    random_bernoulli_masks,
     saliency,
 )
-from tscnc.tensor_ops import condition_number
+from tscnc.tensor_ops import layer_spectrum
 from tscnc.trainer import TrainConfig, evaluate, run_tscnc
 
 
@@ -157,9 +156,9 @@ class TestConditioningOracles:
         worst_scale = 0.0
         for _ in range(30):
             a = rng.standard_normal((5, 5))
-            k = condition_number(a)
+            k = layer_spectrum(a).kappa
             for c in (1e-3, 0.37, 7.0, 1e3):
-                worst_scale = max(worst_scale, abs(condition_number(c * a) - k) / k)
+                worst_scale = max(worst_scale, abs(layer_spectrum(c * a).kappa - k) / k)
 
         worst_ident = 0.0
         done = 0
@@ -167,7 +166,7 @@ class TestConditioningOracles:
             a = rng.uniform(-1.0, 1.0, size=(6, 6))
             if np.linalg.cond(a) > 1e5:
                 continue
-            k = condition_number(a)
+            k = layer_spectrum(a).kappa
             prod = (
                 float(svd(a).singular_values[0])
                 * float(svd(np.linalg.inv(a)).singular_values[0])
@@ -191,7 +190,7 @@ class TestConditioningOracles:
             w = rng.standard_normal((n, n))
             x = rng.standard_normal(n)
             dx = rng.standard_normal(n) * 1e-3
-            k = condition_number(w)
+            k = layer_spectrum(w).kappa
             rel_in = np.linalg.norm(dx) / np.linalg.norm(x)
             rel_out = np.linalg.norm(w.T @ dx) / np.linalg.norm(w.T @ x)
             if rel_out > k * rel_in + 1e-10 or rel_out < rel_in / k - 1e-10:

@@ -111,9 +111,12 @@ class TestTrain:
 
 
 class TestPrune:
-    def test_reprune_tightens_sparsity(self, tmp_path, config_path, trained):
+    @pytest.mark.parametrize("criterion", ["adversarial_saliency", "magnitude"])
+    def test_reprune_tightens_sparsity(self, tmp_path, config_path, trained,
+                                       criterion):
         doc = json.loads(config_path.read_text())
         doc["prune"]["sparsity"] = 0.7
+        doc["prune"]["criterion"] = criterion
         config_path.write_text(json.dumps(doc))
         out = tmp_path / "pruned"
         rc = main(["--quiet", "prune", "--config", str(config_path),

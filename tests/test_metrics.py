@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import apply_scaling
 from tscnc.attacks import AttackSpec, pgd
 from tscnc.errors import ValidationError
 from tscnc.metrics import (
@@ -18,7 +19,6 @@ from tscnc.metrics import (
 from tscnc.network import (
     MaskedLayer,
     Network,
-    apply_scaling,
     backward,
     build_mlp,
     cross_entropy,

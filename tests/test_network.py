@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from oracles import apply_scaling
 from tscnc.errors import DimensionError, StateError, ValidationError
 from tscnc.network import (
     MaskedLayer,
     Network,
-    apply_scaling,
     backward,
     build_cnn,
     build_mlp,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import random_bernoulli_masks
 from tscnc.errors import ValidationError
 from tscnc.network import (
     MaskedLayer,
@@ -19,7 +20,6 @@ from tscnc.pruning import (
     apply_masks,
     magnitude_scores,
     prune_report,
-    random_bernoulli_masks,
     saliency,
     select_mask,
     taylor_scores,

@@ -3,23 +3,22 @@
 Every derived expectation is computed by an independent oracle in this file
 (triple-loop products, sliding-window convolution, power iteration) or in
 ``oracles.py`` (the one-sided Jacobi SVD) rather than by the code path under
-test.
+test. The ``matmul`` and ``im2col`` exercised here also live in
+``oracles.py``; ``im2col`` gathers with the package's ``im2col_indices``, so
+its tests check the plan the convolution layers use.
 """
 
 import numpy as np
 import pytest
 
-from oracles import spectral_norm, svd
+from oracles import im2col, matmul, spectral_norm, svd
 from tscnc.attacks import AttackSpec
 from tscnc.errors import DimensionError, NumericError, ValidationError
 from tscnc.pruning import PruneSpec
 from tscnc.tensor_ops import (
     INFINITE,
-    condition_number,
     frobenius_norm_sq,
-    im2col,
     layer_spectrum,
-    matmul,
 )
 from tscnc.trainer import TrainConfig, run_tscnc
 
@@ -306,26 +305,26 @@ class TestLayerSpectrum:
 
 class TestConditionNumber:
     def test_identity(self):
-        assert condition_number(np.eye(4)) == 1.0
+        assert layer_spectrum(np.eye(4)).kappa == 1.0
 
     def test_diagonal(self):
-        assert abs(condition_number(np.diag([4.0, 2.0])) - 2.0) < 1e-12
+        assert abs(layer_spectrum(np.diag([4.0, 2.0])).kappa - 2.0) < 1e-12
 
     def test_zero_row_is_infinite(self):
         rng = np.random.default_rng(11)
         m = rng.standard_normal((5, 5))
         m[2, :] = 0.0
-        assert condition_number(m) == INFINITE
+        assert layer_spectrum(m).kappa == INFINITE
 
     def test_zero_matrix_is_infinite(self):
-        assert condition_number(np.zeros((3, 3))) == INFINITE
+        assert layer_spectrum(np.zeros((3, 3))).kappa == INFINITE
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(12)
         for scale in (1e-3, 0.5, 2.0, 1e4, -7.0):
             m = rng.standard_normal((5, 4))
-            k0 = condition_number(m)
-            k1 = condition_number(scale * m)
+            k0 = layer_spectrum(m).kappa
+            k1 = layer_spectrum(scale * m).kappa
             assert abs(k1 - k0) <= 1e-8 * k0
 
     def test_equals_norm_times_inverse_norm(self):
@@ -333,7 +332,7 @@ class TestConditionNumber:
         checked = 0
         while checked < 100:
             m = rng.standard_normal((6, 6))
-            kappa = condition_number(m)
+            kappa = layer_spectrum(m).kappa
             if kappa > 1e6:  # keep the 1e-8 relative comparison meaningful
                 continue
             product = spectral_norm(m) * spectral_norm(np.linalg.inv(m))
@@ -397,7 +396,7 @@ def test_perturbation_sandwich_holds_on_random_draws():
     while trials < 1000:
         n = int(rng.integers(2, 9))
         w = rng.standard_normal((n, n))
-        kappa = condition_number(w)
+        kappa = layer_spectrum(w).kappa
         if kappa == INFINITE:
             continue
         x = rng.standard_normal(n)
