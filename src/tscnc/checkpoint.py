@@ -11,14 +11,15 @@ outputs bitwise.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError
-from .network import MaskedLayer, Network
+from .errors import DimensionError, FormatError
+from .network import MaskedLayer, Network, forward
 
 MAGIC = b"TSCN"
 VERSION = 1
@@ -98,6 +99,26 @@ def _take(buf, offset, count, path):
     return buf[offset : offset + count], offset + count
 
 
+def _field(d, key, kind, path, low=None):
+    """d[key] if it has JSON type kind (and is at least low); else FormatError."""
+    value = d.get(key) if isinstance(d, dict) else None
+    ok = isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+    if not ok or (low is not None and value < low):
+        need = kind.__name__ + ("" if low is None else f" >= {low}")
+        raise FormatError(f"{path}: header field {key!r} must be {need}", offset=12)
+    return value
+
+
+def _shape(d, key, path, ndim=None):
+    shape = _field(d, key, list, path)
+    positive = all(isinstance(s, int) and not isinstance(s, bool) and s >= 1
+                   for s in shape)
+    if not shape or not positive or ndim not in (None, len(shape)):
+        raise FormatError(f"{path}: header field {key!r} must list "
+                          f"{ndim or 'some'} positive integers", offset=12)
+    return tuple(shape)
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint; validates both CRCs."""
     with open(path, "rb") as f:
@@ -114,7 +135,10 @@ def load_checkpoint(path) -> Checkpoint:
     crc_bytes, off = _take(raw, off, 4, path)
     if struct.unpack("<I", crc_bytes)[0] != zlib.crc32(hbytes):
         raise FormatError(f"{path}: header checksum mismatch", offset=12)
-    header = json.loads(hbytes.decode("utf-8"))
+    try:
+        header = json.loads(hbytes.decode("utf-8"))
+    except ValueError as exc:
+        raise FormatError(f"{path}: header is not JSON: {exc}", offset=12) from exc
     payload = raw[off:-4]
     if len(raw) < off + 4:
         raise FormatError(f"{path}: truncated payload", offset=off)
@@ -122,18 +146,24 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"{path}: payload checksum mismatch", offset=off)
 
     layers = []
-    momentum = {} if header["momentum"] else None
+    momentum = {} if _field(header, "momentum", bool, path) else None
     pos = 0
-    for li, desc in enumerate(header["layers"]):
-        kind = desc["kind"]
-        if kind not in ("linear", "conv2d"):
+    for li, desc in enumerate(_field(header, "layers", list, path)):
+        kind = _field(desc, "kind", str, path)
+        if kind in ("relu", "flatten"):
             layers.append(MaskedLayer(kind=kind))
             continue
-        shape = tuple(desc["w_shape"])
-        wn = int(np.prod(shape))
+        if kind not in ("linear", "conv2d"):
+            raise FormatError(f"{path}: unknown layer kind {kind!r}", offset=12)
+        shape = _shape(desc, "w_shape", path, ndim=2)
+        b_len = _field(desc, "b_len", int, path)
+        if b_len != shape[1 if kind == "linear" else 0]:
+            raise FormatError(f"{path}: layer {li} bias length {b_len} does not "
+                              f"match its weight shape {shape}", offset=12)
+        wn = math.prod(shape)
         blob, pos = _take(payload, pos, wn * 8, path)
         W = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
-        blob, pos = _take(payload, pos, desc["b_len"] * 8, path)
+        blob, pos = _take(payload, pos, b_len * 8, path)
         b = np.frombuffer(blob, dtype="<f8").copy()
         nbytes = (wn + 7) // 8
         blob, pos = _take(payload, pos, nbytes, path)
@@ -142,19 +172,22 @@ def load_checkpoint(path) -> Checkpoint:
         )[:wn]
         Z = bits.astype(np.float64).reshape(shape)
         layer = MaskedLayer(
-            kind=kind, W=W, Z=Z, b=b, prunable=desc["prunable"],
+            kind=kind, W=W, Z=Z, b=b, prunable=_field(desc, "prunable", bool, path),
         )
         if kind == "conv2d":
-            layer.kernel_size = desc["kernel_size"]
-            layer.stride = desc["stride"]
-            layer.pad = desc["pad"]
-            layer.in_channels = desc["in_channels"]
-            layer.out_channels = desc["out_channels"]
+            for key in ("kernel_size", "stride", "in_channels", "out_channels"):
+                setattr(layer, key, _field(desc, key, int, path, low=1))
+            layer.pad = _field(desc, "pad", int, path, low=0)
+            if shape != (layer.out_channels,
+                         layer.in_channels * layer.kernel_size ** 2):
+                raise FormatError(f"{path}: conv layer {li} weight shape {shape} "
+                                  f"does not match its channels and kernel",
+                                  offset=12)
         layers.append(layer)
         if momentum is not None:
             blob, pos = _take(payload, pos, wn * 8, path)
             vW = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
-            blob, pos = _take(payload, pos, desc["b_len"] * 8, path)
+            blob, pos = _take(payload, pos, b_len * 8, path)
             vb = np.frombuffer(blob, dtype="<f8").copy()
             momentum[li] = {"W": vW, "b": vb}
     if pos != len(payload):
@@ -164,9 +197,15 @@ def load_checkpoint(path) -> Checkpoint:
         )
     net = Network(
         layers=layers,
-        input_shape=tuple(header["input_shape"]),
-        class_count=header["class_count"],
+        input_shape=_shape(header, "input_shape", path),
+        class_count=_field(header, "class_count", int, path, low=1),
     )
+    if not net.parameterized_indices():
+        raise FormatError(f"{path}: no parameterized layer", offset=12)
+    try:
+        forward(net, np.zeros((1,) + net.input_shape))
+    except DimensionError as exc:
+        raise FormatError(f"{path}: layers do not compose: {exc}", offset=12) from exc
     state = {
         key: header.get(key)
         for key in ("epoch", "architecture", "config")

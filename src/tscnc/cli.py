@@ -183,9 +183,6 @@ def build_parser():
     )
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed (unsigned 64-bit)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker count (execution is sequential; accepted "
-                             "for interface stability)")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -220,9 +217,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.seed is not None and not 0 <= args.seed < 2 ** 64:
         print("--seed must fit in an unsigned 64-bit integer", file=sys.stderr)
-        return 2
-    if args.threads < 1:
-        print("--threads must be at least 1", file=sys.stderr)
         return 2
     try:
         return args.func(args)

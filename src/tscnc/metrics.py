@@ -114,24 +114,63 @@ class LipschitzEstimate:
     center: np.ndarray
 
 
-def _margin_fn_setup(net, x, k):
+def _margin_lipschitz(net, x, k, r, q, n, seed):
+    """One sampling pass for the margin functions g_yhat - g_k around x.
+
+    k is one rival class, or None for every class other than yhat.  Returns
+    (x, logits of x, yhat, {k: sampled Lipschitz lower bound of g_yhat - g_k}).
+    """
+    if n < 1:
+        raise ValidationError(f"sample count must be at least 1, got {n}")
+    if r <= 0.0:
+        raise ValidationError(f"radius must be positive, got {r}")
+    if q not in (1, 2):
+        raise ValidationError(f"norm index must be 1 or 2, got {q}")
     x = as_tensor(x)
-    if x.shape == tuple(net.input_shape):
-        xb = x[None]
-    else:
+    if x.shape != tuple(net.input_shape):
         raise ValidationError(
             f"expected a single input of shape {tuple(net.input_shape)}, "
             f"got {x.shape}"
         )
-    logits, cache = forward(net, xb)
-    yhat = int(np.argmax(logits[0]))
-    if not 0 <= k < net.class_count:
+    logits, cache = forward(net, x[None])
+    logits = logits[0]
+    yhat = int(np.argmax(logits))
+    if k is not None and not 0 <= k < net.class_count:
         raise ValidationError(f"class index {k} outside [0, {net.class_count})")
     if yhat == k:
         raise ValidationError(
             f"comparison class {k} equals the predicted class; margin is degenerate"
         )
-    return x, xb, logits, cache, yhat
+    rivals = [k] if k is not None else [c for c in range(net.class_count) if c != yhat]
+    d = x.size
+    raw = np.random.default_rng(seed).standard_normal((n, d + 1))
+    if q == 1:
+        deltas = r * (2.0 * _normal_cdf(raw[:, :d]) - 1.0)
+        norms = np.abs(deltas).max(axis=1)
+    else:
+        dirs = raw[:, :d]
+        lens = np.linalg.norm(dirs, axis=1)
+        lens[lens == 0.0] = 1.0
+        radii = r * _normal_cdf(raw[:, d]) ** (1.0 / d)
+        deltas = (dirs / lens[:, None]) * radii[:, None]
+        norms = radii
+    pts = (x.reshape(1, -1) + deltas).reshape((n,) + tuple(net.input_shape))
+    plog, _ = forward(net, pts)
+    safe = norms > 0.0
+    values = {}
+    for c in rivals:
+        hvals = plog[:, yhat] - plog[:, c]
+        h0 = logits[yhat] - logits[c]
+        best = 0.0
+        if safe.any():
+            best = float((np.abs(hvals - h0)[safe] / norms[safe]).max())
+        gl = np.zeros((1, net.class_count))
+        gl[0, yhat] = 1.0
+        gl[0, c] = -1.0
+        g = backward(net, cache, gl).input.ravel()
+        gnorm = float(np.abs(g).sum()) if q == 1 else float(np.sqrt(g @ g))
+        values[c] = max(best, gnorm)
+    return x, logits, yhat, values
 
 
 def local_lipschitz_estimate(
@@ -145,62 +184,25 @@ def local_lipschitz_estimate(
     normal draw of shape (n, d+1) feeds everything, so sample sets nest as
     n grows with a fixed seed.
     """
-    if n < 1:
-        raise ValidationError(f"sample count must be at least 1, got {n}")
-    if r <= 0.0:
-        raise ValidationError(f"radius must be positive, got {r}")
-    if q not in (1, 2):
-        raise ValidationError(f"norm index must be 1 or 2, got {q}")
-    x, xb, logits, cache, yhat = _margin_fn_setup(net, x, k)
-    h0 = logits[0, yhat] - logits[0, k]
-    d = x.size
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((n, d + 1))
-    if q == 1:
-        deltas = r * (2.0 * _normal_cdf(raw[:, :d]) - 1.0)
-        norms = np.abs(deltas).max(axis=1)
-    else:
-        dirs = raw[:, :d]
-        lens = np.linalg.norm(dirs, axis=1)
-        lens[lens == 0.0] = 1.0
-        radii = r * _normal_cdf(raw[:, d]) ** (1.0 / d)
-        deltas = (dirs / lens[:, None]) * radii[:, None]
-        norms = radii
-    pts = (x.reshape(1, -1) + deltas).reshape((n,) + tuple(net.input_shape))
-    plog, _ = forward(net, pts)
-    hvals = plog[:, yhat] - plog[:, k]
-    safe = norms > 0.0
-    best = 0.0
-    if safe.any():
-        best = float((np.abs(hvals - h0)[safe] / norms[safe]).max())
-    gl = np.zeros((1, net.class_count))
-    gl[0, yhat] = 1.0
-    gl[0, k] = -1.0
-    g = backward(net, cache, gl).input.ravel()
-    gnorm = float(np.abs(g).sum()) if q == 1 else float(np.sqrt(g @ g))
+    x, _, _, values = _margin_lipschitz(net, x, k, r, q, n, seed)
     return LipschitzEstimate(
-        value=max(best, gnorm), q=q, samples=n, radius=r, center=x.copy()
+        value=values[k], q=q, samples=n, radius=r, center=x.copy()
     )
 
 
 def robustness_radius(net: Network, x, r: float, q: int, n: int, seed: int) -> float:
     """min over k != yhat of margin_k / Lhat_k, capped at r.
 
+    Lhat_k is local_lipschitz_estimate(net, x, k, r, q, n, seed).value.
     Because the Lipschitz estimate is a lower bound on the true constant,
     the returned radius is a diagnostic upper-bound flavor of the certified
     quantity, not a certificate.
     """
-    x = as_tensor(x)
-    logits, _ = forward(net, x[None])
-    yhat = int(np.argmax(logits[0]))
+    _, logits, yhat, values = _margin_lipschitz(net, x, None, r, q, n, seed)
     gamma = float(r)
-    for k in range(net.class_count):
-        if k == yhat:
-            continue
-        est = local_lipschitz_estimate(net, x, k, r, q, n, seed)
-        margin = float(logits[0, yhat] - logits[0, k])
-        cand = INFINITE if est.value == 0.0 else margin / est.value
-        gamma = min(gamma, cand)
+    for k, lhat in values.items():
+        margin = float(logits[yhat] - logits[k])
+        gamma = min(gamma, INFINITE if lhat == 0.0 else margin / lhat)
     return gamma
 
 
@@ -222,19 +224,15 @@ def check_eq7(net: Network, x, k: int, r: float, q: int, n: int, seed: int) -> d
     constant (c1 from sup-norm propagation, c2 from Frobenius products) so
     the report can be compared across pruning levels.
     """
-    est = local_lipschitz_estimate(net, x, k, r, q, n, seed)
-    _, _, logits, _, yhat = _margin_fn_setup(net, x, k)
+    _, _, yhat, values = _margin_lipschitz(net, x, k, r, q, n, seed)
+    lipschitz = values[k]
     rows = []
-    all_hold = True
-    for li in net.parameterized_indices():
-        spec = layer_spectrum(net.layers[li].effective_weight())
-        smax = spec.sigma_max
-        lhs = INFINITE if smax == 0.0 else est.value / (2.0 * smax)
-        holds = bool(lhs <= spec.kappa)
-        all_hold = all_hold and holds
+    for row in condition_report(net).layers:
+        smax = row.sigma_max
+        lhs = INFINITE if smax == 0.0 else lipschitz / (2.0 * smax)
         rows.append(
-            {"layer": li, "lhs": lhs, "kappa": spec.kappa, "sigma_max": smax,
-             "holds": holds}
+            {"layer": row.layer, "lhs": lhs, "kappa": row.kappa,
+             "sigma_max": smax, "holds": bool(lhs <= row.kappa)}
         )
     pis = net.parameterized_indices()
     last = net.layers[pis[-1]]
@@ -248,11 +246,11 @@ def check_eq7(net: Network, x, k: int, r: float, q: int, n: int, seed: int) -> d
         c1 *= _holder_inf_norm(net.layers[li])
         c2 *= math.sqrt(frobenius_norm_sq(net.layers[li].effective_weight()))
     return {
-        "lipschitz": est.value,
+        "lipschitz": lipschitz,
         "yhat": yhat,
         "k": k,
         "layers": rows,
         "c1": c1,
         "c2": c2,
-        "holds": all_hold,
+        "holds": all(row["holds"] for row in rows),
     }

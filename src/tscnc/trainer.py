@@ -97,17 +97,24 @@ _STR_KEYS = {"dataset", "architecture"}
 
 
 def _attack_from_dict(d, where):
+    _require(d, dict, where)
     unknown = set(d) - _ATTACK_KEYS
     if unknown:
         raise ConfigError(f"unknown attack keys in {where}: {sorted(unknown)}")
     if "epsilon" not in d:
         raise ConfigError(f"attack in {where} needs an epsilon")
+    random_start = d.get("random_start", False)
+    if not isinstance(random_start, bool):
+        raise ConfigError(f"config key {where}.random_start must be true or false")
+    clamp = _require(d.get("clamp", [0.0, 1.0]), list, f"{where}.clamp")
+    if len(clamp) != 2:
+        raise ConfigError(f"config key {where}.clamp must have exactly 2 entries")
     spec = AttackSpec(
-        epsilon=float(d["epsilon"]),
-        step_size=float(d.get("step_size", 0.0)),
-        steps=int(d.get("steps", 0)),
-        random_start=bool(d.get("random_start", False)),
-        clamp=tuple(d.get("clamp", (0.0, 1.0))),
+        epsilon=_coerce(f"{where}.epsilon", d["epsilon"], float),
+        step_size=_coerce(f"{where}.step_size", d.get("step_size", 0.0), float),
+        steps=_coerce(f"{where}.steps", d.get("steps", 0), int),
+        random_start=random_start,
+        clamp=tuple(_coerce(f"{where}.clamp", c, float) for c in clamp),
     )
     return spec
 
@@ -127,20 +134,21 @@ def config_from_dict(doc: dict) -> TrainConfig:
         elif key == "eval_attacks":
             kwargs[key] = {
                 name: _attack_from_dict(spec, f"eval_attacks[{name}]")
-                for name, spec in value.items()
+                for name, spec in _require(value, dict, key).items()
             }
         elif key == "prune":
-            unknown = set(value) - _PRUNE_KEYS
+            unknown = set(_require(value, dict, key)) - _PRUNE_KEYS
             if unknown:
                 raise ConfigError(f"unknown prune keys: {sorted(unknown)}")
+            protected = _require(value.get("protected", []), list, "prune.protected")
             kwargs[key] = PruneSpec(
-                sparsity=float(value.get("sparsity", 0.0)),
+                sparsity=_coerce("prune.sparsity", value.get("sparsity", 0.0), float),
                 scope=value.get("scope", "global"),
-                protected=tuple(value.get("protected", ())),
+                protected=tuple(_coerce("prune.protected", li, int) for li in protected),
                 criterion=value.get("criterion", "adversarial_saliency"),
             )
         elif key == "lr_milestones":
-            kwargs[key] = tuple(_coerce(key, m, int) for m in value)
+            kwargs[key] = tuple(_coerce(key, m, int) for m in _require(value, list, key))
         elif key in _INT_KEYS:
             kwargs[key] = _coerce(key, value, int)
         elif key in _FLOAT_KEYS:
@@ -154,12 +162,20 @@ def config_from_dict(doc: dict) -> TrainConfig:
     return TrainConfig(**kwargs)
 
 
+def _require(value, kind, key):
+    """value itself if it is a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(value, (list, tuple) if kind is list else kind):
+        name = "an object" if kind is dict else "an array"
+        raise ConfigError(f"config key {key} must be {name}")
+    return value
+
+
 def _coerce(key, value, kind):
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigError(f"config key {key} must be a {kind.__name__}")
     try:
         return kind(value)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {key} must be a {kind.__name__}") from exc
 
 

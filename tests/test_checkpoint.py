@@ -1,5 +1,6 @@
 """Checkpoint format: binary round trips, corruption detection, masks."""
 
+import json
 import struct
 import zlib
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from tscnc.checkpoint import load_checkpoint, save_checkpoint
+from tscnc.cli import main
 from tscnc.errors import FormatError
 from tscnc.network import build_cnn, build_mlp, forward
 
@@ -186,3 +188,65 @@ class TestCorruption:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+
+_DROP = object()
+
+
+def _with(*keys, value=_DROP):
+    """Header edit that sets (or, by default, deletes) the value at keys."""
+    def edit(header):
+        *parents, last = keys
+        for key in parents:
+            header = header[key]
+        if value is _DROP:
+            del header[last]
+        else:
+            header[last] = value
+    return edit
+
+
+class TestHeaderSchema:
+    """Headers with a valid checksum but a bad schema are format errors."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: [h],
+        lambda h: b"{not json",
+        _with("momentum"),
+        _with("momentum", value=0),
+        _with("layers", value={"0": {"kind": "conv2d"}}),
+        _with("layers", value=[{"kind": "relu"}]),
+        _with("layers", 0, "w_shape"),
+        _with("layers", 0, "w_shape", value=[-1, 2]),
+        _with("layers", 0, "w_shape", value=[4.0, 9]),
+        _with("layers", 0, "b_len", value=3),
+        _with("layers", 1, "kind", value="pool"),
+        _with("layers", 0, "kernel_size", value=2),
+        _with("layers", 0, "stride", value=0),
+        _with("layers", 3, "prunable"),
+        _with("input_shape", value=[36]),
+        _with("input_shape", value=[2, 6, 6]),
+        _with("input_shape", value=[1, 0, 6]),
+        _with("class_count", value=4),
+    ], ids=[
+        "not-an-object", "not-json", "no-momentum", "momentum-not-bool",
+        "layers-not-a-list", "no-parameterized-layer", "no-w_shape",
+        "negative-w_shape", "float-w_shape", "b_len-mismatch", "unknown-kind",
+        "kernel-mismatch", "zero-stride", "no-prunable", "flat-input-shape",
+        "channel-misfit", "zero-input-shape", "class-count-misfit",
+    ])
+    def test_rejected_with_fresh_crc(self, tmp_path, edit):
+        path = tmp_path / "c.tscn"
+        save_checkpoint(path, build_cnn((1, 6, 6), [4], 10, 3, seed=5))
+        raw = path.read_bytes()
+        hlen = struct.unpack("<I", raw[8:12])[0]
+        header = json.loads(raw[12 : 12 + hlen])
+        replaced = edit(header)
+        header = header if replaced is None else replaced
+        hbytes = header if isinstance(header, bytes) else json.dumps(header).encode()
+        path.write_bytes(raw[:8] + struct.pack("<I", len(hbytes)) + hbytes
+                         + struct.pack("<I", zlib.crc32(hbytes))
+                         + raw[12 + hlen + 4 :])
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+        assert main(["--quiet", "inspect", "--checkpoint", str(path)]) == 3

@@ -34,6 +34,16 @@ def config_path(tmp_path):
     return path
 
 
+def run_cli(*args, **env):
+    """`python -m tscnc.cli ARGS` in a subprocess, with this package on the path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tscnc.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "tscnc.cli", *args],
+        env=dict(os.environ, PYTHONPATH=path, **env),
+        capture_output=True, text=True, timeout=300)
+
+
 @pytest.fixture()
 def trained(tmp_path, config_path):
     out = tmp_path / "run"
@@ -94,6 +104,17 @@ class TestTrain:
         rc = main(["--quiet", "train", "--config", str(bad),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_malformed_nested_value_exits_2_without_traceback(self, tmp_path,
+                                                                 config_path):
+        doc = json.loads(config_path.read_text())
+        doc["train_attack"] = 3
+        config_path.write_text(json.dumps(doc))
+        proc = run_cli("--quiet", "train", "--config", str(config_path),
+                       "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "configuration error" in proc.stderr
 
     def test_divergence_exits_4(self, tmp_path, config_path):
         import numpy as np
@@ -210,9 +231,11 @@ class TestGlobalFlags:
         assert rc == 2
 
     def test_bad_threads_exits_2(self, config_path, tmp_path):
-        rc = main(["--threads", "0", "train", "--config", str(config_path),
-                   "--out", str(tmp_path / "o")])
-        assert rc == 2
+        # there is no --threads flag; argparse rejects it with usage exit 2
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "0", "train", "--config", str(config_path),
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
 
 
 # the README quick-start config
@@ -236,16 +259,11 @@ class TestBlasThreads:
     def test_thread_counts_give_identical_bytes(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(QUICKSTART))
-        src = os.path.dirname(os.path.dirname(os.path.abspath(tscnc.__file__)))
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
-            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-            subprocess.run(
-                [sys.executable, "-m", "tscnc.cli", "--quiet", "train",
-                 "--config", str(config), "--out", str(out)],
-                env=env, check=True, timeout=300)
+            run_cli("--quiet", "train", "--config", str(config), "--out", str(out),
+                    OPENBLAS_NUM_THREADS=threads).check_returncode()
             outputs.append([(out / name).read_bytes()
                             for name in ("model.tscn", "metrics.json")])
         assert outputs[0] == outputs[1]

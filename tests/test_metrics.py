@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import tscnc.metrics
 from oracles import apply_scaling
 from tscnc.attacks import AttackSpec, pgd
 from tscnc.errors import ValidationError
@@ -21,6 +22,7 @@ from tscnc.network import (
     Network,
     backward,
     build_mlp,
+    build_network,
     cross_entropy,
     forward,
 )
@@ -392,3 +394,54 @@ class TestCheckEq7:
         rep2 = check_eq7(doubled, x, k, r=0.1, q=2, n=40, seed=2)
         assert rep2["c1"] == pytest.approx(2.0 * rep1["c1"], rel=1e-9)
         assert rep2["c2"] == pytest.approx(2.0 * rep1["c2"], rel=1e-9)
+
+
+class TestSharedSamplingPass:
+    """The three diagnostics share one sampling pass on a six-class CNN."""
+
+    @pytest.fixture()
+    def six_class(self):
+        net = build_network("cnn-8x16-32", (1, 8, 8), 6, seed=3)
+        x = np.random.default_rng(3).uniform(size=(1, 8, 8))
+        logits = forward(net, x[None])[0][0]
+        return net, x, logits, int(np.argmax(logits))
+
+    def test_forward_calls_do_not_grow_with_class_count(self, six_class,
+                                                        monkeypatch):
+        net, x, _, yhat = six_class
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return forward(*args)
+
+        monkeypatch.setattr(tscnc.metrics, "forward", counted)
+        robustness_radius(net, x, r=0.1, q=1, n=100, seed=0)
+        assert len(calls) == 2  # x once, the sampled batch once
+        calls.clear()
+        check_eq7(net, x, (yhat + 1) % 6, r=0.1, q=2, n=50, seed=0)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_radius_is_min_over_per_class_estimates(self, six_class, q):
+        net, x, logits, yhat = six_class
+        r = 0.5
+        ratios = [
+            float(logits[yhat] - logits[k])
+            / local_lipschitz_estimate(net, x, k, r, q, n=60, seed=4).value
+            for k in range(6) if k != yhat
+        ]
+        got = robustness_radius(net, x, r=r, q=q, n=60, seed=4)
+        assert got == min(r, min(ratios))
+        assert got < r  # the cap is not what decides this case
+
+    def test_eq7_rows_come_from_condition_report(self, six_class):
+        net, x, _, yhat = six_class
+        k = (yhat + 2) % 6
+        rep = check_eq7(net, x, k, r=0.1, q=2, n=80, seed=5)
+        crep = condition_report(net)
+        assert [(row["layer"], row["kappa"], row["sigma_max"])
+                for row in rep["layers"]] == [
+            (row.layer, row.kappa, row.sigma_max) for row in crep.layers]
+        want = local_lipschitz_estimate(net, x, k, r=0.1, q=2, n=80, seed=5)
+        assert rep["lipschitz"] == want.value

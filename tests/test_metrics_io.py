@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +34,7 @@ class TestCsv:
     def test_single_record_two_lines(self, tmp_path):
         base = tmp_path / "metrics"
         csv_path, _ = write_metrics([make_record()], str(base))
-        lines = open(csv_path).read().strip().split("\n")
+        lines = Path(csv_path).read_text().strip().split("\n")
         assert len(lines) == 2
 
     def test_column_order(self, tmp_path):
@@ -95,7 +96,7 @@ class TestJson:
     def test_document_shape(self, tmp_path):
         base = tmp_path / "metrics"
         _, json_path = write_metrics([make_record()], str(base))
-        doc = json.load(open(json_path))
+        doc = json.loads(Path(json_path).read_text())
         assert set(doc) == {"records"}
         rec = doc["records"][0]
         assert rec["epoch"] == 0
@@ -110,19 +111,19 @@ class TestJson:
                           kappa_layers={0: math.inf, 2: 2.0})
         base = tmp_path / "metrics"
         _, json_path = write_metrics([rec], str(base))
-        doc = json.load(open(json_path))
+        doc = json.loads(Path(json_path).read_text())
         out = doc["records"][0]
         assert out["kappa_max"] == {"value": None, "infinite": True}
         assert out["layers"][0]["kappa"] == {"value": None, "infinite": True}
         assert out["layers"][1]["kappa"] == {"value": 2.0, "infinite": False}
         # the document must survive a strict parser (no bare Infinity tokens)
-        json.loads(open(json_path).read(), parse_constant=lambda s: pytest.fail(s))
+        json.loads(Path(json_path).read_text(), parse_constant=lambda s: pytest.fail(s))
 
     def test_values_round_trip(self, tmp_path):
         rec = make_record()
         base = tmp_path / "metrics"
         _, json_path = write_metrics([rec], str(base))
-        out = json.load(open(json_path))["records"][0]
+        out = json.loads(Path(json_path).read_text())["records"][0]
         assert abs(out["loss_E"] - rec.loss_E) < 1e-9
         assert abs(out["loss_CC"] - rec.loss_CC) < 1e-9
         assert out["sparsity"] == 0.9

@@ -181,6 +181,23 @@ class TestConfigFromDict:
         with pytest.raises(ConfigError):
             config_from_dict({"dataset": 3, "architecture": "y"})
 
+    @pytest.mark.parametrize("over", [
+        {"eval_attacks": [1]},
+        {"train_attack": 3},
+        {"prune": ["sparsity"]},
+        {"lr_milestones": 5},
+        {"train_attack": {"epsilon": "abc"}},
+        {"train_attack": {"epsilon": 0.1, "clamp": [0.0]}},
+        {"prune": {"sparsity": "x"}},
+        {"prune": {"sparsity": 0.5, "protected": 3}},
+        {"train_attack": {"epsilon": 0.1, "steps": "2.5"}},
+        {"train_attack": {"epsilon": 0.1, "random_start": "false"}},
+        {"epochs": float("inf")},
+    ])
+    def test_malformed_nested_values(self, over):
+        with pytest.raises(ConfigError):
+            config_from_dict({"dataset": "x", "architecture": "y", **over})
+
     def test_trades_beta_reserved(self):
         # the smoothness-regularized objective is not implemented, so its
         # key is unknown rather than accepted and ignored
