@@ -32,6 +32,11 @@ class AttackSpec:
     clamp: tuple = (0.0, 1.0)
 
     def validate(self) -> None:
+        if not np.isfinite([self.epsilon, self.step_size]).all():
+            raise ValidationError(
+                f"epsilon and step_size must be finite, got "
+                f"{self.epsilon} and {self.step_size}"
+            )
         if self.epsilon < 0.0:
             raise ValidationError(f"epsilon must be non-negative, got {self.epsilon}")
         if self.steps < 0:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, FormatError
+from .metrics_io import atomic_open
 from .network import MaskedLayer, Network, forward
 
 MAGIC = b"TSCN"
@@ -83,7 +84,7 @@ def save_checkpoint(path, net: Network, state: dict | None = None) -> None:
         if momentum is not None:
             payload += _weight_bytes(momentum[li]["W"])
             payload += _weight_bytes(momentum[li]["b"])
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
         f.write(struct.pack("<I", len(hbytes)))

@@ -18,7 +18,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import load_dataset
 from .errors import ConfigError, DivergenceError, FormatError, ValidationError
 from .metrics import check_eq7, condition_report
-from .metrics_io import write_metrics
+from .metrics_io import atomic_open, write_metrics
 from .network import forward
 from .pruning import apply_masks, prune_report, select_mask
 from .trainer import config_from_dict, evaluate, run_tscnc, score_weights
@@ -72,7 +72,7 @@ def _print(args, *parts):
 
 
 def _write_json(path, doc):
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
 
 

@@ -167,7 +167,7 @@ def _margin_lipschitz(net, x, k, r, q, n, seed):
         gl = np.zeros((1, net.class_count))
         gl[0, yhat] = 1.0
         gl[0, c] = -1.0
-        g = backward(net, cache, gl).input.ravel()
+        g = backward(net, cache, gl, weights=False).input.ravel()
         gnorm = float(np.abs(g).sum()) if q == 1 else float(np.sqrt(g @ g))
         values[c] = max(best, gnorm)
     return x, logits, yhat, values

@@ -3,15 +3,39 @@
 The CSV holds one row per epoch with a fixed column order; the JSON mirror
 carries full per-layer condition detail.  Infinite condition numbers print
 as "inf" in CSV and as null plus an explicit flag in JSON, so plots cannot
-silently treat them as huge finite values.
+silently treat them as huge finite values.  Every output file of the
+package is written through ``atomic_open``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 
 from .errors import ValidationError
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode="w", **kwargs):
+    """open(path, mode) for writing that replaces path only on success.
+
+    The block writes a temp file in path's directory, which os.replace then
+    renames over path.  A write that fails part-way leaves any earlier file
+    at path as it was and removes the temp file.
+    """
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _fmt(v) -> str:
@@ -54,7 +78,7 @@ def write_metrics(records, path) -> tuple:
     csv_path = f"{path}.csv"
     json_path = f"{path}.json"
     try:
-        with open(csv_path, "w", encoding="utf-8") as f:
+        with atomic_open(csv_path, "w", encoding="utf-8") as f:
             f.write(",".join(columns) + "\n")
             for r in records:
                 row = [str(r.epoch), _fmt(r.lr), _fmt(r.clean_acc)]
@@ -89,7 +113,7 @@ def write_metrics(records, path) -> tuple:
                     ],
                 }
             )
-        with open(json_path, "w", encoding="utf-8") as f:
+        with atomic_open(json_path, "w", encoding="utf-8") as f:
             json.dump(doc, f, indent=2)
             f.write("\n")
     except OSError as e:

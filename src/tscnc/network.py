@@ -5,6 +5,11 @@ parameterized layer carries a binary mask Z applied multiplicatively on each
 forward pass.  Convolution weights are stored pre-flattened as
 (c_out, c_in*k*k) so the matrix view used by the condition-number and
 saliency paths is the storage layout itself.
+
+``backward(..., weights=False)`` computes the input gradients only, for
+attacks and Lipschitz estimates.  The conv input gradient is scattered back
+onto the padded input by one ``np.bincount``, which adds in the same order
+as an element-wise ``np.add.at`` scatter and so gives the same bits.
 """
 
 from __future__ import annotations
@@ -138,9 +143,9 @@ def forward(net: Network, x) -> tuple:
                     f"got {a.shape}"
                 )
             idx, (oh, ow) = layer.conv_plan(a.shape[2], a.shape[3])
-            padded = np.pad(
-                a, ((0, 0), (0, 0), (layer.pad, layer.pad), (layer.pad, layer.pad))
-            )
+            p, (h, w) = layer.pad, a.shape[2:]
+            padded = np.zeros((batch, layer.in_channels, h + 2 * p, w + 2 * p))
+            padded[:, :, p : p + h, p : p + w] = a
             flat = padded.reshape(batch, -1)
             c = flat[:, idx]  # (batch, c_in*k*k, oh*ow)
             cols[li] = (c, a.shape, padded.shape)
@@ -189,11 +194,15 @@ def cross_entropy(logits, labels) -> tuple:
     return loss, grad
 
 
-def backward(net: Network, cache: ForwardCache, grad_logits) -> Gradients:
+def backward(
+    net: Network, cache: ForwardCache, grad_logits, *, weights: bool = True
+) -> Gradients:
     """Reverse-mode pass returning per-layer dW, db, dx.
 
     Weight gradients are w.r.t. the effective (masked) weights; entries under
-    Z=0 are reported as-is and the optimizer gates the update by Z.
+    Z=0 are reported as-is and the optimizer gates the update by Z.  With
+    weights=False every dW and db is None and only the input gradients,
+    bitwise those of the full pass, are computed.
     """
     if cache.net_id != id(net) or cache.version != net.version:
         raise StateError("forward cache is stale: network mutated since forward")
@@ -208,20 +217,23 @@ def backward(net: Network, cache: ForwardCache, grad_logits) -> Gradients:
         layer = net.layers[li]
         a = cache.inputs[li]
         if layer.kind == "linear":
-            dW = a.T @ grad
-            db = grad.sum(axis=0)
+            dW = a.T @ grad if weights else None
+            db = grad.sum(axis=0) if weights else None
             grad = grad @ layer.effective_weight().T
             per_layer[li] = LayerGrads(weight=dW, bias=db, input=grad)
         elif layer.kind == "conv2d":
             c, in_shape, padded_shape = cache.cols[li]
             batch = in_shape[0]
             dz = grad.reshape(batch, layer.out_channels, -1)
-            dW = np.einsum("bos,bks->ok", dz, c)
-            db = dz.sum(axis=(0, 2))
+            dW = np.einsum("bos,bks->ok", dz, c) if weights else None
+            db = dz.sum(axis=(0, 2)) if weights else None
             dcols = np.matmul(layer.effective_weight().T, dz)
             idx, _ = layer.conv_plan(in_shape[2], in_shape[3])
-            dflat = np.zeros((batch, padded_shape[1] * padded_shape[2] * padded_shape[3]))
-            np.add.at(dflat, (np.arange(batch)[:, None, None], idx[None]), dcols)
+            size = padded_shape[1] * padded_shape[2] * padded_shape[3]
+            flat_idx = np.arange(0, batch * size, size)[:, None, None] + idx
+            dflat = np.bincount(
+                flat_idx.ravel(), weights=dcols.ravel(), minlength=batch * size
+            )
             dpad = dflat.reshape(padded_shape)
             p = layer.pad
             grad = dpad[:, :, p : padded_shape[2] - p, p : padded_shape[3] - p]
@@ -239,7 +251,7 @@ def input_gradient(net: Network, x, y) -> np.ndarray:
     """Gradient of the mean cross-entropy loss w.r.t. the input batch."""
     logits, cache = forward(net, x)
     _, grad_logits = cross_entropy(logits, y)
-    return backward(net, cache, grad_logits).input
+    return backward(net, cache, grad_logits, weights=False).input
 
 
 def _kaiming_uniform(rng, shape, fan_in):

@@ -63,6 +63,10 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in sorted(_FLOAT_KEYS):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.epochs < 1:
             raise ValidationError(f"epochs must be at least 1, got {self.epochs}")
         if self.lr <= 0.0:
@@ -173,6 +177,8 @@ def _require(value, kind, key):
 def _coerce(key, value, kind):
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigError(f"config key {key} must be a {kind.__name__}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"config key {key} must be a whole number, got {value}")
     try:
         return kind(value)
     except (ValueError, OverflowError) as exc:

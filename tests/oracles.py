@@ -7,6 +7,10 @@ package's own spectrum kernels before it moved to LAPACK singular values
 independent oracles: Jacobi rotations are accurate to high relative
 precision even on graded matrices (Demmel & Veselic, 1992).
 
+The ``np.add.at`` col2im scatter was the conv layers' input-gradient kernel
+before ``np.bincount`` replaced it; it stays here as the bitwise oracle for
+the new one.
+
 The rest has no caller in the package: a checked matrix product, a
 single-image ``im2col`` built on the package's own gather plan
 (``tscnc.tensor_ops.im2col_indices``, so the im2col tests still check the
@@ -225,6 +229,18 @@ def im2col(x, kernel_size: int, stride: int = 1, pad: int = 0) -> np.ndarray:
     c, h, w = a.shape
     idx, _ = im2col_indices(c, h, w, kernel_size, stride, pad)
     return pad_image(a, pad).ravel()[idx]
+
+
+def col2im_add_at(dcols: np.ndarray, idx: np.ndarray, padded_shape) -> np.ndarray:
+    """Scatter-add column gradients back onto the padded input batch.
+
+    ``dcols`` has shape ``(batch, c_in*k*k, out_h*out_w)`` and ``idx`` is the
+    gather plan of ``im2col_indices``; the result has ``padded_shape``.
+    """
+    batch = padded_shape[0]
+    dflat = np.zeros((batch, padded_shape[1] * padded_shape[2] * padded_shape[3]))
+    np.add.at(dflat, (np.arange(batch)[:, None, None], idx[None]), dcols)
+    return dflat.reshape(padded_shape)
 
 
 def apply_scaling(net: Network, layer: int, mu: float) -> Network:

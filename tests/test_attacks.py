@@ -5,10 +5,12 @@ import pytest
 
 from tscnc.attacks import AttackSpec, fgsm, pgd
 from tscnc.errors import ValidationError
+import tscnc.network
 from tscnc.network import (
     MaskedLayer,
     Network,
     backward,
+    build_cnn,
     build_mlp,
     cross_entropy,
     forward,
@@ -65,6 +67,16 @@ class TestAttackSpec:
     def test_bad_clamp_rejected(self):
         with pytest.raises(ValidationError):
             AttackSpec(0.1, 0.1, 1, clamp=(1.0, 0.0)).validate()
+
+    @pytest.mark.parametrize("eps, step", [
+        (float("nan"), 0.1), (float("inf"), 0.1), (0.1, float("nan")),
+        (0.1, float("inf")), (0.0, float("nan")),
+    ])
+    def test_non_finite_budget_rejected(self, eps, step):
+        with pytest.raises(ValidationError):
+            AttackSpec(eps, step_size=step, steps=1).validate()
+        with pytest.raises(ValidationError):
+            AttackSpec(eps, step_size=step, steps=0).validate()
 
 
 class TestFgsm:
@@ -211,3 +223,43 @@ class TestPgd:
         adv = pgd(net, x, np.array([0]), AttackSpec(0.1, 0.05, 4))
         assert adv[0, 1] == x[0, 1]
         assert adv[0, 0] != x[0, 0]
+
+
+class TestInputGradientOnly:
+    """Attacks need input gradients only; they must not pay for dW."""
+
+    @pytest.mark.parametrize("attack", [
+        lambda net, x, y: pgd(net, x, y, AttackSpec(0.1, 0.03, 4, random_start=True),
+                              rng=np.random.default_rng(1)),
+        lambda net, x, y: fgsm(net, x, y, AttackSpec(0.1)),
+    ], ids=["pgd", "fgsm"])
+    def test_cnn_attack_evaluates_no_weight_gradient(self, attack, monkeypatch):
+        net = build_cnn((2, 6, 6), [3, 4], 8, 3, seed=0)
+        rng = np.random.default_rng(0)
+        x = rng.random((4, 2, 6, 6))
+        y = rng.integers(0, 3, size=4)
+        einsums, passes = [], []
+        real_einsum, real_backward = np.einsum, tscnc.network.backward
+
+        def counting_einsum(*args, **kwargs):
+            einsums.append(args[0])
+            return real_einsum(*args, **kwargs)
+
+        def recording_backward(*args, **kwargs):
+            grads = real_backward(*args, **kwargs)
+            passes.append(grads)
+            return grads
+
+        monkeypatch.setattr(np, "einsum", counting_einsum)
+        monkeypatch.setattr(tscnc.network, "backward", recording_backward)
+        logits, cache = forward(net, x)
+        tscnc.network.backward(net, cache, np.ones_like(logits))
+        assert einsums, "the full pass must be seen to compute conv dW"
+        einsums.clear()
+        passes.clear()
+
+        attack(net, x, y)
+        assert einsums == []
+        assert passes
+        for grads in passes:
+            assert all(lg.weight is None and lg.bias is None for lg in grads.layers)

@@ -116,6 +116,19 @@ class TestTrain:
         assert "Traceback" not in proc.stderr
         assert "configuration error" in proc.stderr
 
+    @pytest.mark.parametrize("over", ['"lr": NaN', '"weight_decay": Infinity',
+                                      '"epochs": 2.7'])
+    def test_non_finite_or_fractional_value_exits_2(self, tmp_path, config_path,
+                                                    over):
+        text = config_path.read_text()
+        config_path.write_text(text[:-1] + ", " + over + "}")
+        proc = run_cli("--quiet", "train", "--config", str(config_path),
+                       "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "configuration error" in proc.stderr
+        assert not (tmp_path / "o" / "model.tscn").exists()
+
     def test_divergence_exits_4(self, tmp_path, config_path):
         import numpy as np
 

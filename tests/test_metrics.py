@@ -21,6 +21,7 @@ from tscnc.network import (
     MaskedLayer,
     Network,
     backward,
+    build_cnn,
     build_mlp,
     build_network,
     cross_entropy,
@@ -445,3 +446,18 @@ class TestSharedSamplingPass:
             (row.layer, row.kappa, row.sigma_max) for row in crep.layers]
         want = local_lipschitz_estimate(net, x, k, r=0.1, q=2, n=80, seed=5)
         assert rep["lipschitz"] == want.value
+
+
+def test_radius_on_cnn_evaluates_no_weight_gradient(monkeypatch):
+    net = build_cnn((1, 6, 6), [2, 3], 8, 4, seed=2)
+    x = np.random.default_rng(2).random((1, 6, 6))
+    calls = []
+    real_einsum = np.einsum
+
+    def counting_einsum(*args, **kwargs):
+        calls.append(args[0])
+        return real_einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    assert robustness_radius(net, x, r=0.1, q=2, n=10, seed=0) >= 0.0
+    assert calls == []

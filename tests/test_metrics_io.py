@@ -3,12 +3,16 @@
 import csv
 import json
 import math
+import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from tscnc import checkpoint, cli, metrics_io
 from tscnc.errors import ValidationError
-from tscnc.metrics_io import write_metrics
+from tscnc.metrics_io import atomic_open, write_metrics
+from tscnc.network import build_mlp
 from tscnc.trainer import MetricsRecord
 
 
@@ -144,3 +148,79 @@ class TestRejections:
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(ValidationError):
             write_metrics([make_record()], str(tmp_path / "no" / "dir" / "m"))
+
+
+def _half_dump(target):
+    """json.dump stand-in that writes part of the document, then fails."""
+    before = target.read_bytes()
+
+    def dump(doc, f, **kwargs):
+        f.write(json.dumps(doc, **kwargs)[:10])
+        f.flush()
+        assert target.read_bytes() == before  # readers still see the old file
+        raise OSError("disk full")
+
+    return SimpleNamespace(dump=dump)
+
+
+class TestAtomicWrites:
+    """A write that fails part-way keeps the earlier file and no temp file."""
+
+    def test_success_replaces_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+        with atomic_open(path, "w", encoding="utf-8") as f:
+            f.write("new")
+        assert path.read_text() == "new"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.tscn"
+        checkpoint.save_checkpoint(path, build_mlp(4, [3], 2, seed=0))
+        before = path.read_bytes()
+
+        def crc32(data):
+            raise OSError("disk full")  # header already written, payload not
+
+        monkeypatch.setattr(checkpoint, "zlib", SimpleNamespace(crc32=crc32))
+        with pytest.raises(OSError):
+            checkpoint.save_checkpoint(path, build_mlp(4, [3], 2, seed=1))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.tscn"]
+
+    def test_metrics_csv(self, tmp_path, monkeypatch):
+        base = tmp_path / "metrics"
+        write_metrics([make_record()], str(base))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        calls = []
+
+        def fmt(v):
+            calls.append(v)
+            if len(calls) > 4:  # part-way through the first data row
+                raise OSError("disk full")
+            return repr(v)
+
+        monkeypatch.setattr(metrics_io, "_fmt", fmt)
+        with pytest.raises(ValidationError):
+            write_metrics([make_record(epoch=1)], str(base))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_metrics_json(self, tmp_path, monkeypatch):
+        base = tmp_path / "metrics"
+        write_metrics([make_record()], str(base))
+        json_before = (tmp_path / "metrics.json").read_bytes()
+        monkeypatch.setattr(metrics_io, "json", _half_dump(tmp_path / "metrics.json"))
+        with pytest.raises(ValidationError):
+            write_metrics([make_record(epoch=1)], str(base))
+        assert (tmp_path / "metrics.json").read_bytes() == json_before
+        assert sorted(os.listdir(tmp_path)) == ["metrics.csv", "metrics.json"]
+
+    def test_cli_json_report(self, tmp_path, monkeypatch):
+        path = tmp_path / "prune_report.json"
+        cli._write_json(path, {"global_sparsity": 0.5})
+        before = path.read_bytes()
+        monkeypatch.setattr(cli, "json", _half_dump(path))
+        with pytest.raises(OSError):
+            cli._write_json(path, {"global_sparsity": 0.9})
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["prune_report.json"]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import apply_scaling
+from oracles import apply_scaling, col2im_add_at
 from tscnc.errors import DimensionError, StateError, ValidationError
 from tscnc.network import (
     MaskedLayer,
@@ -307,6 +307,69 @@ class TestBackward:
         want = x.T @ gl
         assert np.abs(grads.layers[0].weight - want).max() <= 1e-14
         assert grads.layers[0].weight[1, 2] != 0.0
+
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("batch", [1, 7])
+    @pytest.mark.parametrize("c_in", [1, 3])
+    def test_conv_input_gradient_matches_add_at_scatter_bitwise(
+        self, k, stride, pad, batch, c_in
+    ):
+        rng = np.random.default_rng(100 * k + 10 * stride + pad)
+        c_out, h, w = 2, 6, 7
+        layer = MaskedLayer(
+            kind="conv2d",
+            W=rng.normal(size=(c_out, c_in * k * k)),
+            Z=(rng.random((c_out, c_in * k * k)) > 0.3).astype(float),
+            b=rng.normal(size=c_out),
+            kernel_size=k, stride=stride, pad=pad,
+            in_channels=c_in, out_channels=c_out, prunable=True,
+        )
+        oh = (h + 2 * pad - k) // stride + 1
+        ow = (w + 2 * pad - k) // stride + 1
+        net = Network(
+            layers=[layer, MaskedLayer(kind="flatten")],
+            input_shape=(c_in, h, w),
+            class_count=c_out * oh * ow,
+        )
+        logits, cache = forward(net, rng.normal(size=(batch, c_in, h, w)))
+        gl = rng.normal(size=logits.shape)
+        dcols = np.matmul(layer.effective_weight().T, gl.reshape(batch, c_out, -1))
+        idx, _ = layer.conv_plan(h, w)
+        padded_shape = (batch, c_in, h + 2 * pad, w + 2 * pad)
+        want = col2im_add_at(dcols, idx, padded_shape)[
+            :, :, pad : pad + h, pad : pad + w
+        ]
+        for weights in (True, False):
+            got = backward(net, cache, gl, weights=weights).input
+            assert got.shape == (batch, c_in, h, w)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("net", [
+        build_mlp(7, [9, 6], 4, seed=3),
+        build_cnn((2, 6, 6), [3, 4], 10, 4, seed=3),
+    ], ids=["mlp", "cnn"])
+    def test_input_only_pass_matches_full_pass_bitwise(self, net):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(5,) + net.input_shape)
+        logits, cache = forward(net, x)
+        _, gl = cross_entropy(logits, rng.integers(0, 4, size=5))
+        full = backward(net, cache, gl)
+        only = backward(net, cache, gl, weights=False)
+        assert np.array_equal(only.input, full.input)
+        for lf, lo in zip(full.layers, only.layers):
+            assert np.array_equal(lo.input, lf.input)
+            assert lo.weight is None and lo.bias is None
+        assert any(lf.weight is not None for lf in full.layers)
+
+    def test_input_only_pass_rejects_stale_cache(self):
+        net = build_cnn((1, 5, 5), [2], 6, 3, seed=0)
+        logits, cache = forward(net, np.zeros((2, 1, 5, 5)))
+        net.bump()
+        with pytest.raises(StateError):
+            backward(net, cache, np.ones_like(logits), weights=False)
 
 
 # ---------------------------------------------------------------- input grad

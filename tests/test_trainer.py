@@ -1,6 +1,8 @@
 """Training loop behavior: schedule, momentum algebra, phase structure,
 metric bookkeeping, determinism, and failure reporting."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,12 @@ class TestConfigFromDict:
         {"train_attack": {"epsilon": 0.1, "steps": "2.5"}},
         {"train_attack": {"epsilon": 0.1, "random_start": "false"}},
         {"epochs": float("inf")},
+        {"epochs": float("nan")},
+        {"epochs": 2.7},
+        {"seed": -0.5},
+        {"lr_milestones": [10, 20.5]},
+        {"train_attack": {"epsilon": 0.1, "steps": 2.5}},
+        {"prune": {"sparsity": 0.5, "protected": [0.5]}},
     ])
     def test_malformed_nested_values(self, over):
         with pytest.raises(ConfigError):
@@ -204,6 +212,36 @@ class TestConfigFromDict:
         with pytest.raises(ConfigError):
             config_from_dict({"dataset": "blobs-c3-d6-n5-s0.1",
                               "architecture": "mlp-4", "trades_beta": 6.0})
+
+    def test_integral_floats_accepted_on_int_keys(self):
+        cfg = config_from_dict({"dataset": "x", "architecture": "y",
+                                "epochs": 3.0, "lr_milestones": [2.0],
+                                "train_attack": {"epsilon": 0.1, "steps": 4.0}})
+        assert cfg.epochs == 3 and type(cfg.epochs) is int
+        assert cfg.lr_milestones == (2,)
+        assert cfg.train_attack.steps == 4 and type(cfg.train_attack.steps) is int
+
+    @pytest.mark.parametrize("key", ["lr", "momentum", "weight_decay",
+                                     "lr_factor", "lam", "tau"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_float_fields_rejected(self, key, value):
+        doc = json.loads(f'{{"dataset": "x", "architecture": "y", "{key}": {value}}}')
+        cfg = config_from_dict(doc)
+        with pytest.raises(ValidationError):
+            cfg.validate()
+
+    @pytest.mark.parametrize("attack", [
+        '{"epsilon": NaN}',
+        '{"epsilon": 0.1, "step_size": NaN, "steps": 1}',
+        '{"epsilon": Infinity, "step_size": 0.1, "steps": 1}',
+    ])
+    def test_non_finite_attack_budget_rejected(self, attack):
+        for key, doc in (("train_attack", attack),
+                         ("eval_attacks", f'{{"pgd": {attack}}}')):
+            cfg = config_from_dict(json.loads(
+                f'{{"dataset": "x", "architecture": "y", "{key}": {doc}}}'))
+            with pytest.raises(ValidationError):
+                cfg.validate()
 
     def test_validate_rejects_bad_numbers(self):
         for over in ({"epochs": 0}, {"lr": 0.0}, {"lam": -0.1},
