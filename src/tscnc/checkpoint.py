@@ -5,7 +5,7 @@ u32 CRC32 of the header, then one blob per parameterized layer (weights and
 bias as little-endian float64, the mask as a bitmap packed
 least-significant-bit first), optional momentum blobs, and a final u32
 CRC32 over all payload bytes.  A reloaded network reproduces forward
-outputs bitwise.
+outputs bitwise; weights stored under a 0 mask bit load as +0.0.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ def _weight_bytes(arr) -> bytes:
 
 
 def _mask_bytes(mask) -> bytes:
-    bits = np.ascontiguousarray(mask.ravel(), dtype=np.uint8)
-    return np.packbits(bits, bitorder="little").tobytes()
+    return np.packbits(mask, axis=None, bitorder="little").tobytes()
 
 
 def _layer_descriptor(layer: MaskedLayer) -> dict:
@@ -171,10 +170,8 @@ def load_checkpoint(path) -> Checkpoint:
         bits = np.unpackbits(
             np.frombuffer(blob, dtype=np.uint8), bitorder="little"
         )[:wn]
-        Z = bits.astype(np.float64).reshape(shape)
-        layer = MaskedLayer(
-            kind=kind, W=W, Z=Z, b=b, prunable=_field(desc, "prunable", bool, path),
-        )
+        layer = MaskedLayer(kind=kind, W=W, Z=bits.reshape(shape), b=b,
+                            prunable=_field(desc, "prunable", bool, path))
         if kind == "conv2d":
             for key in ("kernel_size", "stride", "in_channels", "out_channels"):
                 setattr(layer, key, _field(desc, key, int, path, low=1))

@@ -159,6 +159,10 @@ def _cmd_inspect(args):
     _print(args, f"kappa_max {crep.kappa_max:.6g}")
     report = prune_report(net)
     _print(args, f"global sparsity {report['global_sparsity']:.4f}")
+    if net.class_count < 2:
+        _print(args, f"bound check skipped: {net.class_count} class, no "
+                     "rival to compare against")
+        return 0
     x = np.full(net.input_shape, 0.5)
     logits, _ = forward(net, x[None])
     order = np.argsort(logits[0])[::-1]

@@ -7,6 +7,7 @@ without extra plumbing.
 
 from __future__ import annotations
 
+import os
 import re
 import struct
 from dataclasses import dataclass
@@ -37,19 +38,32 @@ class Dataset:
 
 
 def _read_exact(f, count, path, offset):
-    buf = f.read(count)
-    if len(buf) != count:
+    # checked against the file size first, so a huge count allocates nothing
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if count > left:
         raise FormatError(
-            f"{path}: truncated, wanted {count} bytes", offset=offset + len(buf)
+            f"{path}: truncated, wanted {count} bytes", offset=offset + left
         )
-    return buf
+    return f.read(count)
+
+
+def _counts(f, path, names, offset):
+    """Read one big-endian int32 per name; each must be at least 1."""
+    values = struct.unpack(f">{len(names)}i",
+                           _read_exact(f, 4 * len(names), path, offset))
+    for i, (name, value) in enumerate(zip(names, values)):
+        if value < 1:
+            raise FormatError(f"{path}: {name} {value} is below 1",
+                              offset=offset + 4 * i)
+    return values
 
 
 def load_idx(images_path, labels_path) -> Dataset:
     """Read the big-endian IDX image/label pair used by digit datasets.
 
-    Pixels are divided by 255 into [0, 1].  Bad magic numbers and truncated
-    files raise a format error carrying the byte offset of the problem.
+    Pixels are divided by 255 into [0, 1].  Bad magic numbers, counts or
+    sizes below 1, and truncated files raise a format error carrying the
+    byte offset of the problem.
     """
     with open(images_path, "rb") as f:
         magic = struct.unpack(">i", _read_exact(f, 4, images_path, 0))[0]
@@ -57,7 +71,7 @@ def load_idx(images_path, labels_path) -> Dataset:
             raise FormatError(
                 f"{images_path}: bad image magic 0x{magic:08x}", offset=0
             )
-        n, rows, cols = struct.unpack(">iii", _read_exact(f, 12, images_path, 4))
+        n, rows, cols = _counts(f, images_path, ("image count", "rows", "cols"), 4)
         raw = _read_exact(f, n * rows * cols, images_path, 16)
         images = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
         images = images.reshape(n, 1, rows, cols)
@@ -67,14 +81,14 @@ def load_idx(images_path, labels_path) -> Dataset:
             raise FormatError(
                 f"{labels_path}: bad label magic 0x{magic:08x}", offset=0
             )
-        ln = struct.unpack(">i", _read_exact(f, 4, labels_path, 4))[0]
+        (ln,) = _counts(f, labels_path, ("label count",), 4)
         raw = _read_exact(f, ln, labels_path, 8)
         labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
     if ln != n:
         raise FormatError(
             f"{labels_path}: {ln} labels for {n} images", offset=4
         )
-    classes = int(labels.max()) + 1 if labels.size else 0
+    classes = int(labels.max()) + 1
     return Dataset(images=images, labels=labels, classes=classes, split="idx")
 
 
@@ -124,7 +138,7 @@ def synth_blobs(
 
 
 _BLOBS_RE = re.compile(
-    r"^blobs-c(\d+)-d(\d+)-n(\d+)-s([0-9.]+)(?:-i(\d+)x(\d+)x(\d+))?$"
+    r"^blobs-c(\d+)-d(\d+)-n(\d+)-s(\d+\.?\d*|\.\d+)(?:-i(\d+)x(\d+)x(\d+))?$"
 )
 
 

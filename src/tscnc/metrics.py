@@ -28,7 +28,7 @@ def _normal_cdf(z):
 
 
 def condition_constraint_loss(net: Network, tau: float) -> float:
-    """Sum over parameterized layers of log(tau + ||W masked||_F^2).
+    """Sum over parameterized layers of log(tau + ||W||_F^2).
 
     The log makes the penalty scale-aware: multiplying a layer by mu and the
     next by 1/mu (which leaves the network function unchanged) cannot game
@@ -38,23 +38,20 @@ def condition_constraint_loss(net: Network, tau: float) -> float:
         raise ValidationError(f"smoothing factor must be positive, got {tau}")
     total = 0.0
     for li in net.parameterized_indices():
-        total += math.log(tau + frobenius_norm_sq(net.layers[li].effective_weight()))
+        total += math.log(tau + frobenius_norm_sq(net.layers[li].W))
     return total
 
 
 def condition_constraint_grad(net: Network, tau: float) -> dict:
     """Analytic gradient of the conditioning penalty per layer.
 
-    d/dW log(tau + ||W||_F^2) = 2 W / (tau + ||W||_F^2), with masked entries
-    zeroed since they are not free parameters.
+    d/dW log(tau + ||W||_F^2) = 2 W / (tau + ||W||_F^2), which is zero at
+    masked entries since W stores 0.0 there.
     """
     if tau <= 0.0:
         raise ValidationError(f"smoothing factor must be positive, got {tau}")
-    grads = {}
-    for li in net.parameterized_indices():
-        weff = net.layers[li].effective_weight()
-        grads[li] = (2.0 / (tau + frobenius_norm_sq(weff))) * weff
-    return grads
+    weights = {li: net.layers[li].W for li in net.parameterized_indices()}
+    return {li: (2.0 / (tau + frobenius_norm_sq(W))) * W for li, W in weights.items()}
 
 
 # ------------------------------------------------------------ condition report
@@ -72,7 +69,7 @@ class LayerCondition:
 
 @dataclass
 class ConditionReport:
-    """Per-layer spectra on effective weights; kappa_max is the model summary."""
+    """Per-layer spectra of W, pruned zeros included; kappa_max summarises."""
 
     layers: list
     kappa_max: float
@@ -83,7 +80,7 @@ def condition_report(net: Network, epoch=None) -> ConditionReport:
     rows = []
     kmax = 0.0
     for li in net.parameterized_indices():
-        spec = layer_spectrum(net.layers[li].effective_weight())
+        spec = layer_spectrum(net.layers[li].W)
         rows.append(
             LayerCondition(
                 layer=li, kind=net.layers[li].kind,
@@ -211,7 +208,7 @@ def robustness_radius(net: Network, x, r: float, q: int, n: int, seed: int) -> f
 
 def _holder_inf_norm(layer) -> float:
     # worst-case sup-norm amplification: max l1 norm over incoming weights
-    w = np.abs(layer.effective_weight())
+    w = np.abs(layer.W)
     if layer.kind == "linear":
         return float(w.sum(axis=0).max())
     return float(w.sum(axis=1).max())
@@ -237,14 +234,14 @@ def check_eq7(net: Network, x, k: int, r: float, q: int, n: int, seed: int) -> d
     pis = net.parameterized_indices()
     last = net.layers[pis[-1]]
     if last.kind == "linear":
-        wdiff = last.effective_weight()[:, yhat] - last.effective_weight()[:, k]
+        wdiff = last.W[:, yhat] - last.W[:, k]
         c1 = float(np.abs(wdiff).sum())
         c2 = float(np.sqrt(wdiff @ wdiff))
     else:
         c1 = c2 = INFINITE
     for li in pis[:-1]:
         c1 *= _holder_inf_norm(net.layers[li])
-        c2 *= math.sqrt(frobenius_norm_sq(net.layers[li].effective_weight()))
+        c2 *= math.sqrt(frobenius_norm_sq(net.layers[li].W))
     return {
         "lipschitz": lipschitz,
         "yhat": yhat,

@@ -21,9 +21,11 @@ from .errors import ValidationError
 def atomic_open(path, mode="w", **kwargs):
     """open(path, mode) for writing that replaces path only on success.
 
-    The block writes a temp file in path's directory, which os.replace then
-    renames over path.  A write that fails part-way leaves any earlier file
-    at path as it was and removes the temp file.
+    The block writes a temp file in path's directory, which is flushed and
+    fsynced before os.replace renames it over path; the directory is fsynced
+    after, so the new name survives a power loss.  A write that fails
+    part-way leaves any earlier file at path as it was and removes the temp
+    file.
     """
     path = os.fspath(path)
     head, name = os.path.split(path)
@@ -31,7 +33,14 @@ def atomic_open(path, mode="w", **kwargs):
     try:
         with open(tmp, mode, **kwargs) as f:
             yield f
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
+        fd = os.open(head or ".", os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)

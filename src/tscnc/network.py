@@ -1,10 +1,10 @@
 """Masked feed-forward networks with exact reverse-mode gradients.
 
 Layers are plain dataclasses, parameters are float64 numpy arrays, and every
-parameterized layer carries a binary mask Z applied multiplicatively on each
-forward pass.  Convolution weights are stored pre-flattened as
-(c_out, c_in*k*k) so the matrix view used by the condition-number and
-saliency paths is the storage layout itself.
+parameterized layer carries a bool mask Z.  A pruned weight is a stored +0.0
+in W, so forward and backward read W as it is.  Convolution weights are
+stored pre-flattened as (c_out, c_in*k*k) so the matrix view used by the
+condition-number and saliency paths is the storage layout itself.
 
 ``backward(..., weights=False)`` computes the input gradients only, for
 attacks and Lipschitz estimates.  The conv input gradient is scattered back
@@ -32,7 +32,7 @@ class MaskedLayer:
     kind is one of "linear", "conv2d", "relu", "flatten".  Parameterized
     kinds carry W, Z, b; the others carry no state.  Linear weights are
     stored (fan_in, fan_out) so a batch forward is x @ W + b; conv weights
-    are stored (c_out, c_in*k*k).
+    are stored (c_out, c_in*k*k).  A layer built without Z is all live.
     """
 
     kind: str
@@ -52,9 +52,21 @@ class MaskedLayer:
     def parameterized(self) -> bool:
         return self.kind in _PARAM_KINDS
 
+    def __post_init__(self):
+        if self.W is not None:
+            self.set_mask(np.ones(self.W.shape, bool) if self.Z is None else self.Z)
+
+    def set_mask(self, Z) -> None:
+        """Store Z as a bool mask (True = live), W as +0.0 under it; Z's one writer."""
+        Z = np.array(Z, dtype=bool)
+        if Z.shape != self.W.shape:
+            raise ValidationError(f"mask shape {Z.shape} does not match "
+                                  f"weight shape {self.W.shape}")
+        self.Z, self.W = Z, np.where(Z, self.W, 0.0)
+
     def effective_weight(self) -> np.ndarray:
-        """W with the mask applied; the only weights the function ever sees."""
-        return self.W * self.Z
+        """Alias of W, kept for perfbench/workloads.py; the package reads W."""
+        return self.W
 
     def conv_plan(self, h: int, w: int):
         key = (h, w)
@@ -135,7 +147,7 @@ def forward(net: Network, x) -> tuple:
                     f"linear layer {li} expects (batch, {layer.W.shape[0]}), "
                     f"got {a.shape}"
                 )
-            a = a @ layer.effective_weight() + layer.b
+            a = a @ layer.W + layer.b
         elif layer.kind == "conv2d":
             if a.ndim != 4 or a.shape[1] != layer.in_channels:
                 raise DimensionError(
@@ -149,7 +161,7 @@ def forward(net: Network, x) -> tuple:
             flat = padded.reshape(batch, -1)
             c = flat[:, idx]  # (batch, c_in*k*k, oh*ow)
             cols[li] = (c, a.shape, padded.shape)
-            z = np.matmul(layer.effective_weight(), c) + layer.b[:, None]
+            z = np.matmul(layer.W, c) + layer.b[:, None]
             a = z.reshape(batch, layer.out_channels, oh, ow)
         elif layer.kind == "relu":
             a = np.maximum(a, 0.0)
@@ -199,8 +211,8 @@ def backward(
 ) -> Gradients:
     """Reverse-mode pass returning per-layer dW, db, dx.
 
-    Weight gradients are w.r.t. the effective (masked) weights; entries under
-    Z=0 are reported as-is and the optimizer gates the update by Z.  With
+    Weight gradients are w.r.t. W; masked entries, stored as 0.0, still get
+    theirs and the optimizer re-masks after its update.  With
     weights=False every dW and db is None and only the input gradients,
     bitwise those of the full pass, are computed.
     """
@@ -219,7 +231,7 @@ def backward(
         if layer.kind == "linear":
             dW = a.T @ grad if weights else None
             db = grad.sum(axis=0) if weights else None
-            grad = grad @ layer.effective_weight().T
+            grad = grad @ layer.W.T
             per_layer[li] = LayerGrads(weight=dW, bias=db, input=grad)
         elif layer.kind == "conv2d":
             c, in_shape, padded_shape = cache.cols[li]
@@ -227,7 +239,7 @@ def backward(
             dz = grad.reshape(batch, layer.out_channels, -1)
             dW = np.einsum("bos,bks->ok", dz, c) if weights else None
             db = dz.sum(axis=(0, 2)) if weights else None
-            dcols = np.matmul(layer.effective_weight().T, dz)
+            dcols = np.matmul(layer.W.T, dz)
             idx, _ = layer.conv_plan(in_shape[2], in_shape[3])
             size = padded_shape[1] * padded_shape[2] * padded_shape[3]
             flat_idx = np.arange(0, batch * size, size)[:, None, None] + idx
@@ -270,7 +282,6 @@ def build_mlp(input_dim: int, hidden, class_count: int, seed: int = 0) -> Networ
             MaskedLayer(
                 kind="linear",
                 W=_kaiming_uniform(rng, (fan_in, fan_out), fan_in),
-                Z=np.ones((fan_in, fan_out)),
                 b=np.zeros(fan_out),
                 prunable=True,
             )
@@ -306,7 +317,6 @@ def build_cnn(
             MaskedLayer(
                 kind="conv2d",
                 W=_kaiming_uniform(rng, (c_out, fan_in), fan_in),
-                Z=np.ones((c_out, fan_in)),
                 b=np.zeros(c_out),
                 kernel_size=kernel_size,
                 stride=stride,
@@ -326,7 +336,6 @@ def build_cnn(
         MaskedLayer(
             kind="linear",
             W=_kaiming_uniform(rng, (flat, fc_width), flat),
-            Z=np.ones((flat, fc_width)),
             b=np.zeros(fc_width),
             prunable=True,
         )
@@ -336,7 +345,6 @@ def build_cnn(
         MaskedLayer(
             kind="linear",
             W=_kaiming_uniform(rng, (fc_width, class_count), fc_width),
-            Z=np.ones((fc_width, class_count)),
             b=np.zeros(class_count),
             prunable=True,
         )

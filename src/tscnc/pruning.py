@@ -77,40 +77,35 @@ def saliency(net: Network, batches) -> SaliencyMap:
         count += 1
     if count == 0:
         raise ValidationError("saliency needs at least one batch")
-    scores = {}
-    for li in prunable:
-        s = totals[li] / count
-        scores[li] = np.where(net.layers[li].Z == 0.0, ALREADY_PRUNED, s)
+    scores = {li: np.where(net.layers[li].Z, totals[li] / count, ALREADY_PRUNED)
+              for li in prunable}
     return SaliencyMap(scores=scores, batch_count=count)
 
 
 def magnitude_scores(net: Network) -> SaliencyMap:
     """|w| scores for the magnitude-pruning baseline; same sentinel rules."""
-    scores = {}
-    for li in net.prunable_indices():
-        layer = net.layers[li]
-        scores[li] = np.where(layer.Z == 0.0, ALREADY_PRUNED, np.abs(layer.W))
+    scores = {li: np.where(net.layers[li].Z, np.abs(net.layers[li].W), ALREADY_PRUNED)
+              for li in net.prunable_indices()}
     return SaliencyMap(scores=scores, batch_count=0)
 
 
-def _rank_and_mask(flat_scores, flat_already, target):
-    """Mask the `target` smallest live entries; sentinel entries stay masked.
+def _rank_and_mask(flat_scores, target):
+    """Mask `target` entries in all: the sentinel ones, then the smallest.
 
-    Returns a flat 0/1 array.  Stable sort preserves index order on ties.
+    Returns a flat bool array, True where a weight stays live.  Stable sort
+    preserves index order on ties.
     """
-    mask = np.ones(flat_scores.size)
-    mask[flat_already] = 0.0
-    remaining = target - int(flat_already.sum())
-    if remaining <= 0:
-        return mask
-    live = np.flatnonzero(~flat_already)
-    order = live[np.argsort(flat_scores[live], kind="stable")]
-    mask[order[:remaining]] = 0.0
+    mask = flat_scores != ALREADY_PRUNED
+    live = np.flatnonzero(mask)
+    remaining = target - (flat_scores.size - live.size)
+    if remaining > 0:
+        order = live[np.argsort(flat_scores[live], kind="stable")]
+        mask[order[:remaining]] = False
     return mask
 
 
 def select_mask(s: SaliencyMap, spec: PruneSpec) -> dict:
-    """Choose binary masks hitting floor(p * N_prunable) zeros exactly.
+    """Choose bool masks (True = live) with exactly floor(p * N_prunable) zeros.
 
     Protected layers are excluded from both the ranking and the weight
     count; everything else is ranked by score, smallest first, ties broken
@@ -123,36 +118,21 @@ def select_mask(s: SaliencyMap, spec: PruneSpec) -> dict:
         if live.size and not np.isfinite(live).all():
             raise ValidationError(f"non-finite saliency scores in layer {li}")
     masks = {}
-    if spec.scope == "per_layer":
-        for li in layers:
-            sc = s.scores[li].ravel()
-            already = sc == ALREADY_PRUNED
-            target = int(np.floor(spec.sparsity * sc.size))
-            masks[li] = _rank_and_mask(sc, already, target).reshape(s.scores[li].shape)
-        return masks
-    # global: concatenate in layer order so stable sort encodes the tie rule
-    flats = [s.scores[li].ravel() for li in layers]
-    sizes = [f.size for f in flats]
-    allsc = np.concatenate(flats) if flats else np.zeros(0)
-    already = allsc == ALREADY_PRUNED
-    target = int(np.floor(spec.sparsity * allsc.size))
-    flat_mask = _rank_and_mask(allsc, already, target)
-    pos = 0
-    for li, n in zip(layers, sizes):
-        masks[li] = flat_mask[pos : pos + n].reshape(s.scores[li].shape)
-        pos += n
+    for group in [[li] for li in layers] if spec.scope == "per_layer" else [layers]:
+        # concatenate in layer order so stable sort encodes the tie rule
+        flats = [s.scores[li].ravel() for li in group]
+        allsc = np.concatenate(flats) if flats else np.zeros(0)
+        mask = _rank_and_mask(allsc, int(np.floor(spec.sparsity * allsc.size)))
+        parts = np.split(mask, np.cumsum([f.size for f in flats])[:-1])
+        for li, part in zip(group, parts):
+            masks[li] = part.reshape(s.scores[li].shape)
     return masks
 
 
 def apply_masks(net: Network, masks: dict) -> None:
-    """Install masks on the network in place."""
+    """Install masks in place; every weight under a mask becomes +0.0."""
     for li, mask in masks.items():
-        if mask.shape != net.layers[li].Z.shape:
-            raise ValidationError(
-                f"mask shape {mask.shape} does not match layer {li} "
-                f"weight shape {net.layers[li].Z.shape}"
-            )
-        net.layers[li].Z = mask.astype(float)
+        net.layers[li].set_mask(mask)
     net.bump()
 
 
@@ -163,7 +143,7 @@ def prune_report(net: Network) -> dict:
     total = 0
     for li in net.prunable_indices():
         layer = net.layers[li]
-        z = int((layer.Z == 0.0).sum())
+        z = int((~layer.Z).sum())
         n = layer.Z.size
         rows.append({"layer": li, "kind": layer.kind, "zeros": z, "size": n,
                      "ratio": z / n})

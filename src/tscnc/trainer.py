@@ -208,10 +208,10 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
 
 def sgd_step(net: Network, grads: dict, velocity: dict, lr: float,
              momentum: float, weight_decay: float) -> None:
-    """One momentum-SGD update; masks are re-applied to the raw weights.
+    """One momentum-SGD update; each layer then re-applies its mask.
 
     grads maps layer index to {"W": dW, "b": db}.  Weight decay touches W
-    only.  Masked entries end the step at exactly zero.
+    only.  Masked entries, whose gradients are not zero, end at +0.0.
     """
     for li, g in grads.items():
         layer = net.layers[li]
@@ -224,7 +224,7 @@ def sgd_step(net: Network, grads: dict, velocity: dict, lr: float,
         v["b"] = momentum * v["b"] + g["b"]
         layer.W = layer.W - lr * v["W"]
         layer.b = layer.b - lr * v["b"]
-        layer.W = layer.W * layer.Z
+        layer.set_mask(layer.Z)
     net.bump()
 
 
@@ -288,6 +288,8 @@ def evaluate(net: Network, data: Dataset, eval_attacks: dict,
     accuracy.
     """
     n = len(data)
+    if n == 0:
+        raise ValidationError("cannot evaluate on an empty dataset")
     correct = 0
     adv_correct = {name: 0 for name in eval_attacks}
     if rng is None:
@@ -360,7 +362,9 @@ def run_tscnc(config: TrainConfig, data: Dataset | None = None,
     if config.prune.sparsity > 0.0:
         smap = score_weights(net, data, config, rng)
         apply_masks(net, select_mask(smap, config.prune))
-        velocity = {}  # stale momentum would push masked weights around
+        # sgd_step's re-mask keeps momentum off masked weights; the reset drops
+        # the warmup momentum of live weights, which the trained bytes reflect
+        velocity = {}
 
     for epoch in range(config.epochs):
         lr = lr_at(epoch, config)

@@ -293,5 +293,5 @@ def random_bernoulli_masks(net: Network, alphas, seed: int) -> dict:
     masks = {}
     for li, a in zip(prunable, alphas):
         shape = net.layers[li].Z.shape
-        masks[li] = (rng.uniform(size=shape) >= a).astype(float)
+        masks[li] = rng.uniform(size=shape) >= a
     return masks

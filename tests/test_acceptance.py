@@ -66,11 +66,8 @@ class TestGradientExactness:
         # the last net also exercises the masked-gradient path
         masked = nets[-1][0]
         rng = np.random.default_rng(77)
-        for li in masked.prunable_indices():
-            masked.layers[li].Z = (
-                rng.uniform(size=masked.layers[li].Z.shape) >= 0.3
-            ).astype(float)
-        masked.bump()
+        apply_masks(masked, {li: rng.uniform(size=masked.layers[li].Z.shape) >= 0.3
+                             for li in masked.prunable_indices()})
 
         h = 1e-5
         worst_layer = 0.0
@@ -83,13 +80,12 @@ class TestGradientExactness:
             _, gl = cross_entropy(logits, y)
             grads = backward(net, cache, gl)
             # weight gradients are reported pre-mask, i.e. as derivatives of
-            # the loss in the effective weights; difference an unmasked clone
-            # holding W*Z so the oracle measures the same function
+            # the loss in every entry of W; difference an unmasked clone, whose
+            # W still holds 0.0 at the masked entries, so the oracle measures
+            # the same function and may perturb those entries too
             probe = net.clone()
-            for li in probe.parameterized_indices():
-                probe.layers[li].W = probe.layers[li].effective_weight()
-                probe.layers[li].Z = np.ones_like(probe.layers[li].Z)
-            probe.bump()
+            apply_masks(probe, {li: np.ones_like(probe.layers[li].Z)
+                                for li in probe.parameterized_indices()})
             for li in net.parameterized_indices():
                 layer = probe.layers[li]
                 for name, arr, g in (

@@ -11,6 +11,7 @@ from tscnc.checkpoint import load_checkpoint, save_checkpoint
 from tscnc.cli import main
 from tscnc.errors import FormatError
 from tscnc.network import build_cnn, build_mlp, forward
+from tscnc.pruning import apply_masks
 
 
 def nets_equal(a, b):
@@ -29,8 +30,10 @@ def nets_equal(a, b):
 class TestRoundTrip:
     def test_mlp_bitwise(self, tmp_path):
         net = build_mlp(6, [5, 4], 3, seed=2)
-        net.layers[0].Z[1, 2] = 0.0
-        net.layers[2].Z[:, 0] = 0.0
+        masks = {li: net.layers[li].Z.copy() for li in (0, 2)}
+        masks[0][1, 2] = False
+        masks[2][:, 0] = False
+        apply_masks(net, masks)
         path = tmp_path / "m.tscn"
         save_checkpoint(path, net)
         back = load_checkpoint(path).net
@@ -42,7 +45,9 @@ class TestRoundTrip:
 
     def test_cnn_bitwise(self, tmp_path):
         net = build_cnn((1, 6, 6), [4], 10, 3, seed=5)
-        net.layers[0].Z[2, 3] = 0.0
+        mask = net.layers[0].Z.copy()
+        mask[2, 3] = False
+        apply_masks(net, {0: mask})
         path = tmp_path / "c.tscn"
         save_checkpoint(path, net)
         back = load_checkpoint(path).net
@@ -86,9 +91,9 @@ class TestMaskEncoding:
     def test_pack_order_is_lsb_first(self, tmp_path):
         # mask flat pattern 1,0,1,1 must land in one byte as 0b00001101
         net = build_mlp(2, [], 2, seed=0)
-        net.layers[0].Z = np.array([[1.0, 0.0], [1.0, 1.0]])
         net.layers[0].W = np.zeros((2, 2))
         net.layers[0].b = np.zeros(2)
+        apply_masks(net, {0: np.array([[True, False], [True, True]])})
         path = tmp_path / "p.tscn"
         save_checkpoint(path, net)
         raw = path.read_bytes()
@@ -104,9 +109,8 @@ class TestMaskEncoding:
         rng = np.random.default_rng(3)
         for trial in range(5):
             net = build_mlp(7, [6, 5], 4, seed=trial)
-            for li in net.prunable_indices():
-                z = (rng.uniform(size=net.layers[li].Z.shape) > 0.5)
-                net.layers[li].Z = z.astype(np.float64)
+            apply_masks(net, {li: rng.uniform(size=net.layers[li].Z.shape) > 0.5
+                              for li in net.prunable_indices()})
             path = tmp_path / f"t{trial}.tscn"
             save_checkpoint(path, net)
             back = load_checkpoint(path).net

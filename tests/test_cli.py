@@ -251,6 +251,60 @@ class TestGlobalFlags:
         assert exc.value.code == 2
 
 
+def write_idx_pair(tmp_path, count, labels, side=4):
+    """IDX files whose image header claims `count` images of side x side."""
+    ip, lp = tmp_path / "images.idx", tmp_path / "labels.idx"
+    ip.write_bytes(struct.pack(">iiii", 0x00000803, count, side, side)
+                   + bytes(range(256))[: len(labels) * side * side])
+    lp.write_bytes(struct.pack(">ii", 0x00000801, len(labels)) + bytes(labels))
+    return f"idx:{ip}:{lp}"
+
+
+class TestMalformedInputs:
+    def test_malformed_blobs_spread_exits_2_without_traceback(self, tmp_path,
+                                                               config_path):
+        doc = json.loads(config_path.read_text())
+        doc["dataset"] = "blobs-c3-d16-n20-s0.0.5"
+        config_path.write_text(json.dumps(doc))
+        proc = run_cli("--quiet", "train", "--config", str(config_path),
+                       "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "unknown dataset id" in proc.stderr
+
+    def test_empty_idx_evaluate_exits_3(self, tmp_path, trained):
+        data = write_idx_pair(tmp_path, 0, [])
+        rc = main(["--quiet", "evaluate",
+                   "--checkpoint", str(trained / "model.tscn"),
+                   "--data", data, "--attacks", "fgsm:0.05"])
+        assert rc == 3
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_empty_or_negative_idx_train_exits_3(self, tmp_path, config_path,
+                                                  count):
+        doc = json.loads(config_path.read_text())
+        doc["dataset"] = write_idx_pair(tmp_path, count, [])
+        config_path.write_text(json.dumps(doc))
+        rc = main(["--quiet", "train", "--config", str(config_path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert not (tmp_path / "o" / "model.tscn").exists()
+
+    def test_inspect_one_class_model_skips_bound_check(self, tmp_path,
+                                                       config_path, capsys):
+        doc = json.loads(config_path.read_text())
+        doc["dataset"] = write_idx_pair(tmp_path, 6, [0] * 6)
+        doc["architecture"] = "mlp-4"
+        config_path.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main(["--quiet", "train", "--config", str(config_path),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        rc = main(["inspect", "--checkpoint", str(out / "model.tscn")])
+        assert rc == 0
+        assert "bound check skipped" in capsys.readouterr().out
+
+
 # the README quick-start config
 QUICKSTART = {
     "dataset": "blobs-c6-d64-n60-s0.35",

@@ -102,6 +102,41 @@ class TestLoadIdx:
             load_idx(ip, lp)
         assert err.value.offset == 0
 
+    @pytest.mark.parametrize("n,rows,cols,offset", [
+        (0, 2, 2, 4), (-3, 2, 2, 4), (1, 0, 2, 8), (1, 2, -1, 12),
+    ])
+    def test_image_header_below_one(self, tmp_path, n, rows, cols, offset):
+        ip, lp = tmp_path / "img", tmp_path / "lab"
+        with open(ip, "wb") as f:
+            f.write(struct.pack(">iiii", 0x00000803, n, rows, cols))
+            f.write(b"\x00" * 64)
+        write_idx_labels(lp, [0])
+        with pytest.raises(FormatError) as err:
+            load_idx(ip, lp)
+        assert err.value.offset == offset
+
+    def test_huge_header_is_truncation(self, tmp_path):
+        # 2^93 bytes promised: rejected before any read or allocation
+        ip, lp = tmp_path / "img", tmp_path / "lab"
+        with open(ip, "wb") as f:
+            f.write(struct.pack(">iiii", 0x00000803, *[2 ** 31 - 1] * 3))
+            f.write(b"\x00" * 5)
+        write_idx_labels(lp, [0])
+        with pytest.raises(FormatError) as err:
+            load_idx(ip, lp)
+        assert err.value.offset == 16 + 5
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_label_count_below_one(self, tmp_path, count):
+        ip, lp = tmp_path / "img", tmp_path / "lab"
+        write_idx_images(ip, [np.zeros((2, 2), dtype=np.uint8)])
+        with open(lp, "wb") as f:
+            f.write(struct.pack(">ii", 0x00000801, count))
+            f.write(b"\x00")
+        with pytest.raises(FormatError) as err:
+            load_idx(ip, lp)
+        assert err.value.offset == 4
+
     def test_count_mismatch(self, tmp_path):
         ip, lp = tmp_path / "img", tmp_path / "lab"
         write_idx_images(ip, [np.zeros((2, 2), dtype=np.uint8)] * 3)
@@ -203,3 +238,13 @@ class TestLoadDataset:
             load_dataset("mnist")
         with pytest.raises(ValidationError):
             load_dataset("blobs-c3")
+
+    @pytest.mark.parametrize("spread", ["0.0.5", ".", "1..2", "0.5."])
+    def test_malformed_spread_is_unknown(self, spread):
+        with pytest.raises(ValidationError, match="unknown dataset id"):
+            load_dataset(f"blobs-c3-d16-n20-s{spread}")
+
+    def test_spread_spellings(self):
+        for spread in ("5", "0.5", ".5", "5."):
+            ds = load_dataset(f"blobs-c2-d4-n3-s{spread}")
+            assert ds.images.shape == (6, 4)

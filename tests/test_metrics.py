@@ -27,6 +27,7 @@ from tscnc.network import (
     cross_entropy,
     forward,
 )
+from tscnc.pruning import apply_masks
 from tscnc.tensor_ops import INFINITE
 
 
@@ -50,7 +51,7 @@ def set_layer_fro_sq(layer, target):
 class TestConditionConstraintLoss:
     def test_all_zero_effective_weights(self):
         net = build_mlp(3, [], 2, seed=0)
-        net.layers[0].Z[:] = 0.0
+        apply_masks(net, {0: np.zeros_like(net.layers[0].Z)})
         got = condition_constraint_loss(net, 1e-4)
         assert abs(got - math.log(1e-4)) <= 1e-12
 
@@ -89,8 +90,10 @@ class TestConditionConstraintLoss:
     def test_masked_weights_do_not_contribute(self):
         net = build_mlp(4, [4], 2, seed=4)
         before = condition_constraint_loss(net, 1e-4)
-        net.layers[0].Z[0, 0] = 0.0
         net.layers[0].W[0, 0] = 1e6
+        mask = net.layers[0].Z.copy()
+        mask[0, 0] = False
+        apply_masks(net, {0: mask})
         after_mask = condition_constraint_loss(net, 1e-4)
         assert after_mask < before + 1e-12
 
@@ -130,7 +133,9 @@ class TestConditionConstraintGrad:
     def test_masked_entries_get_zero_grad(self):
         rng = np.random.default_rng(8)
         net = linear_net(rng.normal(size=(4, 3)))
-        net.layers[0].Z[2, 1] = 0.0
+        mask = net.layers[0].Z.copy()
+        mask[2, 1] = False
+        apply_masks(net, {0: mask})
         g = condition_constraint_grad(net, 1e-4)[0]
         assert g[2, 1] == 0.0
 
@@ -155,7 +160,9 @@ class TestConditionReport:
     def test_fully_masked_row_is_infinite(self):
         rng = np.random.default_rng(1)
         net = linear_net(rng.normal(size=(5, 5)))
-        net.layers[0].Z[2, :] = 0.0
+        mask = net.layers[0].Z.copy()
+        mask[2, :] = False
+        apply_masks(net, {0: mask})
         rep = condition_report(net)
         assert rep.layers[0].kappa == INFINITE
         assert rep.layers[0].rank == 4
@@ -166,7 +173,7 @@ class TestConditionReport:
         net = build_mlp(6, [8, 7], 4, seed=2)
         rep = condition_report(net)
         for row in rep.layers:
-            m = net.layers[row.layer].effective_weight()
+            m = net.layers[row.layer].W
             s = np.linalg.svd(m, compute_uv=False)
             want = s[0] / s[-1]
             assert abs(row.kappa - want) / want <= 1e-8

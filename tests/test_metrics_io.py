@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import stat
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -173,6 +174,29 @@ class TestAtomicWrites:
             f.write("new")
         assert path.read_text() == "new"
         assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_file_and_directory_fsynced_around_replace(self, tmp_path,
+                                                       monkeypatch):
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            st = os.fstat(fd)
+            kind = "dir" if stat.S_ISDIR(st.st_mode) else f"file of {st.st_size}"
+            events.append(f"fsync {kind}")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(f"replace {os.path.basename(dst)}")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        with atomic_open(tmp_path / "out.txt", "w", encoding="utf-8") as f:
+            f.write("new")
+        # the bytes are flushed before the file's fsync
+        assert events == ["fsync file of 3", "replace out.txt", "fsync dir"]
+        assert (tmp_path / "out.txt").read_text() == "new"
 
     def test_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "model.tscn"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import apply_scaling, col2im_add_at
+from tscnc.checkpoint import load_checkpoint, save_checkpoint
 from tscnc.errors import DimensionError, StateError, ValidationError
 from tscnc.network import (
     MaskedLayer,
@@ -16,6 +17,8 @@ from tscnc.network import (
     forward,
     input_gradient,
 )
+from tscnc.pruning import apply_masks
+from tscnc.trainer import sgd_step
 
 
 # ---------------------------------------------------------------- oracles
@@ -118,9 +121,8 @@ class TestForward:
 
     def test_fully_pruned_net_outputs_zero(self):
         net = build_mlp(5, [7], 3, seed=1)
-        for layer in net.layers:
-            if layer.parameterized:
-                layer.Z[:] = 0.0
+        apply_masks(net, {li: np.zeros_like(net.layers[li].Z)
+                          for li in net.parameterized_indices()})
         logits, _ = forward(net, np.random.default_rng(0).normal(size=(4, 5)))
         assert np.array_equal(logits, np.zeros((4, 3)))
 
@@ -172,18 +174,19 @@ class TestForward:
         assert np.array_equal(a, b)
 
     def test_masked_weights_do_not_reach_output(self):
-        # zeroing raw weights under Z=0 changes nothing, exactly
+        # noise written under a mask is zeroed by the next apply_masks, so
+        # the output does not move, exactly
         rng = np.random.default_rng(11)
         net = build_mlp(6, [10], 3, seed=11)
-        for layer in net.layers:
-            if layer.parameterized:
-                layer.Z = (rng.uniform(size=layer.Z.shape) > 0.5).astype(float)
+        masks = {li: rng.uniform(size=net.layers[li].Z.shape) > 0.5
+                 for li in net.parameterized_indices()}
+        apply_masks(net, masks)
         x = rng.normal(size=(4, 6))
         before, _ = forward(net, x)
-        for layer in net.layers:
-            if layer.parameterized:
-                layer.W = np.where(layer.Z == 0.0, rng.normal(size=layer.W.shape), layer.W)
-        net.bump()
+        for li, mask in masks.items():
+            layer = net.layers[li]
+            layer.W = np.where(mask, layer.W, rng.normal(size=layer.W.shape))
+        apply_masks(net, masks)
         after, _ = forward(net, x)
         assert np.array_equal(before, after)
 
@@ -294,11 +297,13 @@ class TestBackward:
             backward(net, cache, np.ones_like(logits))
 
     def test_masked_entries_report_premask_gradient(self):
-        # gradient w.r.t. the effective weight is nonzero even under Z=0;
+        # gradient w.r.t. a masked weight is nonzero even though it holds 0.0;
         # update gating is the optimizer's job
         rng = np.random.default_rng(31)
         net = single_linear_net(rng.normal(size=(4, 3)))
-        net.layers[0].Z[1, 2] = 0.0
+        mask = net.layers[0].Z.copy()
+        mask[1, 2] = False
+        apply_masks(net, {0: mask})
         x = rng.normal(size=(2, 4))
         y = np.array([0, 1])
         logits, cache = forward(net, x)
@@ -336,7 +341,7 @@ class TestBackward:
         )
         logits, cache = forward(net, rng.normal(size=(batch, c_in, h, w)))
         gl = rng.normal(size=logits.shape)
-        dcols = np.matmul(layer.effective_weight().T, gl.reshape(batch, c_out, -1))
+        dcols = np.matmul(layer.W.T, gl.reshape(batch, c_out, -1))
         idx, _ = layer.conv_plan(h, w)
         padded_shape = (batch, c_in, h + 2 * pad, w + 2 * pad)
         want = col2im_add_at(dcols, idx, padded_shape)[
@@ -491,3 +496,85 @@ class TestBuilders:
     def test_logistic_regression_id(self):
         net = build_network("mlp", (7,), 3, seed=0)
         assert len([l for l in net.layers if l.parameterized]) == 1
+
+
+# ---------------------------------------------------------------- masks
+
+
+def _random_masked_nets(seed):
+    """An MLP and a CNN with random weights and random masks, not yet applied."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for net in (build_mlp(6, [5, 4], 3, seed=seed),
+                build_cnn((2, 5, 5), [3], 6, 4, seed=seed)):
+        for li in net.parameterized_indices():
+            net.layers[li].W = rng.normal(size=net.layers[li].W.shape)
+        masks = {li: rng.uniform(size=net.layers[li].W.shape) > 0.4
+                 for li in net.parameterized_indices()}
+        out.append((net, masks))
+    return out
+
+
+def _assert_stored_zeros(net):
+    for li in net.parameterized_indices():
+        layer = net.layers[li]
+        assert layer.Z.dtype == bool
+        # +0.0 exactly: the bit pattern, not just == 0.0, which -0.0 passes
+        assert np.all(layer.W.view(np.uint64)[~layer.Z] == 0)
+
+
+class TestMaskRepresentation:
+    def test_apply_masks_stores_bool_mask_and_zeros(self):
+        for net, masks in _random_masked_nets(0):
+            live = {li: net.layers[li].W.copy() for li in masks}
+            apply_masks(net, masks)
+            _assert_stored_zeros(net)
+            for li, mask in masks.items():
+                assert np.array_equal(net.layers[li].Z, mask)
+                assert np.array_equal(net.layers[li].W.view(np.uint64)[mask],
+                                      live[li].view(np.uint64)[mask])
+
+    def test_sgd_steps_keep_stored_zeros(self):
+        rng = np.random.default_rng(1)
+        for net, masks in _random_masked_nets(1):
+            apply_masks(net, masks)
+            velocity = {}
+            for _ in range(3):
+                grads = {li: {"W": rng.normal(size=net.layers[li].W.shape),
+                              "b": rng.normal(size=net.layers[li].b.shape)}
+                         for li in net.parameterized_indices()}
+                sgd_step(net, grads, velocity, lr=0.1, momentum=0.9,
+                         weight_decay=5e-4)
+            _assert_stored_zeros(net)
+            assert all(np.array_equal(net.layers[li].Z, m) for li, m in masks.items())
+
+    def test_checkpoint_round_trip_is_bitwise(self, tmp_path):
+        for i, (net, masks) in enumerate(_random_masked_nets(2)):
+            apply_masks(net, masks)
+            path = tmp_path / f"n{i}.tscn"
+            save_checkpoint(path, net)
+            back = load_checkpoint(path).net
+            _assert_stored_zeros(back)
+            for li in net.parameterized_indices():
+                a, b = net.layers[li], back.layers[li]
+                assert np.array_equal(a.W.view(np.uint64), b.W.view(np.uint64))
+                assert np.array_equal(a.b.view(np.uint64), b.b.view(np.uint64))
+                assert np.array_equal(a.Z, b.Z)
+
+    def test_file_with_weights_under_its_mask_loads_zeroed(self, tmp_path):
+        # assigning Z by hand leaves W nonzero under the mask, as a file
+        # written when masks were applied by multiplication on every read
+        for i, (net, masks) in enumerate(_random_masked_nets(3)):
+            oracle = net.clone()
+            for li, mask in masks.items():
+                net.layers[li].Z = mask
+                oracle.layers[li].W = net.layers[li].W * mask
+                assert np.any(net.layers[li].W[~mask] != 0.0)
+            path = tmp_path / f"old{i}.tscn"
+            save_checkpoint(path, net)
+            back = load_checkpoint(path).net
+            _assert_stored_zeros(back)
+            x = np.random.default_rng(i).uniform(size=(4,) + net.input_shape)
+            got, _ = forward(back, x)
+            want, _ = forward(oracle, x)
+            assert np.array_equal(got, want)

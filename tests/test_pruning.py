@@ -79,12 +79,13 @@ class TestSaliency:
     def test_already_masked_entries_get_sentinel(self):
         rng = np.random.default_rng(5)
         net = build_mlp(4, [6], 2, seed=5)
-        net.layers[0].Z[1, 3] = 0.0
-        net.bump()
+        mask = net.layers[0].Z.copy()
+        mask[1, 3] = False
+        apply_masks(net, {0: mask})
         x = rng.uniform(0, 1, size=(6, 4))
         smap = saliency(net, [(x, rng.integers(0, 2, size=6))])
         assert smap.scores[0][1, 3] == ALREADY_PRUNED
-        live = smap.scores[0][net.layers[0].Z == 1.0]
+        live = smap.scores[0][net.layers[0].Z]
         assert (live >= 0.0).all()
 
     def test_mean_over_batches(self):
@@ -147,7 +148,7 @@ class TestMagnitudeScores:
 
     def test_sentinel_respected(self):
         net = linear_net(np.array([[1.0, -3.0]]))
-        net.layers[0].Z[0, 0] = 0.0
+        apply_masks(net, {0: np.array([[False, True]])})
         smap = magnitude_scores(net)
         assert smap.scores[0][0, 0] == ALREADY_PRUNED
 
@@ -252,9 +253,8 @@ class TestPruneReport:
 
     def test_hand_built_masks(self):
         net = build_mlp(2, [2], 2, seed=0)  # layer sizes 4 and 4
-        net.layers[0].Z = np.array([[0.0, 0.0], [0.0, 1.0]])
-        net.layers[2].Z = np.array([[0.0, 1.0], [1.0, 1.0]])
-        net.bump()
+        apply_masks(net, {0: np.array([[False, False], [False, True]]),
+                          2: np.array([[False, True], [True, True]])})
         rep = prune_report(net)
         assert [row["ratio"] for row in rep["layers"]] == [0.75, 0.25]
         assert rep["global_sparsity"] == 0.5

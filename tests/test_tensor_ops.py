@@ -244,7 +244,7 @@ def short_run_layers(**over):
                 eval_attacks={}, seed=0)
     base.update(over)
     net, _ = run_tscnc(TrainConfig(**base))
-    return [net.layers[li].effective_weight() for li in net.parameterized_indices()]
+    return [net.layers[li].W for li in net.parameterized_indices()]
 
 
 class TestLayerSpectrum:

@@ -10,7 +10,7 @@ from tscnc.attacks import AttackSpec, pgd
 from tscnc.data import Dataset, load_dataset
 from tscnc.errors import ConfigError, DivergenceError, ValidationError
 from tscnc.network import build_mlp, build_network, forward
-from tscnc.pruning import PruneSpec, prune_report
+from tscnc.pruning import PruneSpec, apply_masks, prune_report
 from tscnc.tensor_ops import layer_spectrum
 from tscnc.trainer import (
     TrainConfig,
@@ -110,8 +110,9 @@ class TestSgdStep:
 
     def test_masked_weights_stay_zero(self):
         net = build_mlp(3, [], 2, seed=2)
-        net.layers[0].Z[1, :] = 0.0
-        net.layers[0].W = net.layers[0].W * net.layers[0].Z
+        mask = net.layers[0].Z.copy()
+        mask[1, :] = False
+        apply_masks(net, {0: mask})
         g = {0: {"W": np.ones((3, 2)), "b": np.zeros(2)}}
         vel = {}
         for _ in range(5):
@@ -302,6 +303,13 @@ class TestEvaluate:
         assert res["clean_acc"] == 0.0
         assert res["robust_acc"]["fgsm"] == 0.0
 
+    def test_empty_dataset_rejected(self):
+        net = build_mlp(3, [], 2, seed=0)
+        empty = Dataset(images=np.zeros((0, 3)),
+                        labels=np.zeros(0, dtype=np.int64), classes=2)
+        with pytest.raises(ValidationError, match="empty"):
+            evaluate(net, empty, {})
+
 
 class TestRunTscnc:
     def test_plain_sgd_loss_decreases(self):
@@ -403,7 +411,7 @@ class TestRunTscnc:
             epochs=2, warmup_epochs=1, prune=PruneSpec(sparsity=0.0),
         )
         net, _ = run_tscnc(cfg)
-        w = net.layers[0].effective_weight()
+        w = net.layers[0].W
         kappa = layer_spectrum(w).kappa
         assert np.isfinite(kappa)
         rng = np.random.default_rng(17)
