@@ -29,7 +29,7 @@ class AttackSpec:
     step_size: float = 0.0
     steps: int = 0
     random_start: bool = False
-    clamp: tuple = (0.0, 1.0)
+    clamp: tuple[float, float] = (0.0, 1.0)
 
     def validate(self) -> None:
         if not np.isfinite([self.epsilon, self.step_size]).all():

@@ -1,7 +1,8 @@
 """Command-line front end: train, prune, evaluate, inspect.
 
-Exit codes: 0 success, 2 configuration problems, 3 data-format problems,
-4 divergence during training.
+Exit codes: 0 success, 2 configuration problems, 3 data-format problems
+(including data whose shape does not fit the checkpoint), 4 divergence
+during training.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import numpy as np
 from .attacks import AttackSpec
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import load_dataset
-from .errors import ConfigError, DivergenceError, FormatError, ValidationError
+from .errors import (ConfigError, DimensionError, DivergenceError, FormatError,
+                     ValidationError)
 from .metrics import check_eq7, condition_report
 from .metrics_io import atomic_open, write_metrics
 from .network import forward
@@ -230,6 +232,9 @@ def main(argv=None) -> int:
     except FormatError as exc:
         where = f" at offset {exc.offset}" if exc.offset is not None else ""
         print(f"data format error{where}: {exc}", file=sys.stderr)
+        return 3
+    except DimensionError as exc:
+        print(f"data shape error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

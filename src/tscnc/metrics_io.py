@@ -71,9 +71,10 @@ def write_metrics(records, path) -> tuple:
     if not records:
         raise ValidationError("no metrics records to write")
     attack_names = list(records[0].robust_acc)
-    layer_ids = sorted(records[0].kappa_layers)
+    layer_ids = [row["layer"] for row in records[0].condition]
     for r in records:
-        if list(r.robust_acc) != attack_names or sorted(r.kappa_layers) != layer_ids:
+        if (list(r.robust_acc) != attack_names
+                or [row["layer"] for row in r.condition] != layer_ids):
             raise ValidationError(
                 f"record for epoch {r.epoch} does not match the first record's "
                 "attack/layer structure"
@@ -94,7 +95,7 @@ def write_metrics(records, path) -> tuple:
                 row += [_fmt(r.robust_acc[name]) for name in attack_names]
                 row += [_fmt(r.loss_E), _fmt(r.loss_CC), _fmt(r.loss_total),
                         _fmt(r.sparsity), _fmt(r.kappa_max)]
-                row += [_fmt(r.kappa_layers[i]) for i in layer_ids]
+                row += [_fmt(layer["kappa"]) for layer in r.condition]
                 f.write(",".join(row) + "\n")
         doc = {"records": []}
         for r in records:

@@ -37,9 +37,9 @@ class PruneSpec:
     adversarial Taylor saliency (default) or plain weight magnitude.
     """
 
-    sparsity: float
+    sparsity: float = 0.0
     scope: str = "global"
-    protected: tuple = ()
+    protected: tuple[int, ...] = ()
     criterion: str = "adversarial_saliency"
 
     def validate(self) -> None:

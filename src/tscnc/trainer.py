@@ -9,7 +9,8 @@ masks after every step, and records per-epoch metrics.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -35,7 +36,11 @@ from .pruning import (
 
 @dataclass
 class TrainConfig:
-    """Everything a run needs; every field maps to one config-file key."""
+    """Everything a run needs.
+
+    Each field is one config-file key; its annotation is the type that
+    ``config_from_dict`` reads and its default is the key's default.
+    """
 
     dataset: str = ""
     architecture: str = ""
@@ -44,7 +49,7 @@ class TrainConfig:
     lr: float = 0.1
     momentum: float = 0.9
     weight_decay: float = 5e-4
-    lr_milestones: tuple = (30, 45)
+    lr_milestones: tuple[int, ...] = (30, 45)
     lr_factor: float = 0.1
     lam: float = 0.001
     tau: float = 1e-4
@@ -53,19 +58,19 @@ class TrainConfig:
             epsilon=8.0 / 255.0, step_size=2.0 / 255.0, steps=10, random_start=True
         )
     )
-    eval_attacks: dict = field(
+    eval_attacks: dict[str, AttackSpec] = field(
         default_factory=lambda: {
             "pgd": AttackSpec(epsilon=8.0 / 255.0, step_size=2.0 / 255.0, steps=10)
         }
     )
-    prune: PruneSpec = field(default_factory=lambda: PruneSpec(sparsity=0.0))
+    prune: PruneSpec = field(default_factory=PruneSpec)
     warmup_epochs: int = 10
     seed: int = 0
 
     def validate(self) -> None:
-        for name in sorted(_FLOAT_KEYS):
+        for name, kind in sorted(get_type_hints(TrainConfig).items()):
             value = getattr(self, name)
-            if not np.isfinite(value):
+            if kind is float and not np.isfinite(value):
                 raise ValidationError(f"{name} must be finite, got {value}")
         if self.epochs < 1:
             raise ValidationError(f"epochs must be at least 1, got {self.epochs}")
@@ -83,6 +88,8 @@ class TrainConfig:
             raise ValidationError(
                 f"warmup_epochs must be non-negative, got {self.warmup_epochs}"
             )
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
         if not self.dataset:
             raise ValidationError("config needs a dataset id")
         if not self.architecture:
@@ -93,77 +100,53 @@ class TrainConfig:
         self.prune.validate()
 
 
-_ATTACK_KEYS = {"epsilon", "step_size", "steps", "random_start", "clamp"}
-_PRUNE_KEYS = {"sparsity", "scope", "protected", "criterion"}
-_INT_KEYS = {"epochs", "batch_size", "warmup_epochs", "seed"}
-_FLOAT_KEYS = {"lr", "momentum", "weight_decay", "lr_factor", "lam", "tau"}
-_STR_KEYS = {"dataset", "architecture"}
-
-
-def _attack_from_dict(d, where):
-    _require(d, dict, where)
-    unknown = set(d) - _ATTACK_KEYS
-    if unknown:
-        raise ConfigError(f"unknown attack keys in {where}: {sorted(unknown)}")
-    if "epsilon" not in d:
-        raise ConfigError(f"attack in {where} needs an epsilon")
-    random_start = d.get("random_start", False)
-    if not isinstance(random_start, bool):
-        raise ConfigError(f"config key {where}.random_start must be true or false")
-    clamp = _require(d.get("clamp", [0.0, 1.0]), list, f"{where}.clamp")
-    if len(clamp) != 2:
-        raise ConfigError(f"config key {where}.clamp must have exactly 2 entries")
-    spec = AttackSpec(
-        epsilon=_coerce(f"{where}.epsilon", d["epsilon"], float),
-        step_size=_coerce(f"{where}.step_size", d.get("step_size", 0.0), float),
-        steps=_coerce(f"{where}.steps", d.get("steps", 0), int),
-        random_start=random_start,
-        clamp=tuple(_coerce(f"{where}.clamp", c, float) for c in clamp),
-    )
-    return spec
-
-
 def config_from_dict(doc: dict) -> TrainConfig:
-    """Build a TrainConfig from a flat JSON document; unknown keys are errors."""
+    """Build a TrainConfig from a JSON document.
+
+    The dataclasses are the schema: each key is a field of TrainConfig,
+    ``train_attack`` and every ``eval_attacks`` entry hold AttackSpec fields,
+    and ``prune`` holds PruneSpec fields.  Unknown keys are errors, absent
+    keys take the field defaults, and a field without a default is required.
+    """
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    known = set(TrainConfig.__dataclass_fields__)
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, value in doc.items():
-        if key == "train_attack":
-            kwargs[key] = _attack_from_dict(value, "train_attack")
-        elif key == "eval_attacks":
-            kwargs[key] = {
-                name: _attack_from_dict(spec, f"eval_attacks[{name}]")
-                for name, spec in _require(value, dict, key).items()
-            }
-        elif key == "prune":
-            unknown = set(_require(value, dict, key)) - _PRUNE_KEYS
-            if unknown:
-                raise ConfigError(f"unknown prune keys: {sorted(unknown)}")
-            protected = _require(value.get("protected", []), list, "prune.protected")
-            kwargs[key] = PruneSpec(
-                sparsity=_coerce("prune.sparsity", value.get("sparsity", 0.0), float),
-                scope=value.get("scope", "global"),
-                protected=tuple(_coerce("prune.protected", li, int) for li in protected),
-                criterion=value.get("criterion", "adversarial_saliency"),
-            )
-        elif key == "lr_milestones":
-            kwargs[key] = tuple(_coerce(key, m, int) for m in _require(value, list, key))
-        elif key in _INT_KEYS:
-            kwargs[key] = _coerce(key, value, int)
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = _coerce(key, value, float)
-        elif key in _STR_KEYS:
-            if not isinstance(value, str):
-                raise ConfigError(f"config key {key} must be a string")
-            kwargs[key] = value
-        else:
-            kwargs[key] = value
-    return TrainConfig(**kwargs)
+    return _read(TrainConfig, doc, "")
+
+
+def _read(kind, value, key):
+    """value, a parsed JSON value, as the annotated type kind."""
+    if is_dataclass(kind):
+        _require(value, dict, key)
+        prefix = f"{key}." if key else ""
+        unknown = set(value) - {f.name for f in fields(kind)}
+        if unknown:
+            raise ConfigError(
+                f"unknown config keys: {sorted(prefix + k for k in unknown)}")
+        for f in fields(kind):
+            if (f.name not in value and f.default is MISSING
+                    and f.default_factory is MISSING):
+                raise ConfigError(f"config key {prefix}{f.name} is required")
+        hints = get_type_hints(kind)
+        return kind(**{name: _read(hints[name], v, prefix + name)
+                       for name, v in value.items()})
+    args = get_args(kind)
+    if get_origin(kind) is dict:
+        return {name: _read(args[1], v, f"{key}[{name}]")
+                for name, v in _require(value, dict, key).items()}
+    if get_origin(kind) is tuple:
+        items = _require(value, list, key)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(items)
+        elif len(items) != len(args):
+            raise ConfigError(
+                f"config key {key} must have exactly {len(args)} entries")
+        return tuple(_read(a, v, key) for a, v in zip(args, items))
+    if kind in (bool, str):
+        if not isinstance(value, kind):
+            what = "true or false" if kind is bool else "a string"
+            raise ConfigError(f"config key {key} must be {what}")
+        return value
+    return _coerce(key, value, kind)
 
 
 def _require(value, kind, key):
@@ -196,7 +179,6 @@ class MetricsRecord:
     loss_total: float
     sparsity: float
     kappa_max: float
-    kappa_layers: dict
     condition: list
 
 
@@ -324,7 +306,6 @@ def _record(net, config, epoch, lr, loss_e, data, rng) -> MetricsRecord:
         loss_total=loss_e + config.lam * loss_cc,
         sparsity=prune_report(net)["global_sparsity"],
         kappa_max=crep.kappa_max,
-        kappa_layers={row.layer: row.kappa for row in crep.layers},
         condition=[asdict(row) for row in crep.layers],
     )
 

@@ -272,6 +272,42 @@ class TestMalformedInputs:
         assert "Traceback" not in proc.stderr
         assert "unknown dataset id" in proc.stderr
 
+    def test_negative_config_seed_exits_2_without_traceback(self, tmp_path,
+                                                             config_path):
+        doc = json.loads(config_path.read_text())
+        doc["seed"] = -1
+        config_path.write_text(json.dumps(doc))
+        proc = run_cli("--quiet", "train", "--config", str(config_path),
+                       "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "seed must be non-negative" in proc.stderr
+
+    def test_evaluate_data_shape_mismatch_exits_3(self, trained):
+        # the checkpoint takes 12 features, the data has 16
+        proc = run_cli("--quiet", "evaluate",
+                       "--checkpoint", str(trained / "model.tscn"),
+                       "--attacks", "fgsm:0.1",
+                       "--data", "blobs-c3-d16-n5-s0.3")
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert "does not match" in proc.stderr
+
+    def test_prune_data_shape_mismatch_exits_3(self, tmp_path, trained,
+                                              config_path):
+        doc = json.loads(config_path.read_text())
+        doc["dataset"] = "blobs-c3-d16-n20-s0.06"
+        config_path.write_text(json.dumps(doc))
+        proc = run_cli("--quiet", "prune", "--config", str(config_path),
+                       "--checkpoint", str(trained / "model.tscn"),
+                       "--out", str(tmp_path / "pruned"))
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert "does not match" in proc.stderr
+        assert not (tmp_path / "pruned").exists()
+
     def test_empty_idx_evaluate_exits_3(self, tmp_path, trained):
         data = write_idx_pair(tmp_path, 0, [])
         rc = main(["--quiet", "evaluate",

@@ -30,8 +30,7 @@ def make_record(epoch=0, kappa_max=3.5, kappa_layers=None):
         robust_acc={"pgd": 0.8125, "fgsm": 0.875},
         loss_E=1.0 / 3.0, loss_CC=-9.2103403719761836,
         loss_total=1.0 / 3.0 - 0.001 * 9.2103403719761836,
-        sparsity=0.9, kappa_max=kappa_max, kappa_layers=kappa_layers,
-        condition=condition,
+        sparsity=0.9, kappa_max=kappa_max, condition=condition,
     )
 
 

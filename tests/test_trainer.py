@@ -1,6 +1,7 @@
 """Training loop behavior: schedule, momentum algebra, phase structure,
 metric bookkeeping, determinism, and failure reporting."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -141,6 +142,39 @@ class TestConfigFromDict:
         assert cfg.tau == 1e-4
         assert cfg.prune.sparsity == 0.0
 
+    def test_empty_prune_object_means_no_pruning(self):
+        cfg = config_from_dict({"dataset": "x", "architecture": "y",
+                                "prune": {}})
+        assert cfg.prune == PruneSpec(sparsity=0.0)
+        assert cfg.prune.sparsity == 0.0
+
+    def test_every_field_round_trips_through_json(self):
+        cfg = TrainConfig(
+            dataset="blobs-c3-d6-n5-s0.1", architecture="mlp-4", epochs=7,
+            batch_size=16, lr=0.25, momentum=0.5, weight_decay=1e-3,
+            lr_milestones=(3, 5), lr_factor=0.5, lam=0.01, tau=1e-3,
+            train_attack=AttackSpec(epsilon=0.2, step_size=0.05, steps=4,
+                                    random_start=True, clamp=(-1.0, 2.0)),
+            eval_attacks={"a": AttackSpec(epsilon=0.1, step_size=0.1,
+                                          steps=1, random_start=True,
+                                          clamp=(0.25, 0.75))},
+            prune=PruneSpec(sparsity=0.5, scope="per_layer",
+                            protected=(0, 2), criterion="magnitude"),
+            warmup_epochs=2, seed=11,
+        )
+        # every field, nested ones included, is off the default the reader
+        # would fill in, so a key it drops shows as a difference below
+        default = TrainConfig()
+        for f in dataclasses.fields(TrainConfig):
+            assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+        for spec in (cfg.train_attack, cfg.eval_attacks["a"]):
+            for f in dataclasses.fields(AttackSpec):
+                assert getattr(spec, f.name) != f.default, f.name
+        for f in dataclasses.fields(PruneSpec):
+            assert getattr(cfg.prune, f.name) != f.default, f.name
+        doc = json.loads(json.dumps(dataclasses.asdict(cfg)))
+        assert config_from_dict(doc) == cfg
+
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError):
             config_from_dict({"dataset": "x", "architecture": "y",
@@ -202,6 +236,9 @@ class TestConfigFromDict:
         {"lr_milestones": [10, 20.5]},
         {"train_attack": {"epsilon": 0.1, "steps": 2.5}},
         {"prune": {"sparsity": 0.5, "protected": [0.5]}},
+        {"prune": {"scope": 3}},
+        {"prune": {"criterion": []}},
+        {"eval_attacks": {"w": {"epsilon": 0.1, "clamp": [0, 0.5, 1]}}},
     ])
     def test_malformed_nested_values(self, over):
         with pytest.raises(ConfigError):
@@ -250,6 +287,13 @@ class TestConfigFromDict:
             cfg = small_config(**over)
             with pytest.raises(ValidationError):
                 cfg.validate()
+
+    def test_negative_seed_rejected(self):
+        cfg = config_from_dict({"dataset": "x", "architecture": "y",
+                                "seed": -1})
+        with pytest.raises(ValidationError, match="seed"):
+            cfg.validate()
+        small_config(seed=0).validate()
 
 
 class TestEvaluate:
