@@ -140,12 +140,10 @@ def _cmd_evaluate(args):
     width = max(len(name) for name, _ in rows)
     for name, acc in rows:
         _print(args, f"{name:<{width}}  {acc:.4f}")
-    doc = {"clean_acc": result["clean_acc"],
-           "robust_acc": result["robust_acc"]}
     if args.out:
-        _write_json(args.out, doc)
+        _write_json(args.out, result)
     else:
-        _print(args, json.dumps(doc, sort_keys=True))
+        _print(args, json.dumps(result, sort_keys=True))
     return 0
 
 
@@ -170,7 +168,8 @@ def _cmd_inspect(args):
     order = np.argsort(logits[0])[::-1]
     k = int(order[1])
     try:
-        eq7 = check_eq7(net, x, k, r=0.1, q=2, n=200, seed=0)
+        eq7 = check_eq7(net, x, k, r=0.1, q=2, n=200,
+                        seed=args.seed if args.seed is not None else 0)
     except ValidationError as exc:
         _print(args, f"bound check skipped: {exc}")
         return 0
@@ -188,7 +187,10 @@ def build_parser():
                     "control, plus diagnostics over the trained models.",
     )
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed (unsigned 64-bit)")
+                        help="unsigned 64-bit seed: overrides the config seed "
+                             "(train, prune), seeds the synthetic data "
+                             "(evaluate) or the bound check's samples "
+                             "(inspect); default 0 for the last two")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -31,7 +31,6 @@ class Dataset:
     images: np.ndarray
     labels: np.ndarray
     classes: int
-    split: str = ""
 
     def __len__(self) -> int:
         return self.images.shape[0]
@@ -89,7 +88,7 @@ def load_idx(images_path, labels_path) -> Dataset:
             f"{labels_path}: {ln} labels for {n} images", offset=4
         )
     classes = int(labels.max()) + 1
-    return Dataset(images=images, labels=labels, classes=classes, split="idx")
+    return Dataset(images=images, labels=labels, classes=classes)
 
 
 def synth_blobs(
@@ -134,7 +133,7 @@ def synth_blobs(
                 f"image shape {image_shape} does not hold {dim} features"
             )
         images = images.reshape((len(labels),) + image_shape)
-    return Dataset(images=images, labels=labels, classes=classes, split="synth")
+    return Dataset(images=images, labels=labels, classes=classes)
 
 
 _BLOBS_RE = re.compile(

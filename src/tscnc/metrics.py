@@ -59,12 +59,13 @@ def condition_constraint_grad(net: Network, tau: float) -> dict:
 
 @dataclass
 class LayerCondition:
+    # the field order is the key order of each "layers" row in metrics.json
     layer: int
     kind: str
     sigma_max: float
     sigma_min: float
-    kappa: float
     rank: int
+    kappa: float
 
 
 @dataclass
@@ -73,10 +74,9 @@ class ConditionReport:
 
     layers: list
     kappa_max: float
-    epoch: int | None = None
 
 
-def condition_report(net: Network, epoch=None) -> ConditionReport:
+def condition_report(net: Network) -> ConditionReport:
     rows = []
     kmax = 0.0
     for li in net.parameterized_indices():
@@ -89,7 +89,7 @@ def condition_report(net: Network, epoch=None) -> ConditionReport:
             )
         )
         kmax = max(kmax, spec.kappa)
-    return ConditionReport(layers=rows, kappa_max=kmax, epoch=epoch)
+    return ConditionReport(layers=rows, kappa_max=kmax)
 
 
 # ------------------------------------------------------------ Lipschitz

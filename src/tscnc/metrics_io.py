@@ -1,9 +1,11 @@
 """CSV and JSON serialization of per-epoch training metrics.
 
-The CSV holds one row per epoch with a fixed column order; the JSON mirror
-carries full per-layer condition detail.  Infinite condition numbers print
-as "inf" in CSV and as null plus an explicit flag in JSON, so plots cannot
-silently treat them as huge finite values.  Every output file of the
+The fields of a MetricsRecord are the schema of both files: the CSV holds
+one row per epoch with its columns in field order, and the JSON mirror
+carries every field, the full per-layer condition detail included.
+Infinite condition numbers print as "inf" in CSV and as null plus an
+explicit flag in JSON, so plots cannot silently treat them as huge finite
+values.  Every output file of the
 package is written through ``atomic_open``.
 """
 
@@ -13,6 +15,7 @@ import contextlib
 import json
 import math
 import os
+from dataclasses import asdict, fields
 
 from .errors import ValidationError
 
@@ -59,72 +62,59 @@ def _kappa_json(v) -> dict:
     return {"value": float(v), "infinite": False}
 
 
-def write_metrics(records, path) -> tuple:
-    """Write <path>.csv and <path>.json from a nonempty record sequence.
+def _columns(record):
+    """(column, value) pairs of one CSV row, as write_metrics describes."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if f.name == "robust_acc":
+            for name, acc in value.items():
+                yield f"{name}_acc", acc
+        elif f.name == "condition":
+            for row in value:
+                yield f"kappa_layer_{row.layer}", row.kappa
+        else:
+            yield f.name, value
 
-    Every record must expose the same attack names and layer indices as the
-    first one; the column order is epoch, lr, clean_acc, one <name>_acc per
-    attack, loss_E, loss_CC, loss_total, sparsity, kappa_max, then one
-    kappa_layer_<i> per parameterized layer.
+
+def _json_record(record) -> dict:
+    doc = asdict(record)
+    doc["kappa_max"] = _kappa_json(record.kappa_max)
+    doc["layers"] = [{**row, "kappa": _kappa_json(row["kappa"])}
+                     for row in doc.pop("condition")]
+    return doc
+
+
+def write_metrics(records, path) -> tuple:
+    """Write <path>.csv and <path>.json from a nonempty MetricsRecord sequence.
+
+    The record's dataclass fields are the schema of both files.  The CSV
+    has one column per field, in field order, except that robust_acc
+    expands to one <name>_acc column per attack and condition to one
+    kappa_layer_<i> column per layer; every record must give the same
+    columns as the first.  The JSON holds each record's fields, with
+    condition under "layers".
     """
     records = list(records)
     if not records:
         raise ValidationError("no metrics records to write")
-    attack_names = list(records[0].robust_acc)
-    layer_ids = [row["layer"] for row in records[0].condition]
-    for r in records:
-        if (list(r.robust_acc) != attack_names
-                or [row["layer"] for row in r.condition] != layer_ids):
+    rows = [list(_columns(r)) for r in records]
+    header = [name for name, _ in rows[0]]
+    for r, row in zip(records, rows):
+        if [name for name, _ in row] != header:
             raise ValidationError(
                 f"record for epoch {r.epoch} does not match the first record's "
                 "attack/layer structure"
             )
-    columns = (
-        ["epoch", "lr", "clean_acc"]
-        + [f"{name}_acc" for name in attack_names]
-        + ["loss_E", "loss_CC", "loss_total", "sparsity", "kappa_max"]
-        + [f"kappa_layer_{i}" for i in layer_ids]
-    )
     csv_path = f"{path}.csv"
     json_path = f"{path}.json"
     try:
         with atomic_open(csv_path, "w", encoding="utf-8") as f:
-            f.write(",".join(columns) + "\n")
-            for r in records:
-                row = [str(r.epoch), _fmt(r.lr), _fmt(r.clean_acc)]
-                row += [_fmt(r.robust_acc[name]) for name in attack_names]
-                row += [_fmt(r.loss_E), _fmt(r.loss_CC), _fmt(r.loss_total),
-                        _fmt(r.sparsity), _fmt(r.kappa_max)]
-                row += [_fmt(layer["kappa"]) for layer in r.condition]
-                f.write(",".join(row) + "\n")
-        doc = {"records": []}
-        for r in records:
-            doc["records"].append(
-                {
-                    "epoch": r.epoch,
-                    "lr": r.lr,
-                    "clean_acc": r.clean_acc,
-                    "robust_acc": dict(r.robust_acc),
-                    "loss_E": r.loss_E,
-                    "loss_CC": r.loss_CC,
-                    "loss_total": r.loss_total,
-                    "sparsity": r.sparsity,
-                    "kappa_max": _kappa_json(r.kappa_max),
-                    "layers": [
-                        {
-                            "layer": row["layer"],
-                            "kind": row["kind"],
-                            "sigma_max": row["sigma_max"],
-                            "sigma_min": row["sigma_min"],
-                            "rank": row["rank"],
-                            "kappa": _kappa_json(row["kappa"]),
-                        }
-                        for row in r.condition
-                    ],
-                }
-            )
+            f.write(",".join(header) + "\n")
+            for row in rows:
+                f.write(",".join(_fmt(v) for _, v in row) + "\n")
         with atomic_open(json_path, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=2)
+            json.dump({"records": [_json_record(r) for r in records]}, f,
+                      indent=2)
             f.write("\n")
     except OSError as e:
         raise ValidationError(f"cannot write metrics to {path}: {e}")

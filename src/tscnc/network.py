@@ -271,13 +271,12 @@ def _kaiming_uniform(rng, shape, fan_in):
     return rng.uniform(-bound, bound, size=shape)
 
 
-def build_mlp(input_dim: int, hidden, class_count: int, seed: int = 0) -> Network:
-    """Fully-connected ReLU network: input_dim -> hidden... -> class_count."""
-    rng = np.random.default_rng(seed)
+def _dense_layers(rng, widths) -> list:
+    """Linear layers widths[0] -> ... -> widths[-1], a ReLU between each two."""
     layers = []
-    widths = [input_dim] + list(hidden) + [class_count]
-    for i in range(len(widths) - 1):
-        fan_in, fan_out = widths[i], widths[i + 1]
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        if layers:
+            layers.append(MaskedLayer(kind="relu"))
         layers.append(
             MaskedLayer(
                 kind="linear",
@@ -286,8 +285,13 @@ def build_mlp(input_dim: int, hidden, class_count: int, seed: int = 0) -> Networ
                 prunable=True,
             )
         )
-        if i < len(widths) - 2:
-            layers.append(MaskedLayer(kind="relu"))
+    return layers
+
+
+def build_mlp(input_dim: int, hidden, class_count: int, seed: int = 0) -> Network:
+    """Fully-connected ReLU network: input_dim -> hidden... -> class_count."""
+    layers = _dense_layers(np.random.default_rng(seed),
+                           [input_dim, *hidden, class_count])
     return Network(layers=layers, input_shape=(input_dim,), class_count=class_count)
 
 
@@ -297,58 +301,35 @@ def build_cnn(
     fc_width: int,
     class_count: int,
     seed: int = 0,
-    kernel_size: int = 3,
-    stride: int = 1,
-    pad: int = 1,
 ) -> Network:
     """Two conv + two fc network on (c, h, w) inputs.
 
-    Spatial size is preserved by the default stride/pad, so the flatten
+    3x3 kernels at stride 1 and pad 1 keep the spatial size, so the flatten
     width is channels[-1] * h * w.
     """
     c_in, h, w = input_shape
     rng = np.random.default_rng(seed)
     layers = []
     prev = c_in
-    oh, ow = h, w
     for c_out in channels:
-        fan_in = prev * kernel_size * kernel_size
+        fan_in = prev * 3 * 3
         layers.append(
             MaskedLayer(
                 kind="conv2d",
                 W=_kaiming_uniform(rng, (c_out, fan_in), fan_in),
                 b=np.zeros(c_out),
-                kernel_size=kernel_size,
-                stride=stride,
-                pad=pad,
+                kernel_size=3,
+                stride=1,
+                pad=1,
                 in_channels=prev,
                 out_channels=c_out,
                 prunable=True,
             )
         )
         layers.append(MaskedLayer(kind="relu"))
-        oh = (oh + 2 * pad - kernel_size) // stride + 1
-        ow = (ow + 2 * pad - kernel_size) // stride + 1
         prev = c_out
     layers.append(MaskedLayer(kind="flatten"))
-    flat = prev * oh * ow
-    layers.append(
-        MaskedLayer(
-            kind="linear",
-            W=_kaiming_uniform(rng, (flat, fc_width), flat),
-            b=np.zeros(fc_width),
-            prunable=True,
-        )
-    )
-    layers.append(MaskedLayer(kind="relu"))
-    layers.append(
-        MaskedLayer(
-            kind="linear",
-            W=_kaiming_uniform(rng, (fc_width, class_count), fc_width),
-            b=np.zeros(class_count),
-            prunable=True,
-        )
-    )
+    layers += _dense_layers(rng, [prev * h * w, fc_width, class_count])
     return Network(layers=layers, input_shape=tuple(input_shape), class_count=class_count)
 
 

@@ -104,14 +104,23 @@ def _rank_and_mask(flat_scores, target):
     return mask
 
 
+def check_protected(protected, prunable) -> None:
+    """Raise ValidationError unless every protected entry is a prunable index."""
+    bad = [li for li in protected if li not in prunable]
+    if bad:
+        raise ValidationError(f"prune.protected entries {bad} are not prunable "
+                              f"layer indices; those are {sorted(prunable)}")
+
+
 def select_mask(s: SaliencyMap, spec: PruneSpec) -> dict:
     """Choose bool masks (True = live) with exactly floor(p * N_prunable) zeros.
 
-    Protected layers are excluded from both the ranking and the weight
-    count; everything else is ranked by score, smallest first, ties broken
+    Protected layers, each of which must be a scored layer, are excluded
+    from both the ranking and the weight count; everything else is ranked by score, smallest first, ties broken
     by (layer index, flat index).
     """
     spec.validate()
+    check_protected(spec.protected, s.scores)
     layers = [li for li in sorted(s.scores) if li not in spec.protected]
     for li in layers:
         live = s.scores[li][s.scores[li] != ALREADY_PRUNED]

@@ -9,7 +9,7 @@ masks after every step, and records per-epoch metrics.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -18,6 +18,7 @@ from .attacks import AttackSpec, pgd
 from .data import Dataset, load_dataset
 from .errors import ConfigError, DivergenceError, ValidationError
 from .metrics import (
+    LayerCondition,
     condition_constraint_grad,
     condition_constraint_loss,
     condition_report,
@@ -27,6 +28,7 @@ from .pruning import (
     PruneSpec,
     SaliencyMap,
     apply_masks,
+    check_protected,
     magnitude_scores,
     prune_report,
     saliency,
@@ -170,16 +172,18 @@ def _coerce(key, value, kind):
 
 @dataclass
 class MetricsRecord:
+    """One epoch of the trace; its fields are the metrics files' schema."""
+
     epoch: int
     lr: float
     clean_acc: float
-    robust_acc: dict
+    robust_acc: dict[str, float]
     loss_E: float
     loss_CC: float
     loss_total: float
     sparsity: float
     kappa_max: float
-    condition: list
+    condition: list[LayerCondition]
 
 
 def lr_at(epoch: int, config: TrainConfig) -> float:
@@ -293,7 +297,7 @@ def evaluate(net: Network, data: Dataset, eval_attacks: dict,
 
 
 def _record(net, config, epoch, lr, loss_e, data, rng) -> MetricsRecord:
-    crep = condition_report(net, epoch=epoch)
+    crep = condition_report(net)
     loss_cc = condition_constraint_loss(net, config.tau)
     accs = evaluate(net, data, config.eval_attacks, rng=rng)
     return MetricsRecord(
@@ -306,7 +310,7 @@ def _record(net, config, epoch, lr, loss_e, data, rng) -> MetricsRecord:
         loss_total=loss_e + config.lam * loss_cc,
         sparsity=prune_report(net)["global_sparsity"],
         kappa_max=crep.kappa_max,
-        condition=[asdict(row) for row in crep.layers],
+        condition=crep.layers,
     )
 
 
@@ -329,6 +333,7 @@ def run_tscnc(config: TrainConfig, data: Dataset | None = None,
             config.architecture, data.images.shape[1:], data.classes,
             seed=config.seed,
         )
+    check_protected(config.prune.protected, net.prunable_indices())
     velocity = {}
     records = []
 

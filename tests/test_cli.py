@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import tscnc
+from tscnc import cli
 from tscnc.checkpoint import load_checkpoint
 from tscnc.cli import _parse_attacks, main
 from tscnc.errors import ConfigError
@@ -217,6 +218,27 @@ class TestInspect:
         assert "global sparsity" in out
         assert "bound check" in out
 
+    def test_seed_is_the_bound_check_sampling_seed(self, trained, monkeypatch,
+                                                   capsys):
+        seeds = []
+        real = cli.check_eq7
+
+        def spy(*args, **kwargs):
+            seeds.append(kwargs["seed"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "check_eq7", spy)
+        ckpt = str(trained / "model.tscn")
+        assert main(["inspect", "--checkpoint", ckpt]) == 0
+        default = capsys.readouterr().out
+        assert main(["--seed", "5", "inspect", "--checkpoint", ckpt]) == 0
+        seeded = capsys.readouterr().out
+        assert main(["--seed", "0", "inspect", "--checkpoint", ckpt]) == 0
+        assert seeds == [0, 5, 0]
+        assert capsys.readouterr().out == default
+        # only the sampled Lipschitz estimate can move with the seed
+        assert seeded.splitlines()[:-1] == default.splitlines()[:-1]
+
 
 class TestAttackGrammar:
     def test_parses_both_kinds(self):
@@ -282,6 +304,23 @@ class TestMalformedInputs:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "seed must be non-negative" in proc.stderr
+
+    @pytest.mark.parametrize("protected", [[99], [1], [-1]])
+    @pytest.mark.parametrize("command", ["train", "prune"])
+    def test_protected_typo_exits_2(self, tmp_path, trained, config_path,
+                                    command, protected):
+        # mlp-10 has linear layers 0 and 2 around the ReLU at 1
+        doc = json.loads(config_path.read_text())
+        doc["prune"]["protected"] = protected
+        config_path.write_text(json.dumps(doc))
+        checkpoint = ["--checkpoint", str(trained / "model.tscn")]
+        proc = run_cli("--quiet", command, "--config", str(config_path),
+                       *(checkpoint if command == "prune" else []),
+                       "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "not prunable layer indices" in proc.stderr
+        assert not (tmp_path / "o" / "model.tscn").exists()
 
     def test_evaluate_data_shape_mismatch_exits_3(self, trained):
         # the checkpoint takes 12 features, the data has 16

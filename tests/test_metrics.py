@@ -186,10 +186,6 @@ class TestConditionReport:
             for a, b in zip(base.layers, rep.layers):
                 assert abs(a.kappa - b.kappa) / a.kappa <= 1e-8
 
-    def test_epoch_recorded(self):
-        net = linear_net(np.eye(2))
-        assert condition_report(net, epoch=17).epoch == 17
-
 
 class TestLocalLipschitzEstimate:
     def test_linear_model_hits_closed_form(self):

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import stat
+from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,6 +13,7 @@ import pytest
 
 from tscnc import checkpoint, cli, metrics_io
 from tscnc.errors import ValidationError
+from tscnc.metrics import LayerCondition
 from tscnc.metrics_io import atomic_open, write_metrics
 from tscnc.network import build_mlp
 from tscnc.trainer import MetricsRecord
@@ -21,8 +23,8 @@ def make_record(epoch=0, kappa_max=3.5, kappa_layers=None):
     if kappa_layers is None:
         kappa_layers = {0: 3.5, 2: 1.25}
     condition = [
-        {"layer": li, "kind": "linear", "sigma_max": 2.0, "sigma_min": 0.5,
-         "kappa": kap, "rank": 4}
+        LayerCondition(layer=li, kind="linear", sigma_max=2.0, sigma_min=0.5,
+                       rank=4, kappa=kap)
         for li, kap in sorted(kappa_layers.items())
     ]
     return MetricsRecord(
@@ -131,6 +133,72 @@ class TestJson:
         assert abs(out["loss_E"] - rec.loss_E) < 1e-9
         assert abs(out["loss_CC"] - rec.loss_CC) < 1e-9
         assert out["sparsity"] == 0.9
+
+
+def _layer_json(layer, kappa):
+    return {"layer": layer, "kind": "linear", "sigma_max": 2.0,
+            "sigma_min": 0.5, "rank": 4, "kappa": kappa}
+
+
+def _record_json(epoch, kappa_max, kappa_0, kappa_2):
+    return {
+        "epoch": epoch, "lr": 0.1, "clean_acc": 0.9375,
+        "robust_acc": {"pgd": 0.8125, "fgsm": 0.875},
+        "loss_E": 0.3333333333333333, "loss_CC": -9.210340371976184,
+        "loss_total": 0.32412299296135716, "sparsity": 0.9,
+        "kappa_max": kappa_max,
+        "layers": [_layer_json(0, kappa_0), _layer_json(2, kappa_2)],
+    }
+
+
+@dataclass
+class ExtendedRecord(MetricsRecord):
+    attack_loss_gap: float
+
+
+class TestSchema:
+    """The MetricsRecord fields are the columns and keys of both files."""
+
+    def test_exact_text(self, tmp_path):
+        finite = {"value": 3.5, "infinite": False}
+        infinite = {"value": None, "infinite": True}
+        recs = [make_record(epoch=0),
+                make_record(epoch=1, kappa_max=math.inf,
+                            kappa_layers={0: math.inf, 2: 2.0})]
+        csv_path, json_path = write_metrics(recs, str(tmp_path / "metrics"))
+        assert Path(csv_path).read_text() == (
+            "epoch,lr,clean_acc,pgd_acc,fgsm_acc,loss_E,loss_CC,loss_total,"
+            "sparsity,kappa_max,kappa_layer_0,kappa_layer_2\n"
+            "0,0.10000000000000001,0.9375,0.8125,0.875,0.33333333333333331,"
+            "-9.2103403719761836,0.32412299296135716,0.90000000000000002,"
+            "3.5,3.5,1.25\n"
+            "1,0.10000000000000001,0.9375,0.8125,0.875,0.33333333333333331,"
+            "-9.2103403719761836,0.32412299296135716,0.90000000000000002,"
+            "inf,inf,2\n"
+        )
+        # dict literals keep their key order, so this pins the key order too
+        expected = {"records": [
+            _record_json(0, finite, finite, {"value": 1.25, "infinite": False}),
+            _record_json(1, infinite, infinite, {"value": 2.0, "infinite": False}),
+        ]}
+        assert Path(json_path).read_text() == json.dumps(expected, indent=2) + "\n"
+
+    def test_new_field_is_last_column_and_a_json_key(self, tmp_path):
+        base = make_record()
+        rec = ExtendedRecord(**vars(base), attack_loss_gap=0.25)
+        csv_path, json_path = write_metrics([rec], str(tmp_path / "metrics"))
+        with open(csv_path, newline="") as f:
+            header, row = list(csv.reader(f))
+        assert header[-1] == "attack_loss_gap"
+        assert row[-1] == "0.25"
+        assert header[:-1] == [
+            "epoch", "lr", "clean_acc", "pgd_acc", "fgsm_acc",
+            "loss_E", "loss_CC", "loss_total", "sparsity",
+            "kappa_max", "kappa_layer_0", "kappa_layer_2",
+        ]
+        out = json.loads(Path(json_path).read_text())["records"][0]
+        assert out["attack_loss_gap"] == 0.25
+        assert [l["layer"] for l in out["layers"]] == [0, 2]
 
 
 class TestRejections:

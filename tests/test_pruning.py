@@ -18,6 +18,7 @@ from tscnc.pruning import (
     PruneSpec,
     SaliencyMap,
     apply_masks,
+    check_protected,
     magnitude_scores,
     prune_report,
     saliency,
@@ -232,6 +233,16 @@ class TestSelectMask:
         masks = select_mask(smap, PruneSpec(0.5, protected=(0,)))
         assert 0 not in masks
         assert np.array_equal(masks[1], np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("protected", [(99,), (1,), (-1,), (0, 1)])
+    def test_protected_must_name_a_prunable_layer(self, protected):
+        # layers 0 and 2 are prunable; 1 stands for a ReLU between them
+        smap = SaliencyMap(scores={0: np.ones(4), 2: np.ones(2)}, batch_count=1)
+        with pytest.raises(ValidationError, match="not prunable"):
+            select_mask(smap, PruneSpec(0.5, protected=protected))
+        with pytest.raises(ValidationError, match="not prunable"):
+            check_protected(protected, [0, 2])
+        check_protected((0, 2), [0, 2])
 
     def test_sparsity_one_rejected(self):
         smap = SaliencyMap(scores={0: np.ones(4)}, batch_count=1)

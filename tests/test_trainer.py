@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from tscnc import trainer
 from tscnc.attacks import AttackSpec, pgd
 from tscnc.data import Dataset, load_dataset
 from tscnc.errors import ConfigError, DivergenceError, ValidationError
@@ -410,6 +411,16 @@ class TestRunTscnc:
         net1, _ = run_tscnc(small_config(epochs=1, seed=3))
         net2, _ = run_tscnc(small_config(epochs=1, seed=4))
         assert not np.array_equal(net1.layers[0].W, net2.layers[0].W)
+
+    @pytest.mark.parametrize("protected", [(99,), (1,), (-1,)])
+    def test_protected_typo_fails_before_warmup(self, monkeypatch, protected):
+        def train_epoch(*args):
+            raise AssertionError("trained before checking prune.protected")
+
+        monkeypatch.setattr(trainer, "_train_epoch", train_epoch)
+        cfg = small_config(prune=PruneSpec(sparsity=0.5, protected=protected))
+        with pytest.raises(ValidationError, match="not prunable"):
+            run_tscnc(cfg)
 
     def test_reference_network_skips_warmup(self):
         cfg = small_config(epochs=1, warmup_epochs=50)
