@@ -1,8 +1,8 @@
 """Command-line front end: train, prune, evaluate, inspect.
 
 Exit codes: 0 success, 2 configuration problems, 3 data-format problems
-(including data whose shape does not fit the checkpoint), 4 divergence
-during training.
+(including data whose shape or labels do not fit the checkpoint), 4
+divergence during training.
 """
 
 from __future__ import annotations
@@ -131,6 +131,8 @@ def _cmd_prune(args):
 
 
 def _cmd_evaluate(args):
+    if args.seed is not None and args.data.startswith("idx:"):
+        raise ConfigError("--seed seeds synthetic --data only; idx: data takes none")
     ckpt = load_checkpoint(args.checkpoint)
     data = load_dataset(args.data, seed=args.seed if args.seed is not None else 0)
     attacks = _parse_attacks(args.attacks)
@@ -189,8 +191,9 @@ def build_parser():
     parser.add_argument("--seed", type=int, default=None,
                         help="unsigned 64-bit seed: overrides the config seed "
                              "(train, prune), seeds the synthetic data "
-                             "(evaluate) or the bound check's samples "
-                             "(inspect); default 0 for the last two")
+                             "(evaluate; an error with idx: data) or the bound "
+                             "check's samples (inspect); default 0 for the "
+                             "last two")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)

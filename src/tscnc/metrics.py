@@ -95,27 +95,11 @@ def condition_report(net: Network) -> ConditionReport:
 # ------------------------------------------------------------ Lipschitz
 
 
-@dataclass
-class LipschitzEstimate:
-    """Lower-bound estimate of a local Lipschitz constant.
-
-    value is the max difference quotient over `samples` random points in the
-    dual ball of radius `radius` around `center`, together with the
-    gradient-norm candidate at the center.
-    """
-
-    value: float
-    q: int
-    samples: int
-    radius: float
-    center: np.ndarray
-
-
 def _margin_lipschitz(net, x, k, r, q, n, seed):
     """One sampling pass for the margin functions g_yhat - g_k around x.
 
     k is one rival class, or None for every class other than yhat.  Returns
-    (x, logits of x, yhat, {k: sampled Lipschitz lower bound of g_yhat - g_k}).
+    (logits of x, yhat, {k: sampled Lipschitz lower bound of g_yhat - g_k}).
     """
     if n < 1:
         raise ValidationError(f"sample count must be at least 1, got {n}")
@@ -167,12 +151,12 @@ def _margin_lipschitz(net, x, k, r, q, n, seed):
         g = backward(net, cache, gl, weights=False).input.ravel()
         gnorm = float(np.abs(g).sum()) if q == 1 else float(np.sqrt(g @ g))
         values[c] = max(best, gnorm)
-    return x, logits, yhat, values
+    return logits, yhat, values
 
 
 def local_lipschitz_estimate(
     net: Network, x, k: int, r: float, q: int, n: int, seed: int
-) -> LipschitzEstimate:
+) -> float:
     """Sampled lower bound on the local Lipschitz constant of g_yhat - g_k.
 
     Draws n points in the ball B_p(x, r) with p dual to q (q=1 pairs with
@@ -181,21 +165,18 @@ def local_lipschitz_estimate(
     normal draw of shape (n, d+1) feeds everything, so sample sets nest as
     n grows with a fixed seed.
     """
-    x, _, _, values = _margin_lipschitz(net, x, k, r, q, n, seed)
-    return LipschitzEstimate(
-        value=values[k], q=q, samples=n, radius=r, center=x.copy()
-    )
+    return _margin_lipschitz(net, x, k, r, q, n, seed)[2][k]
 
 
 def robustness_radius(net: Network, x, r: float, q: int, n: int, seed: int) -> float:
     """min over k != yhat of margin_k / Lhat_k, capped at r.
 
-    Lhat_k is local_lipschitz_estimate(net, x, k, r, q, n, seed).value.
+    Lhat_k is local_lipschitz_estimate(net, x, k, r, q, n, seed).
     Because the Lipschitz estimate is a lower bound on the true constant,
     the returned radius is a diagnostic upper-bound flavor of the certified
     quantity, not a certificate.
     """
-    _, logits, yhat, values = _margin_lipschitz(net, x, None, r, q, n, seed)
+    logits, yhat, values = _margin_lipschitz(net, x, None, r, q, n, seed)
     gamma = float(r)
     for k, lhat in values.items():
         margin = float(logits[yhat] - logits[k])
@@ -221,7 +202,7 @@ def check_eq7(net: Network, x, k: int, r: float, q: int, n: int, seed: int) -> d
     constant (c1 from sup-norm propagation, c2 from Frobenius products) so
     the report can be compared across pruning levels.
     """
-    _, _, yhat, values = _margin_lipschitz(net, x, k, r, q, n, seed)
+    _, yhat, values = _margin_lipschitz(net, x, k, r, q, n, seed)
     lipschitz = values[k]
     rows = []
     for row in condition_report(net).layers:

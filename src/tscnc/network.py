@@ -6,10 +6,13 @@ in W, so forward and backward read W as it is.  Convolution weights are
 stored pre-flattened as (c_out, c_in*k*k) so the matrix view used by the
 condition-number and saliency paths is the storage layout itself.
 
-``backward(..., weights=False)`` computes the input gradients only, for
-attacks and Lipschitz estimates.  The conv input gradient is scattered back
-onto the padded input by one ``np.bincount``, which adds in the same order
-as an element-wise ``np.add.at`` scatter and so gives the same bits.
+``backward`` returns the input gradient and each parameterized layer's dW
+and db; ``backward(..., weights=False)`` computes the input gradient only,
+for attacks and Lipschitz estimates.  A conv layer gathers its patches from
+its flattened input with one zero sentinel column appended, where every
+padding tap points.  Its input gradient is scattered back by one
+``np.bincount`` that drops the sentinel bin; it adds in the same order as an
+element-wise ``np.add.at`` scatter and so gives the same bits.
 """
 
 from __future__ import annotations
@@ -100,7 +103,8 @@ class Network:
 
 @dataclass
 class ForwardCache:
-    """Per-layer inputs retained by forward for the matching backward."""
+    """Per-layer inputs, and each conv layer's gathered patch columns,
+    retained by forward for the matching backward."""
 
     net_id: int
     version: int
@@ -110,16 +114,12 @@ class ForwardCache:
 
 
 @dataclass
-class LayerGrads:
-    weight: np.ndarray | None
-    bias: np.ndarray | None
-    input: np.ndarray
-
-
-@dataclass
 class Gradients:
-    layers: list
+    """dL/dx, and dW and db keyed by parameterized layer index."""
+
     input: np.ndarray
+    weight: dict
+    bias: dict
 
 
 def forward(net: Network, x) -> tuple:
@@ -155,12 +155,9 @@ def forward(net: Network, x) -> tuple:
                     f"got {a.shape}"
                 )
             idx, (oh, ow) = layer.conv_plan(a.shape[2], a.shape[3])
-            p, (h, w) = layer.pad, a.shape[2:]
-            padded = np.zeros((batch, layer.in_channels, h + 2 * p, w + 2 * p))
-            padded[:, :, p : p + h, p : p + w] = a
-            flat = padded.reshape(batch, -1)
-            c = flat[:, idx]  # (batch, c_in*k*k, oh*ow)
-            cols[li] = (c, a.shape, padded.shape)
+            flat = np.concatenate([a.reshape(batch, -1), np.zeros((batch, 1))],
+                                  axis=1)
+            c = cols[li] = flat[:, idx]  # (batch, c_in*k*k, oh*ow)
             z = np.matmul(layer.W, c) + layer.b[:, None]
             a = z.reshape(batch, layer.out_channels, oh, ow)
         elif layer.kind == "relu":
@@ -209,12 +206,12 @@ def cross_entropy(logits, labels) -> tuple:
 def backward(
     net: Network, cache: ForwardCache, grad_logits, *, weights: bool = True
 ) -> Gradients:
-    """Reverse-mode pass returning per-layer dW, db, dx.
+    """Reverse-mode pass returning dL/dx and every parameterized layer's dW, db.
 
     Weight gradients are w.r.t. W; masked entries, stored as 0.0, still get
     theirs and the optimizer re-masks after its update.  With
-    weights=False every dW and db is None and only the input gradients,
-    bitwise those of the full pass, are computed.
+    weights=False the weight and bias maps are empty and only the input
+    gradient, bitwise that of the full pass, is computed.
     """
     if cache.net_id != id(net) or cache.version != net.version:
         raise StateError("forward cache is stale: network mutated since forward")
@@ -224,39 +221,33 @@ def backward(
             f"grad_logits shape {grad.shape}, expected "
             f"({cache.batch}, {net.class_count})"
         )
-    per_layer = [None] * len(net.layers)
+    dW, db = {}, {}
     for li in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[li]
         a = cache.inputs[li]
         if layer.kind == "linear":
-            dW = a.T @ grad if weights else None
-            db = grad.sum(axis=0) if weights else None
+            if weights:
+                dW[li], db[li] = a.T @ grad, grad.sum(axis=0)
             grad = grad @ layer.W.T
-            per_layer[li] = LayerGrads(weight=dW, bias=db, input=grad)
         elif layer.kind == "conv2d":
-            c, in_shape, padded_shape = cache.cols[li]
-            batch = in_shape[0]
+            batch, c_in, h, w = a.shape
+            size = c_in * h * w + 1  # + the sentinel column
             dz = grad.reshape(batch, layer.out_channels, -1)
-            dW = np.einsum("bos,bks->ok", dz, c) if weights else None
-            db = dz.sum(axis=(0, 2)) if weights else None
+            if weights:
+                dW[li] = np.einsum("bos,bks->ok", dz, cache.cols[li])
+                db[li] = dz.sum(axis=(0, 2))
             dcols = np.matmul(layer.W.T, dz)
-            idx, _ = layer.conv_plan(in_shape[2], in_shape[3])
-            size = padded_shape[1] * padded_shape[2] * padded_shape[3]
+            idx, _ = layer.conv_plan(h, w)
             flat_idx = np.arange(0, batch * size, size)[:, None, None] + idx
             dflat = np.bincount(
                 flat_idx.ravel(), weights=dcols.ravel(), minlength=batch * size
             )
-            dpad = dflat.reshape(padded_shape)
-            p = layer.pad
-            grad = dpad[:, :, p : padded_shape[2] - p, p : padded_shape[3] - p]
-            per_layer[li] = LayerGrads(weight=dW, bias=db, input=grad)
+            grad = dflat.reshape(batch, size)[:, :-1].reshape(a.shape)
         elif layer.kind == "relu":
             grad = grad * (a > 0.0)
-            per_layer[li] = LayerGrads(weight=None, bias=None, input=grad)
         elif layer.kind == "flatten":
             grad = grad.reshape(a.shape)
-            per_layer[li] = LayerGrads(weight=None, bias=None, input=grad)
-    return Gradients(layers=per_layer, input=grad)
+    return Gradients(input=grad, weight=dW, bias=db)
 
 
 def input_gradient(net: Network, x, y) -> np.ndarray:

@@ -73,7 +73,7 @@ def saliency(net: Network, batches) -> SaliencyMap:
         _, grad_logits = cross_entropy(logits, y)
         grads = backward(net, cache, grad_logits)
         for li in prunable:
-            totals[li] += taylor_scores(net.layers[li].W, grads.layers[li].weight)
+            totals[li] += taylor_scores(net.layers[li].W, grads.weight[li])
         count += 1
     if count == 0:
         raise ValidationError("saliency needs at least one batch")
@@ -116,8 +116,8 @@ def select_mask(s: SaliencyMap, spec: PruneSpec) -> dict:
     """Choose bool masks (True = live) with exactly floor(p * N_prunable) zeros.
 
     Protected layers, each of which must be a scored layer, are excluded
-    from both the ranking and the weight count; everything else is ranked by score, smallest first, ties broken
-    by (layer index, flat index).
+    from both the ranking and the weight count; everything else is ranked
+    by score, smallest first, ties broken by (layer index, flat index).
     """
     spec.validate()
     check_protected(spec.protected, s.scores)

@@ -1,11 +1,12 @@
 """Dense float64 linear-algebra kernels.
 
 The gather plan that lowers a convolution to one matrix product
-(``im2col_indices``), Frobenius norms, and layer spectra: LAPACK singular
-values (``numpy.linalg.svd``) with the one rule for condition number and
-numerical rank that every diagnostic uses. Everything works on plain
-``numpy.ndarray`` values in 64-bit floats; all functions are pure and
-deterministic for fixed inputs.
+(``im2col_indices``: it reads the unpadded input, and every padding tap
+points at one zero sentinel column after it), Frobenius norms, and layer
+spectra: LAPACK singular values (``numpy.linalg.svd``) with the one rule for
+condition number and numerical rank that every diagnostic uses. Everything
+works on plain ``numpy.ndarray`` values in 64-bit floats; all functions are
+pure and deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -42,10 +43,11 @@ def im2col_indices(c_in: int, h: int, w: int, kernel_size: int, stride: int = 1,
 
     Returns ``(idx, (out_h, out_w))`` where ``idx`` has shape
     ``(c_in * k * k, out_h * out_w)`` and indexes into the *flattened
-    zero-padded* input of shape ``(c_in, h + 2*pad, w + 2*pad)``. Column j
-    of the gathered matrix is the receptive field of output position j
-    (row-major over output positions; rows ordered channel-major, then
-    kernel row, then kernel column).
+    unpadded* input of shape ``(c_in, h, w)`` followed by one zero sentinel
+    column: every tap that falls in the zero padding holds index
+    ``c_in * h * w``. Column j of the gathered matrix is the receptive field
+    of output position j (row-major over output positions; rows ordered
+    channel-major, then kernel row, then kernel column).
     """
     if kernel_size < 1:
         raise ValidationError(f"kernel_size must be >= 1, got {kernel_size}")
@@ -61,16 +63,18 @@ def im2col_indices(c_in: int, h: int, w: int, kernel_size: int, stride: int = 1,
             f"kernel {kernel_size} does not fit padded input {c_in}x{hp}x{wp}")
 
     k = kernel_size
-    # Index of (channel, row, col) in the flattened padded input.
+    # (channel, row, col) of each tap in the unpadded input; rows and cols
+    # outside [0, h) x [0, w) are padding.
     chan = np.repeat(np.arange(c_in), k * k)                       # (c*k*k,)
     krow = np.tile(np.repeat(np.arange(k), k), c_in)
     kcol = np.tile(np.arange(k), c_in * k)
-    orow = stride * np.repeat(np.arange(out_h), out_w)             # (s_z,)
-    ocol = stride * np.tile(np.arange(out_w), out_h)
+    orow = stride * np.repeat(np.arange(out_h), out_w) - pad       # (s_z,)
+    ocol = stride * np.tile(np.arange(out_w), out_h) - pad
     rows = krow[:, None] + orow[None, :]
     cols = kcol[:, None] + ocol[None, :]
-    idx = chan[:, None] * (hp * wp) + rows * wp + cols
-    return idx, (out_h, out_w)
+    idx = chan[:, None] * (h * w) + rows * w + cols
+    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+    return np.where(inside, idx, c_in * h * w), (out_h, out_w)
 
 
 def frobenius_norm_sq(m) -> float:

@@ -16,14 +16,15 @@ import numpy as np
 
 from .attacks import AttackSpec, pgd
 from .data import Dataset, load_dataset
-from .errors import ConfigError, DivergenceError, ValidationError
+from .errors import ConfigError, DimensionError, DivergenceError, ValidationError
 from .metrics import (
     LayerCondition,
     condition_constraint_grad,
     condition_constraint_loss,
     condition_report,
 )
-from .network import Network, backward, build_network, cross_entropy, forward
+from .network import (Gradients, Network, backward, build_network, cross_entropy,
+                      forward)
 from .pruning import (
     PruneSpec,
     SaliencyMap,
@@ -192,22 +193,23 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
     return config.lr * config.lr_factor ** passed
 
 
-def sgd_step(net: Network, grads: dict, velocity: dict, lr: float,
+def sgd_step(net: Network, grads: Gradients, velocity: dict, lr: float,
              momentum: float, weight_decay: float) -> None:
-    """One momentum-SGD update; each layer then re-applies its mask.
+    """One momentum-SGD update on every layer in grads.weight; each layer
+    then re-applies its mask.
 
-    grads maps layer index to {"W": dW, "b": db}.  Weight decay touches W
+    velocity maps layer index to {"W": vW, "b": vb}.  Weight decay touches W
     only.  Masked entries, whose gradients are not zero, end at +0.0.
     """
-    for li, g in grads.items():
-        layer = net.layers[li]
-        if g["W"].shape != layer.W.shape or g["b"].shape != layer.b.shape:
+    for li, dW in grads.weight.items():
+        layer, db = net.layers[li], grads.bias[li]
+        if dW.shape != layer.W.shape or db.shape != layer.b.shape:
             raise ValidationError(f"gradient shape mismatch on layer {li}")
         v = velocity.setdefault(
             li, {"W": np.zeros_like(layer.W), "b": np.zeros_like(layer.b)}
         )
-        v["W"] = momentum * v["W"] + g["W"] + weight_decay * layer.W
-        v["b"] = momentum * v["b"] + g["b"]
+        v["W"] = momentum * v["W"] + dW + weight_decay * layer.W
+        v["b"] = momentum * v["b"] + db
         layer.W = layer.W - lr * v["W"]
         layer.b = layer.b - lr * v["b"]
         layer.set_mask(layer.Z)
@@ -249,17 +251,11 @@ def _train_epoch(net, data, config, lr, velocity, rng):
         if not np.isfinite(loss_e):
             return float("nan")
         grads = backward(net, cache, grad_logits)
-        gdict = {}
-        for li in net.parameterized_indices():
-            gdict[li] = {
-                "W": grads.layers[li].weight,
-                "b": grads.layers[li].bias,
-            }
         if config.lam > 0.0:
             cc = condition_constraint_grad(net, config.tau)
-            for li in gdict:
-                gdict[li]["W"] = gdict[li]["W"] + config.lam * cc[li]
-        sgd_step(net, gdict, velocity, lr, config.momentum, config.weight_decay)
+            for li in grads.weight:
+                grads.weight[li] = grads.weight[li] + config.lam * cc[li]
+        sgd_step(net, grads, velocity, lr, config.momentum, config.weight_decay)
         total += loss_e
         batches += 1
     return total / max(batches, 1)
@@ -271,11 +267,14 @@ def evaluate(net: Network, data: Dataset, eval_attacks: dict,
 
     An example counts as robust under an attack only when both its clean and
     its attacked prediction are right, so robust accuracy never exceeds clean
-    accuracy.
+    accuracy.  A label at or above net.class_count is a DimensionError.
     """
     n = len(data)
     if n == 0:
         raise ValidationError("cannot evaluate on an empty dataset")
+    if data.labels.max() >= net.class_count:
+        raise DimensionError(f"label {int(data.labels.max())} does not fit a "
+                             f"network with {net.class_count} classes")
     correct = 0
     adv_correct = {name: 0 for name in eval_attacks}
     if rng is None:

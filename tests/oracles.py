@@ -208,14 +208,6 @@ def matmul(a, b) -> np.ndarray:
     return a @ b
 
 
-def pad_image(x: np.ndarray, pad: int) -> np.ndarray:
-    """Zero-pad the two trailing (spatial) axes of ``x``."""
-    if pad == 0:
-        return x
-    widths = [(0, 0)] * (x.ndim - 2) + [(pad, pad), (pad, pad)]
-    return np.pad(x, widths)
-
-
 def im2col(x, kernel_size: int, stride: int = 1, pad: int = 0) -> np.ndarray:
     """Lower a single image ``x`` (c_in x h x w) to patch columns.
 
@@ -228,19 +220,21 @@ def im2col(x, kernel_size: int, stride: int = 1, pad: int = 0) -> np.ndarray:
         raise DimensionError(f"expected c x h x w input, got shape {a.shape}")
     c, h, w = a.shape
     idx, _ = im2col_indices(c, h, w, kernel_size, stride, pad)
-    return pad_image(a, pad).ravel()[idx]
+    return np.append(a.ravel(), 0.0)[idx]
 
 
-def col2im_add_at(dcols: np.ndarray, idx: np.ndarray, padded_shape) -> np.ndarray:
-    """Scatter-add column gradients back onto the padded input batch.
+def col2im_add_at(dcols: np.ndarray, idx: np.ndarray, in_shape) -> np.ndarray:
+    """Scatter-add column gradients back onto the input batch.
 
     ``dcols`` has shape ``(batch, c_in*k*k, out_h*out_w)`` and ``idx`` is the
-    gather plan of ``im2col_indices``; the result has ``padded_shape``.
+    gather plan of ``im2col_indices``.  The scatter fills ``c_in*h*w + 1``
+    entries per example and drops the last, the padding sentinel; the result
+    has ``in_shape``, ``(batch, c_in, h, w)``.
     """
-    batch = padded_shape[0]
-    dflat = np.zeros((batch, padded_shape[1] * padded_shape[2] * padded_shape[3]))
+    batch, size = in_shape[0], int(np.prod(in_shape[1:]))
+    dflat = np.zeros((batch, size + 1))
     np.add.at(dflat, (np.arange(batch)[:, None, None], idx[None]), dcols)
-    return dflat.reshape(padded_shape)
+    return dflat[:, :size].reshape(in_shape)
 
 
 def apply_scaling(net: Network, layer: int, mu: float) -> Network:

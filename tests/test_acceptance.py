@@ -89,8 +89,8 @@ class TestGradientExactness:
             for li in net.parameterized_indices():
                 layer = probe.layers[li]
                 for name, arr, g in (
-                    ("W", layer.W, grads.layers[li].weight),
-                    ("b", layer.b, grads.layers[li].bias),
+                    ("W", layer.W, grads.weight[li]),
+                    ("b", layer.b, grads.bias[li]),
                 ):
                     fd = np.zeros_like(arr)
                     for idx in np.ndindex(arr.shape):
@@ -296,8 +296,8 @@ class TestSaliencyOracle:
             _, gl = cross_entropy(logits, y[idx])
             g = backward(net, cache, gl)
             for li in net.parameterized_indices():
-                net.layers[li].W -= 0.05 * g.layers[li].weight
-                net.layers[li].b -= 0.05 * g.layers[li].bias
+                net.layers[li].W -= 0.05 * g.weight[li]
+                net.layers[li].b -= 0.05 * g.bias[li]
             net.bump()
 
         xa = pgd(net, X, y, spec)
@@ -344,7 +344,7 @@ class TestSaliencyOracle:
                 for j in subset:
                     li, idx = flat[j]
                     w = net.layers[li].W[idx]
-                    predicted += -g.layers[li].weight[idx] * w
+                    predicted += -g.weight[li][idx] * w
                     saved.append((li, idx, w))
                     net.layers[li].W[idx] = 0.0
                 net.bump()
@@ -486,7 +486,7 @@ class TestMaskedLipschitz:
                 order = np.argsort(logits[0])
                 k = int(order[-1]) if int(order[-1]) != yhat else int(order[-2])
                 vals.append(
-                    local_lipschitz_estimate(masked, x, k, r=0.5, q=2, n=400, seed=9).value
+                    local_lipschitz_estimate(masked, x, k, r=0.5, q=2, n=400, seed=9)
                 )
             means.append(float(np.mean(vals)))
         mono = all(means[i + 1] <= means[i] + 1e-12 for i in range(len(means) - 1))

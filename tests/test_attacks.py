@@ -48,8 +48,8 @@ def toy_net():
         _, gl = cross_entropy(logits, y)
         grads = backward(net, cache, gl)
         for li in net.parameterized_indices():
-            net.layers[li].W -= 0.5 * grads.layers[li].weight
-            net.layers[li].b -= 0.5 * grads.layers[li].bias
+            net.layers[li].W -= 0.5 * grads.weight[li]
+            net.layers[li].b -= 0.5 * grads.bias[li]
         net.bump()
     assert batch_loss(net, x, y) < 0.1
     return net, x, y
@@ -262,4 +262,4 @@ class TestInputGradientOnly:
         assert einsums == []
         assert passes
         for grads in passes:
-            assert all(lg.weight is None and lg.bias is None for lg in grads.layers)
+            assert grads.weight == {} and grads.bias == {}

@@ -333,6 +333,34 @@ class TestMalformedInputs:
         assert proc.stderr.count("\n") == 1
         assert "does not match" in proc.stderr
 
+    @pytest.mark.parametrize("attacks", ["pgd:0.1:10:0.025", "fgsm:0"])
+    def test_evaluate_labels_beyond_checkpoint_classes_exit_3(self, trained,
+                                                              attacks):
+        # the checkpoint has 3 classes, the data 8
+        proc = run_cli("--quiet", "evaluate",
+                       "--checkpoint", str(trained / "model.tscn"),
+                       "--attacks", attacks,
+                       "--data", "blobs-c8-d12-n5-s0.3")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("data shape error: ")
+        assert proc.stderr.count("\n") == 1
+        assert "3 classes" in proc.stderr
+
+    def test_evaluate_seed_with_idx_data_exits_2(self, tmp_path, trained):
+        # load_idx draws nothing and no --attacks string sets random_start,
+        # so a seed would change nothing
+        data = write_idx_pair(tmp_path, 2, [0, 1])
+        args = ["--quiet", "evaluate", "--checkpoint", str(trained / "model.tscn"),
+                "--data", data, "--attacks", "fgsm:0.05"]
+        proc = run_cli("--seed", "1", *args)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "--seed" in proc.stderr
+        # without the flag the run gets past the seed check to the data,
+        # whose 16 features do not fit this 12-feature checkpoint
+        assert main(args) == 3
+
     def test_prune_data_shape_mismatch_exits_3(self, tmp_path, trained,
                                               config_path):
         doc = json.loads(config_path.read_text())

@@ -7,6 +7,7 @@ from oracles import apply_scaling, col2im_add_at
 from tscnc.checkpoint import load_checkpoint, save_checkpoint
 from tscnc.errors import DimensionError, StateError, ValidationError
 from tscnc.network import (
+    Gradients,
     MaskedLayer,
     Network,
     backward,
@@ -246,18 +247,17 @@ class TestBackward:
         logits, cache = forward(net, a)
         grads = backward(net, cache, np.ones_like(logits))
         want = np.outer(a[0], np.ones(3))
-        assert np.abs(grads.layers[0].weight - want).max() <= 1e-15
-        assert np.array_equal(grads.layers[0].bias, np.ones(3))
+        assert np.abs(grads.weight[0] - want).max() <= 1e-15
+        assert np.array_equal(grads.bias[0], np.ones(3))
 
     def test_zero_upstream_grad_gives_zero_everywhere(self):
         net = build_cnn((1, 5, 5), [2], 6, 3, seed=0)
         x = np.random.default_rng(1).normal(size=(2, 1, 5, 5))
         logits, cache = forward(net, x)
         grads = backward(net, cache, np.zeros_like(logits))
-        for lg in grads.layers:
-            if lg.weight is not None:
-                assert np.array_equal(lg.weight, np.zeros_like(lg.weight))
-                assert np.array_equal(lg.bias, np.zeros_like(lg.bias))
+        for li in net.parameterized_indices():
+            assert np.array_equal(grads.weight[li], np.zeros_like(grads.weight[li]))
+            assert np.array_equal(grads.bias[li], np.zeros_like(grads.bias[li]))
         assert np.array_equal(grads.input, np.zeros_like(x))
 
     def test_all_layer_gradients_match_finite_differences(self):
@@ -271,9 +271,9 @@ class TestBackward:
         grads = backward(net, cache, grad_logits)
         for li in net.parameterized_indices():
             fdW = fd_weight_grad(net, x, y, li)
-            assert rel_err(grads.layers[li].weight, fdW) <= 1e-4
+            assert rel_err(grads.weight[li], fdW) <= 1e-4
             fdb = fd_bias_grad(net, x, y, li)
-            assert rel_err(grads.layers[li].bias, fdb) <= 1e-4
+            assert rel_err(grads.bias[li], fdb) <= 1e-4
 
     def test_mlp_gradients_match_finite_differences(self):
         rng = np.random.default_rng(77)
@@ -285,7 +285,7 @@ class TestBackward:
         grads = backward(net, cache, grad_logits)
         for li in net.parameterized_indices():
             fdW = fd_weight_grad(net, x, y, li)
-            assert rel_err(grads.layers[li].weight, fdW) <= 1e-4
+            assert rel_err(grads.weight[li], fdW) <= 1e-4
 
     def test_stale_cache_rejected(self):
         net = build_mlp(4, [5], 2, seed=0)
@@ -310,8 +310,8 @@ class TestBackward:
         _, gl = cross_entropy(logits, y)
         grads = backward(net, cache, gl)
         want = x.T @ gl
-        assert np.abs(grads.layers[0].weight - want).max() <= 1e-14
-        assert grads.layers[0].weight[1, 2] != 0.0
+        assert np.abs(grads.weight[0] - want).max() <= 1e-14
+        assert grads.weight[0][1, 2] != 0.0
 
 
     @pytest.mark.parametrize("k", [1, 3, 5])
@@ -343,10 +343,7 @@ class TestBackward:
         gl = rng.normal(size=logits.shape)
         dcols = np.matmul(layer.W.T, gl.reshape(batch, c_out, -1))
         idx, _ = layer.conv_plan(h, w)
-        padded_shape = (batch, c_in, h + 2 * pad, w + 2 * pad)
-        want = col2im_add_at(dcols, idx, padded_shape)[
-            :, :, pad : pad + h, pad : pad + w
-        ]
+        want = col2im_add_at(dcols, idx, (batch, c_in, h, w))
         for weights in (True, False):
             got = backward(net, cache, gl, weights=weights).input
             assert got.shape == (batch, c_in, h, w)
@@ -364,10 +361,8 @@ class TestBackward:
         full = backward(net, cache, gl)
         only = backward(net, cache, gl, weights=False)
         assert np.array_equal(only.input, full.input)
-        for lf, lo in zip(full.layers, only.layers):
-            assert np.array_equal(lo.input, lf.input)
-            assert lo.weight is None and lo.bias is None
-        assert any(lf.weight is not None for lf in full.layers)
+        assert only.weight == {} and only.bias == {}
+        assert sorted(full.weight) == sorted(full.bias) == net.parameterized_indices()
 
     def test_input_only_pass_rejects_stale_cache(self):
         net = build_cnn((1, 5, 5), [2], 6, 3, seed=0)
@@ -540,9 +535,12 @@ class TestMaskRepresentation:
             apply_masks(net, masks)
             velocity = {}
             for _ in range(3):
-                grads = {li: {"W": rng.normal(size=net.layers[li].W.shape),
-                              "b": rng.normal(size=net.layers[li].b.shape)}
-                         for li in net.parameterized_indices()}
+                pis = net.parameterized_indices()
+                grads = Gradients(
+                    None,
+                    weight={li: rng.normal(size=net.layers[li].W.shape) for li in pis},
+                    bias={li: rng.normal(size=net.layers[li].b.shape) for li in pis},
+                )
                 sgd_step(net, grads, velocity, lr=0.1, momentum=0.9,
                          weight_decay=5e-4)
             _assert_stored_zeros(net)

@@ -116,8 +116,8 @@ class TestSaliency:
             _, gl = cross_entropy(logits, y)
             g = backward(net, cache, gl)
             for li in net.parameterized_indices():
-                net.layers[li].W -= 0.5 * g.layers[li].weight
-                net.layers[li].b -= 0.5 * g.layers[li].bias
+                net.layers[li].W -= 0.5 * g.weight[li]
+                net.layers[li].b -= 0.5 * g.bias[li]
             net.bump()
         smap = saliency(net, [(x, y)])
         base, _ = cross_entropy(forward(net, x)[0], y)

@@ -18,6 +18,7 @@ from tscnc.pruning import PruneSpec
 from tscnc.tensor_ops import (
     INFINITE,
     frobenius_norm_sq,
+    im2col_indices,
     layer_spectrum,
 )
 from tscnc.trainer import TrainConfig, run_tscnc
@@ -134,6 +135,23 @@ class TestIm2col:
         direct = conv2d_sliding_window(x, w, kernel=3, stride=stride, pad=pad)
         via_matmul = matmul(w, cols).reshape(direct.shape)
         np.testing.assert_allclose(via_matmul, direct, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1])
+    def test_padding_taps_and_only_they_hit_the_sentinel(self, stride, pad):
+        c_in, h, w, k = 2, 5, 4, 3
+        idx, (out_h, out_w) = im2col_indices(c_in, h, w, k, stride, pad)
+        sentinel = c_in * h * w
+        for row in range(c_in * k * k):
+            c, ki, kj = row // (k * k), row // k % k, row % k
+            for col in range(out_h * out_w):
+                i = col // out_w * stride + ki - pad
+                j = col % out_w * stride + kj - pad
+                inside = 0 <= i < h and 0 <= j < w
+                want = c * h * w + i * w + j if inside else sentinel
+                assert idx[row, col] == want
+        hits = int((idx == sentinel).sum())
+        assert hits == 0 if pad == 0 else hits > 0
 
     def test_kernel_too_large(self):
         with pytest.raises(DimensionError):

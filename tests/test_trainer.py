@@ -10,8 +10,8 @@ import pytest
 from tscnc import trainer
 from tscnc.attacks import AttackSpec, pgd
 from tscnc.data import Dataset, load_dataset
-from tscnc.errors import ConfigError, DivergenceError, ValidationError
-from tscnc.network import build_mlp, build_network, forward
+from tscnc.errors import ConfigError, DimensionError, DivergenceError, ValidationError
+from tscnc.network import Gradients, build_mlp, build_network, forward
 from tscnc.pruning import PruneSpec, apply_masks, prune_report
 from tscnc.tensor_ops import layer_spectrum
 from tscnc.trainer import (
@@ -65,7 +65,7 @@ class TestSgdStep:
         net = build_mlp(1, [], 1, seed=0)
         net.layers[0].W = np.array([[1.0]])
         net.layers[0].b = np.array([0.0])
-        g = {0: {"W": np.array([[0.3]]), "b": np.array([0.0])}}
+        g = Gradients(None, weight={0: np.array([[0.3]])}, bias={0: np.array([0.0])})
         vel = {}
         sgd_step(net, g, vel, lr=0.1, momentum=0.9, weight_decay=0.0)
         assert abs(net.layers[0].W[0, 0] - 0.97) < 1e-12
@@ -85,16 +85,16 @@ class TestSgdStep:
         vel = {}
         lr, mom, wd = 0.05, 0.9, 5e-4
         for _ in range(4):
-            grads = {
-                li: {"W": rng.normal(size=w_ref[li].shape),
-                     "b": rng.normal(size=b_ref[li].shape)}
-                for li in (0, 2)
-            }
+            grads = Gradients(
+                None,
+                weight={li: rng.normal(size=w_ref[li].shape) for li in (0, 2)},
+                bias={li: rng.normal(size=b_ref[li].shape) for li in (0, 2)},
+            )
             sgd_step(net, grads, vel, lr=lr, momentum=mom, weight_decay=wd)
             for li in (0, 2):
                 vw, vb = v_ref[li]
-                vw[:] = mom * vw + grads[li]["W"] + wd * w_ref[li]
-                vb[:] = mom * vb + grads[li]["b"]
+                vw[:] = mom * vw + grads.weight[li] + wd * w_ref[li]
+                vb[:] = mom * vb + grads.bias[li]
                 w_ref[li] -= lr * vw
                 b_ref[li] -= lr * vb
         for li in (0, 2):
@@ -105,7 +105,7 @@ class TestSgdStep:
         net = build_mlp(2, [], 2, seed=1)
         net.layers[0].b = np.array([1.0, -1.0])
         before = net.layers[0].b.copy()
-        g = {0: {"W": np.zeros((2, 2)), "b": np.zeros(2)}}
+        g = Gradients(None, weight={0: np.zeros((2, 2))}, bias={0: np.zeros(2)})
         sgd_step(net, g, {}, lr=0.1, momentum=0.9, weight_decay=0.5)
         assert np.array_equal(net.layers[0].b, before)
         assert not np.array_equal(net.layers[0].W, np.zeros((2, 2)))
@@ -115,7 +115,7 @@ class TestSgdStep:
         mask = net.layers[0].Z.copy()
         mask[1, :] = False
         apply_masks(net, {0: mask})
-        g = {0: {"W": np.ones((3, 2)), "b": np.zeros(2)}}
+        g = Gradients(None, weight={0: np.ones((3, 2))}, bias={0: np.zeros(2)})
         vel = {}
         for _ in range(5):
             sgd_step(net, g, vel, lr=0.1, momentum=0.9, weight_decay=5e-4)
@@ -125,7 +125,7 @@ class TestSgdStep:
     def test_version_bumps(self):
         net = build_mlp(2, [], 2, seed=0)
         v0 = net.version
-        g = {0: {"W": np.zeros((2, 2)), "b": np.zeros(2)}}
+        g = Gradients(None, weight={0: np.zeros((2, 2))}, bias={0: np.zeros(2)})
         sgd_step(net, g, {}, lr=0.1, momentum=0.0, weight_decay=0.0)
         assert net.version == v0 + 1
 
@@ -354,6 +354,16 @@ class TestEvaluate:
                         labels=np.zeros(0, dtype=np.int64), classes=2)
         with pytest.raises(ValidationError, match="empty"):
             evaluate(net, empty, {})
+
+    def test_label_beyond_the_classes_rejected_before_any_attack(self, monkeypatch):
+        net = build_mlp(3, [], 2, seed=0)
+        data = Dataset(images=np.zeros((2, 3)), labels=np.array([0, 2]), classes=3)
+        attacked = []
+        monkeypatch.setattr(trainer, "pgd", lambda *a, **k: attacked.append(a))
+        with pytest.raises(DimensionError, match="2 classes"):
+            evaluate(net, data, {"fgsm": AttackSpec(epsilon=0.0, step_size=0.0,
+                                                    steps=0)})
+        assert attacked == []
 
 
 class TestRunTscnc:
