@@ -37,6 +37,7 @@ def _load_config(path, seed_override):
     config = config_from_dict(doc)
     if seed_override is not None:
         config.seed = seed_override
+    config.validate()
     return config
 
 
@@ -116,8 +117,8 @@ def _cmd_prune(args):
     data = load_dataset(config.dataset, seed=config.seed)
     if config.prune.sparsity <= 0.0:
         raise ConfigError("prune command needs prune.sparsity > 0 in the config")
-    smap = score_weights(net, data, config, np.random.default_rng(config.seed))
-    apply_masks(net, select_mask(smap, config.prune))
+    scores = score_weights(net, data, config, np.random.default_rng(config.seed))
+    apply_masks(net, select_mask(net, scores, config.prune))
     os.makedirs(args.out, exist_ok=True)
     save_checkpoint(
         os.path.join(args.out, "model.tscn"), net,

@@ -18,6 +18,7 @@ element-wise ``np.add.at`` scatter and so gives the same bits.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,15 +156,15 @@ def forward(net: Network, x) -> tuple:
                     f"got {a.shape}"
                 )
             idx, (oh, ow) = layer.conv_plan(a.shape[2], a.shape[3])
-            flat = np.concatenate([a.reshape(batch, -1), np.zeros((batch, 1))],
-                                  axis=1)
+            flat = np.concatenate([a.reshape(batch, math.prod(a.shape[1:])),
+                                   np.zeros((batch, 1))], axis=1)
             c = cols[li] = flat[:, idx]  # (batch, c_in*k*k, oh*ow)
             z = np.matmul(layer.W, c) + layer.b[:, None]
             a = z.reshape(batch, layer.out_channels, oh, ow)
         elif layer.kind == "relu":
             a = np.maximum(a, 0.0)
         elif layer.kind == "flatten":
-            a = a.reshape(batch, -1)
+            a = a.reshape(batch, math.prod(a.shape[1:]))
         else:
             raise ValidationError(f"unknown layer kind {layer.kind!r}")
     if a.ndim != 2 or a.shape[1] != net.class_count:
@@ -179,18 +180,19 @@ def forward(net: Network, x) -> tuple:
 def cross_entropy(logits, labels) -> tuple:
     """Mean softmax cross-entropy and its gradient w.r.t. the logits.
 
-    Stabilized by row-max subtraction.  Labels must lie in [0, c).
+    Stabilized by row-max subtraction.  Labels must lie in [0, c), and an
+    empty batch, whose mean is undefined, is a DimensionError.
     """
     logits = as_tensor(logits)
     labels = np.asarray(labels, dtype=np.int64)
-    if logits.ndim != 2:
-        raise DimensionError(f"logits must be 2-D, got shape {logits.shape}")
+    if logits.ndim != 2 or logits.shape[0] == 0:
+        raise DimensionError(f"logits must be (rows >= 1, c), got {logits.shape}")
     if labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
         raise DimensionError(
             f"labels shape {labels.shape} does not match batch {logits.shape[0]}"
         )
     c = logits.shape[1]
-    if labels.size and (labels.min() < 0 or labels.max() >= c):
+    if labels.min() < 0 or labels.max() >= c:
         raise ValidationError(f"labels must lie in [0, {c})")
     shifted = logits - logits.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -232,7 +234,7 @@ def backward(
         elif layer.kind == "conv2d":
             batch, c_in, h, w = a.shape
             size = c_in * h * w + 1  # + the sentinel column
-            dz = grad.reshape(batch, layer.out_channels, -1)
+            dz = grad.reshape(batch, layer.out_channels, math.prod(grad.shape[2:]))
             if weights:
                 dW[li] = np.einsum("bos,bks->ok", dz, cache.cols[li])
                 db[li] = dz.sum(axis=(0, 2))

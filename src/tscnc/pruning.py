@@ -1,9 +1,11 @@
 """Taylor-expansion saliency on adversarial batches and mask selection.
 
 Scores estimate the loss change from zeroing one weight at a time,
-|dL/dw * w|, averaged over the supplied batches.  Selection ranks all
-prunable weights globally (default) or per layer and masks the smallest
-until the requested sparsity is hit exactly (floor rounding).
+|dL/dw * w|, averaged over the supplied batches; they come as a plain
+{layer index: score array} for every prunable layer, and a masked weight,
+a stored 0.0, scores 0.0.  Selection reads each layer's mask Z: masked
+weights stay masked and count toward the floor(p * N) zeros, and the live
+ones are ranked globally (default) or per layer, smallest score first.
 """
 
 from __future__ import annotations
@@ -14,17 +16,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .network import Network, backward, cross_entropy, forward
-
-# sentinel for entries masked before scoring; kept out of every re-ranking
-ALREADY_PRUNED = -1.0
-
-
-@dataclass
-class SaliencyMap:
-    """Per-prunable-layer score tensors plus the batch count that built them."""
-
-    scores: dict
-    batch_count: int
 
 
 @dataclass
@@ -44,9 +35,7 @@ class PruneSpec:
 
     def validate(self) -> None:
         if not 0.0 <= self.sparsity < 1.0:
-            raise ValidationError(
-                f"sparsity must lie in [0, 1), got {self.sparsity}"
-            )
+            raise ValidationError(f"sparsity must lie in [0, 1), got {self.sparsity}")
         if self.scope not in ("global", "per_layer"):
             raise ValidationError(f"unknown scope {self.scope!r}")
         if self.criterion not in ("adversarial_saliency", "magnitude"):
@@ -58,12 +47,11 @@ def taylor_scores(W, G) -> np.ndarray:
     return np.abs(np.asarray(G) * np.asarray(W))
 
 
-def saliency(net: Network, batches) -> SaliencyMap:
-    """Mean |dL/dw * w| over adversarial batches for every prunable layer.
+def saliency(net: Network, batches) -> dict:
+    """Mean |dL/dw * w| over adversarial batches, keyed by prunable layer.
 
     batches is an iterable of (x_adv, y) pairs, normally produced by running
-    an attack on clean batches.  Already-masked entries get the
-    ALREADY_PRUNED sentinel so they never re-enter the ranking.
+    an attack on clean batches.
     """
     prunable = net.prunable_indices()
     totals = {li: np.zeros_like(net.layers[li].W) for li in prunable}
@@ -77,31 +65,12 @@ def saliency(net: Network, batches) -> SaliencyMap:
         count += 1
     if count == 0:
         raise ValidationError("saliency needs at least one batch")
-    scores = {li: np.where(net.layers[li].Z, totals[li] / count, ALREADY_PRUNED)
-              for li in prunable}
-    return SaliencyMap(scores=scores, batch_count=count)
+    return {li: totals[li] / count for li in prunable}
 
 
-def magnitude_scores(net: Network) -> SaliencyMap:
-    """|w| scores for the magnitude-pruning baseline; same sentinel rules."""
-    scores = {li: np.where(net.layers[li].Z, np.abs(net.layers[li].W), ALREADY_PRUNED)
-              for li in net.prunable_indices()}
-    return SaliencyMap(scores=scores, batch_count=0)
-
-
-def _rank_and_mask(flat_scores, target):
-    """Mask `target` entries in all: the sentinel ones, then the smallest.
-
-    Returns a flat bool array, True where a weight stays live.  Stable sort
-    preserves index order on ties.
-    """
-    mask = flat_scores != ALREADY_PRUNED
-    live = np.flatnonzero(mask)
-    remaining = target - (flat_scores.size - live.size)
-    if remaining > 0:
-        order = live[np.argsort(flat_scores[live], kind="stable")]
-        mask[order[:remaining]] = False
-    return mask
+def magnitude_scores(net: Network) -> dict:
+    """|w| per prunable layer, the magnitude-pruning baseline."""
+    return {li: np.abs(net.layers[li].W) for li in net.prunable_indices()}
 
 
 def check_protected(protected, prunable) -> None:
@@ -112,29 +81,40 @@ def check_protected(protected, prunable) -> None:
                               f"layer indices; those are {sorted(prunable)}")
 
 
-def select_mask(s: SaliencyMap, spec: PruneSpec) -> dict:
-    """Choose bool masks (True = live) with exactly floor(p * N_prunable) zeros.
+def select_mask(net: Network, scores: dict, spec: PruneSpec) -> dict:
+    """Choose bool masks (True = live) with floor(p * N) zeros in each pool.
 
-    Protected layers, each of which must be a scored layer, are excluded
-    from both the ranking and the weight count; everything else is ranked
-    by score, smallest first, ties broken by (layer index, flat index).
+    scores maps prunable layer indices of net to arrays shaped like their
+    masks.  Protected layers are left out of the ranking and the count.  A
+    pool is all unprotected scored layers (scope "global") or each alone.
+    Weights already masked stay masked and count toward the zeros; the live
+    ones are ranked by score, smallest first, ties broken by (layer index,
+    flat index).
     """
     spec.validate()
-    check_protected(spec.protected, s.scores)
-    layers = [li for li in sorted(s.scores) if li not in spec.protected]
+    prunable = net.prunable_indices()
+    check_protected(spec.protected, prunable)
+    bad = sorted(li for li in scores if li not in prunable
+                 or scores[li].shape != net.layers[li].Z.shape)
+    if bad:
+        raise ValidationError(f"scores for {bad} are not shaped like the mask of "
+                              f"a prunable layer; those are {prunable}")
+    layers = [li for li in sorted(scores) if li not in spec.protected]
     for li in layers:
-        live = s.scores[li][s.scores[li] != ALREADY_PRUNED]
-        if live.size and not np.isfinite(live).all():
+        if not np.isfinite(scores[li][net.layers[li].Z]).all():
             raise ValidationError(f"non-finite saliency scores in layer {li}")
     masks = {}
-    for group in [[li] for li in layers] if spec.scope == "per_layer" else [layers]:
-        # concatenate in layer order so stable sort encodes the tie rule
-        flats = [s.scores[li].ravel() for li in group]
-        allsc = np.concatenate(flats) if flats else np.zeros(0)
-        mask = _rank_and_mask(allsc, int(np.floor(spec.sparsity * allsc.size)))
-        parts = np.split(mask, np.cumsum([f.size for f in flats])[:-1])
-        for li, part in zip(group, parts):
-            masks[li] = part.reshape(s.scores[li].shape)
+    groups = [[li] for li in layers] if spec.scope == "per_layer" else [layers]
+    for group in filter(None, groups):  # an empty pool selects nothing
+        # concatenate in layer order so the stable sort encodes the tie rule
+        flat = np.concatenate([scores[li].ravel() for li in group])
+        mask = np.concatenate([net.layers[li].Z.ravel() for li in group])
+        live = np.flatnonzero(mask)
+        remaining = int(np.floor(spec.sparsity * mask.size)) - (mask.size - live.size)
+        mask[live[np.argsort(flat[live], kind="stable")[:max(remaining, 0)]]] = False
+        sizes = [net.layers[li].Z.size for li in group]
+        for li, part in zip(group, np.split(mask, np.cumsum(sizes)[:-1])):
+            masks[li] = part.reshape(net.layers[li].Z.shape)
     return masks
 
 

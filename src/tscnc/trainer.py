@@ -27,7 +27,6 @@ from .network import (Gradients, Network, backward, build_network, cross_entropy
                       forward)
 from .pruning import (
     PruneSpec,
-    SaliencyMap,
     apply_masks,
     check_protected,
     magnitude_scores,
@@ -75,24 +74,18 @@ class TrainConfig:
             value = getattr(self, name)
             if kind is float and not np.isfinite(value):
                 raise ValidationError(f"{name} must be finite, got {value}")
-        if self.epochs < 1:
-            raise ValidationError(f"epochs must be at least 1, got {self.epochs}")
+        for name, low in (("epochs", 1), ("batch_size", 1), ("warmup_epochs", 0),
+                          ("seed", 0)):
+            value = getattr(self, name)
+            if value < low:
+                need = f"at least {low}" if low else "non-negative"
+                raise ValidationError(f"{name} must be {need}, got {value}")
         if self.lr <= 0.0:
             raise ValidationError(f"lr must be positive, got {self.lr}")
         if self.lam < 0.0:
             raise ValidationError(f"lam must be non-negative, got {self.lam}")
         if self.tau <= 0.0:
             raise ValidationError(f"tau must be positive, got {self.tau}")
-        if self.batch_size < 1:
-            raise ValidationError(
-                f"batch_size must be at least 1, got {self.batch_size}"
-            )
-        if self.warmup_epochs < 0:
-            raise ValidationError(
-                f"warmup_epochs must be non-negative, got {self.warmup_epochs}"
-            )
-        if self.seed < 0:
-            raise ValidationError(f"seed must be non-negative, got {self.seed}")
         if not self.dataset:
             raise ValidationError("config needs a dataset id")
         if not self.architecture:
@@ -161,13 +154,13 @@ def _require(value, kind, key):
 
 
 def _coerce(key, value, kind):
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config key {key} must be a {kind.__name__}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"config key {key} must be a whole number, got {value}")
     try:
         return kind(value)
-    except (ValueError, OverflowError) as exc:
+    except OverflowError as exc:
         raise ConfigError(f"config key {key} must be a {kind.__name__}") from exc
 
 
@@ -230,11 +223,12 @@ def _adversarial_batches(net, data, config, rng):
 
 
 def score_weights(net: Network, data: Dataset, config: TrainConfig,
-                  rng) -> SaliencyMap:
-    """Score every prunable weight by ``config.prune.criterion``.
+                  rng) -> dict:
+    """{layer index: score array} for every prunable layer, by criterion.
 
     Magnitude scoring reads the weights alone; adversarial saliency takes
-    one shuffled pass of attacked batches from ``rng``.
+    one shuffled pass of attacked batches from ``rng``.  A masked weight
+    scores 0.0, and ``select_mask`` keeps it masked whatever its score.
     """
     if config.prune.criterion == "magnitude":
         return magnitude_scores(net)
@@ -261,8 +255,11 @@ def _train_epoch(net, data, config, lr, velocity, rng):
     return total / max(batches, 1)
 
 
-def evaluate(net: Network, data: Dataset, eval_attacks: dict,
-             batch_size: int = 256, rng=None) -> dict:
+# examples per forward pass and attack in evaluate
+EVAL_BATCH_SIZE = 256
+
+
+def evaluate(net: Network, data: Dataset, eval_attacks: dict, rng=None) -> dict:
     """Clean and per-attack accuracy over the whole dataset.
 
     An example counts as robust under an attack only when both its clean and
@@ -279,9 +276,9 @@ def evaluate(net: Network, data: Dataset, eval_attacks: dict,
     adv_correct = {name: 0 for name in eval_attacks}
     if rng is None:
         rng = np.random.default_rng(0)
-    for start in range(0, n, batch_size):
-        xb = data.images[start : start + batch_size]
-        yb = data.labels[start : start + batch_size]
+    for start in range(0, n, EVAL_BATCH_SIZE):
+        xb = data.images[start : start + EVAL_BATCH_SIZE]
+        yb = data.labels[start : start + EVAL_BATCH_SIZE]
         logits, _ = forward(net, xb)
         clean_ok = np.argmax(logits, axis=1) == yb
         correct += int(clean_ok.sum())
@@ -345,8 +342,8 @@ def run_tscnc(config: TrainConfig, data: Dataset | None = None,
                 )
 
     if config.prune.sparsity > 0.0:
-        smap = score_weights(net, data, config, rng)
-        apply_masks(net, select_mask(smap, config.prune))
+        scores = score_weights(net, data, config, rng)
+        apply_masks(net, select_mask(net, scores, config.prune))
         # sgd_step's re-mask keeps momentum off masked weights; the reset drops
         # the warmup momentum of live weights, which the trained bytes reflect
         velocity = {}

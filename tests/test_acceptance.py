@@ -313,7 +313,7 @@ class TestSaliencyOracle:
                 deltas.append(abs(_batch_loss(net, xa, y) - base))
                 layer.W[idx] = old
                 net.bump()
-                scores.append(sal.scores[li][idx])
+                scores.append(sal[li][idx])
         s = np.array(scores)
         d = np.array(deltas)
         iu = np.triu_indices(s.size, k=1)

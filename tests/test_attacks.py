@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tscnc.attacks import AttackSpec, fgsm, pgd
-from tscnc.errors import ValidationError
+from tscnc.errors import DimensionError, ValidationError
 import tscnc.network
 from tscnc.network import (
     MaskedLayer,
@@ -211,6 +211,15 @@ class TestPgd:
             means.append(total / 5.0)
         for lo, hi in zip(means, means[1:]):
             assert hi >= lo - 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_rows_rejected(self):
+        net = build_cnn((1, 4, 4), [2], 8, 3, seed=0)
+        x, y = np.zeros((0, 1, 4, 4)), np.zeros(0, dtype=np.int64)
+        with pytest.raises(DimensionError, match="rows"):
+            pgd(net, x, y, AttackSpec(epsilon=0.1, step_size=0.05, steps=2))
+        # without a step there is no loss to take, and nothing to attack
+        assert pgd(net, x, y, AttackSpec(epsilon=0.1)).shape == x.shape
 
     def test_zero_gradient_coordinate_unperturbed(self):
         # dead input dimension: sign(0) = 0 so the attack leaves it alone

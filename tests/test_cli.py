@@ -305,6 +305,22 @@ class TestMalformedInputs:
         assert "Traceback" not in proc.stderr
         assert "seed must be non-negative" in proc.stderr
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", -1, "seed must be non-negative"),
+        ("batch_size", 0, "batch_size must be at least 1"),
+    ])
+    def test_prune_validates_its_config(self, tmp_path, trained, config_path,
+                                        key, value, message):
+        doc = json.loads(config_path.read_text())
+        doc[key] = value
+        config_path.write_text(json.dumps(doc))
+        proc = run_cli("--quiet", "prune", "--config", str(config_path),
+                       "--checkpoint", str(trained / "model.tscn"),
+                       "--out", str(tmp_path / "pruned"))
+        assert proc.returncode == 2
+        assert proc.stderr == f"configuration error: {message}, got {value}\n"
+        assert not (tmp_path / "pruned").exists()
+
     @pytest.mark.parametrize("protected", [[99], [1], [-1]])
     @pytest.mark.parametrize("command", ["train", "prune"])
     def test_protected_typo_exits_2(self, tmp_path, trained, config_path,

@@ -234,6 +234,12 @@ class TestCrossEntropy:
         _, grad = cross_entropy(logits, rng.integers(0, 5, size=8))
         assert np.abs(grad.sum(axis=1)).max() <= 1e-15
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_rows_rejected(self):
+        # the mean over no rows is undefined; it is no NaN loss
+        with pytest.raises(DimensionError, match="rows"):
+            cross_entropy(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+
 
 # ---------------------------------------------------------------- backward
 
@@ -249,6 +255,20 @@ class TestBackward:
         want = np.outer(a[0], np.ones(3))
         assert np.abs(grads.weight[0] - want).max() <= 1e-15
         assert np.array_equal(grads.bias[0], np.ones(3))
+
+    @pytest.mark.parametrize("arch", ["cnn-2-8", "mlp-8"])
+    def test_zero_rows_forward_and_backward(self, arch):
+        # image input, so the MLP starts with a flatten layer too
+        net = build_network(arch, (1, 4, 4), 3, seed=0)
+        logits, cache = forward(net, np.zeros((0, 1, 4, 4)))
+        assert logits.shape == (0, 3)
+        grads = backward(net, cache, logits)
+        assert grads.input.shape == (0, 1, 4, 4)
+        for li in net.parameterized_indices():
+            assert np.array_equal(grads.weight[li], np.zeros_like(net.layers[li].W))
+            assert np.array_equal(grads.bias[li], np.zeros_like(net.layers[li].b))
+        only_input = backward(net, cache, logits, weights=False)
+        assert only_input.input.shape == (0, 1, 4, 4)
 
     def test_zero_upstream_grad_gives_zero_everywhere(self):
         net = build_cnn((1, 5, 5), [2], 6, 3, seed=0)

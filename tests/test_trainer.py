@@ -240,6 +240,12 @@ class TestConfigFromDict:
         {"prune": {"scope": 3}},
         {"prune": {"criterion": []}},
         {"eval_attacks": {"w": {"epsilon": 0.1, "clamp": [0, 0.5, 1]}}},
+        # numeric keys take JSON numbers, not strings that parse as numbers
+        {"epochs": "7"},
+        {"lr": " 0.5 "},
+        {"tau": "1e-3"},
+        {"train_attack": {"epsilon": "0.1"}},
+        {"lr_milestones": ["20"]},
     ])
     def test_malformed_nested_values(self, over):
         with pytest.raises(ConfigError):
@@ -347,6 +353,14 @@ class TestEvaluate:
         res = evaluate(net, data, {"fgsm": spec})
         assert res["clean_acc"] == 0.0
         assert res["robust_acc"]["fgsm"] == 0.0
+
+    def test_batch_size_leaves_the_accuracies_alone(self, monkeypatch):
+        data = load_dataset("blobs-c3-d12-n30-s0.1", seed=2)
+        net = build_mlp(12, [6], 3, seed=2)
+        attacks = {"pgd": AttackSpec(epsilon=0.1, step_size=0.025, steps=3)}
+        whole = evaluate(net, data, attacks, np.random.default_rng(4))
+        monkeypatch.setattr(trainer, "EVAL_BATCH_SIZE", 7)
+        assert evaluate(net, data, attacks, np.random.default_rng(4)) == whole
 
     def test_empty_dataset_rejected(self):
         net = build_mlp(3, [], 2, seed=0)
