@@ -15,8 +15,7 @@ from .errors import (
 )
 from .metrics import (
     check_eq7,
-    condition_constraint_grad,
-    condition_constraint_loss,
+    condition_constraint,
     condition_report,
     local_lipschitz_estimate,
     robustness_radius,
@@ -35,8 +34,8 @@ __all__ = [
     "load_dataset", "load_idx", "synth_blobs",
     "TscncError", "DimensionError", "ValidationError", "NumericError",
     "StateError", "FormatError", "ConfigError", "DivergenceError",
-    "check_eq7", "condition_constraint_grad", "condition_constraint_loss",
-    "condition_report", "local_lipschitz_estimate", "robustness_radius",
+    "check_eq7", "condition_constraint", "condition_report",
+    "local_lipschitz_estimate", "robustness_radius",
     "Network", "backward", "build_network", "cross_entropy", "forward",
     "PruneSpec", "apply_masks", "prune_report", "saliency", "select_mask",
     "INFINITE", "layer_spectrum",

@@ -1,8 +1,8 @@
 """Command-line front end: train, prune, evaluate, inspect.
 
-Exit codes: 0 success, 2 configuration problems, 3 data-format problems
-(including data whose shape or labels do not fit the checkpoint), 4
-divergence during training.
+Exit codes: 0 success, 2 configuration problems, 3 data-format and file i/o
+problems (including data whose shape or labels do not fit the checkpoint, and
+a failed write of any output file), 4 divergence during training.
 """
 
 from __future__ import annotations
@@ -112,20 +112,27 @@ def _cmd_train(args):
 
 def _cmd_prune(args):
     config = _load_config(args.config, args.seed)
-    ckpt = load_checkpoint(args.checkpoint)
-    net = ckpt.net
-    data = load_dataset(config.dataset, seed=config.seed)
     if config.prune.sparsity <= 0.0:
         raise ConfigError("prune command needs prune.sparsity > 0 in the config")
+    ckpt = load_checkpoint(args.checkpoint)
+    net = ckpt.net
+    # magnitude scoring reads the weights alone
+    data = (None if config.prune.criterion == "magnitude"
+            else load_dataset(config.dataset, seed=config.seed))
+    before = prune_report(net)["global_sparsity"]
     scores = score_weights(net, data, config, np.random.default_rng(config.seed))
     apply_masks(net, select_mask(net, scores, config.prune))
+    report = prune_report(net)
+    if report["global_sparsity"] == before:
+        print(f"warning: global sparsity stayed at {before:.4f}: masked weights "
+              f"are never unmasked, and prune.sparsity {config.prune.sparsity:g} "
+              "asks for no more zeros than the checkpoint holds", file=sys.stderr)
     os.makedirs(args.out, exist_ok=True)
     save_checkpoint(
         os.path.join(args.out, "model.tscn"), net,
         state={"architecture": ckpt.header.get("architecture", ""),
                "config": {"dataset": config.dataset, "seed": config.seed}},
     )
-    report = prune_report(net)
     _write_json(os.path.join(args.out, "prune_report.json"), report)
     _print(args, f"pruned to global sparsity {report['global_sparsity']:.4f}")
     return 0

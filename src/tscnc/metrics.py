@@ -27,31 +27,25 @@ def _normal_cdf(z):
 # ------------------------------------------------------------ L_CC
 
 
-def condition_constraint_loss(net: Network, tau: float) -> float:
-    """Sum over parameterized layers of log(tau + ||W||_F^2).
+def condition_constraint(net: Network, tau: float) -> tuple:
+    """The conditioning penalty and its gradient: (loss, {layer: dW}).
 
+    The loss is the sum over parameterized layers of log(tau + ||W||_F^2).
     The log makes the penalty scale-aware: multiplying a layer by mu and the
     next by 1/mu (which leaves the network function unchanged) cannot game
-    it the way a plain norm penalty can.
+    it the way a plain norm penalty can.  The gradient is
+    2 W / (tau + ||W||_F^2), which is zero at masked entries since W stores
+    0.0 there.
     """
     if tau <= 0.0:
         raise ValidationError(f"smoothing factor must be positive, got {tau}")
-    total = 0.0
+    loss, grad = 0.0, {}
     for li in net.parameterized_indices():
-        total += math.log(tau + frobenius_norm_sq(net.layers[li].W))
-    return total
-
-
-def condition_constraint_grad(net: Network, tau: float) -> dict:
-    """Analytic gradient of the conditioning penalty per layer.
-
-    d/dW log(tau + ||W||_F^2) = 2 W / (tau + ||W||_F^2), which is zero at
-    masked entries since W stores 0.0 there.
-    """
-    if tau <= 0.0:
-        raise ValidationError(f"smoothing factor must be positive, got {tau}")
-    weights = {li: net.layers[li].W for li in net.parameterized_indices()}
-    return {li: (2.0 / (tau + frobenius_norm_sq(W))) * W for li, W in weights.items()}
+        W = net.layers[li].W
+        denom = tau + frobenius_norm_sq(W)
+        loss += math.log(denom)
+        grad[li] = (2.0 / denom) * W
+    return loss, grad
 
 
 # ------------------------------------------------------------ condition report

@@ -92,7 +92,7 @@ def write_metrics(records, path) -> tuple:
     expands to one <name>_acc column per attack and condition to one
     kappa_layer_<i> column per layer; every record must give the same
     columns as the first.  The JSON holds each record's fields, with
-    condition under "layers".
+    condition under "layers".  A failed write raises its OSError.
     """
     records = list(records)
     if not records:
@@ -107,15 +107,11 @@ def write_metrics(records, path) -> tuple:
             )
     csv_path = f"{path}.csv"
     json_path = f"{path}.json"
-    try:
-        with atomic_open(csv_path, "w", encoding="utf-8") as f:
-            f.write(",".join(header) + "\n")
-            for row in rows:
-                f.write(",".join(_fmt(v) for _, v in row) + "\n")
-        with atomic_open(json_path, "w", encoding="utf-8") as f:
-            json.dump({"records": [_json_record(r) for r in records]}, f,
-                      indent=2)
-            f.write("\n")
-    except OSError as e:
-        raise ValidationError(f"cannot write metrics to {path}: {e}")
+    with atomic_open(csv_path, "w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(_fmt(v) for _, v in row) + "\n")
+    with atomic_open(json_path, "w", encoding="utf-8") as f:
+        json.dump({"records": [_json_record(r) for r in records]}, f, indent=2)
+        f.write("\n")
     return csv_path, json_path

@@ -17,12 +17,7 @@ import numpy as np
 from .attacks import AttackSpec, pgd
 from .data import Dataset, load_dataset
 from .errors import ConfigError, DimensionError, DivergenceError, ValidationError
-from .metrics import (
-    LayerCondition,
-    condition_constraint_grad,
-    condition_constraint_loss,
-    condition_report,
-)
+from .metrics import LayerCondition, condition_constraint, condition_report
 from .network import (Gradients, Network, backward, build_network, cross_entropy,
                       forward)
 from .pruning import (
@@ -86,6 +81,9 @@ class TrainConfig:
             raise ValidationError(f"lam must be non-negative, got {self.lam}")
         if self.tau <= 0.0:
             raise ValidationError(f"tau must be positive, got {self.tau}")
+        if any(m < 0 for m in self.lr_milestones):
+            raise ValidationError(
+                f"lr_milestones must be non-negative, got {list(self.lr_milestones)}")
         if not self.dataset:
             raise ValidationError("config needs a dataset id")
         if not self.architecture:
@@ -181,7 +179,10 @@ class MetricsRecord:
 
 
 def lr_at(epoch: int, config: TrainConfig) -> float:
-    """Step schedule: the decay applies from each milestone epoch onward."""
+    """Step schedule: the decay applies from each milestone epoch onward.
+
+    Milestones are non-negative, so a warmup epoch (below 0) runs at config.lr.
+    """
     passed = sum(1 for m in config.lr_milestones if epoch >= m)
     return config.lr * config.lr_factor ** passed
 
@@ -222,13 +223,14 @@ def _adversarial_batches(net, data, config, rng):
         yield pgd(net, xb, yb, config.train_attack, rng=rng), yb
 
 
-def score_weights(net: Network, data: Dataset, config: TrainConfig,
+def score_weights(net: Network, data: Dataset | None, config: TrainConfig,
                   rng) -> dict:
     """{layer index: score array} for every prunable layer, by criterion.
 
-    Magnitude scoring reads the weights alone; adversarial saliency takes
-    one shuffled pass of attacked batches from ``rng``.  A masked weight
-    scores 0.0, and ``select_mask`` keeps it masked whatever its score.
+    Magnitude scoring reads the weights alone, so data may be None; adversarial
+    saliency takes one shuffled pass of attacked batches from ``rng``.  A
+    masked weight scores 0.0, and ``select_mask`` keeps it masked whatever its
+    score.
     """
     if config.prune.criterion == "magnitude":
         return magnitude_scores(net)
@@ -246,7 +248,7 @@ def _train_epoch(net, data, config, lr, velocity, rng):
             return float("nan")
         grads = backward(net, cache, grad_logits)
         if config.lam > 0.0:
-            cc = condition_constraint_grad(net, config.tau)
+            cc = condition_constraint(net, config.tau)[1]
             for li in grads.weight:
                 grads.weight[li] = grads.weight[li] + config.lam * cc[li]
         sgd_step(net, grads, velocity, lr, config.momentum, config.weight_decay)
@@ -294,7 +296,7 @@ def evaluate(net: Network, data: Dataset, eval_attacks: dict, rng=None) -> dict:
 
 def _record(net, config, epoch, lr, loss_e, data, rng) -> MetricsRecord:
     crep = condition_report(net)
-    loss_cc = condition_constraint_loss(net, config.tau)
+    loss_cc = condition_constraint(net, config.tau)[0]
     accs = evaluate(net, data, config.eval_attacks, rng=rng)
     return MetricsRecord(
         epoch=epoch,
@@ -332,32 +334,26 @@ def run_tscnc(config: TrainConfig, data: Dataset | None = None,
     check_protected(config.prune.protected, net.prunable_indices())
     velocity = {}
     records = []
-
-    if reference is None:
-        for we in range(config.warmup_epochs):
-            loss_e = _train_epoch(net, data, config, config.lr, velocity, rng)
-            if not np.isfinite(loss_e):
-                raise DivergenceError(
-                    f"non-finite loss in warmup epoch {we}", records=records
-                )
-
-    if config.prune.sparsity > 0.0:
-        scores = score_weights(net, data, config, rng)
-        apply_masks(net, select_mask(net, scores, config.prune))
-        # sgd_step's re-mask keeps momentum off masked weights; the reset drops
-        # the warmup momentum of live weights, which the trained bytes reflect
-        velocity = {}
-
-    for epoch in range(config.epochs):
+    # epochs below 0 are the dense warmup, at config.lr and without records
+    start = 0 if reference is not None else -config.warmup_epochs
+    for epoch in range(start, config.epochs):
+        if epoch == 0 and config.prune.sparsity > 0.0:
+            scores = score_weights(net, data, config, rng)
+            apply_masks(net, select_mask(net, scores, config.prune))
+            # sgd_step's re-mask keeps momentum off masked weights; the reset
+            # drops the warmup momentum of live weights, which the trained
+            # bytes reflect
+            velocity = {}
         lr = lr_at(epoch, config)
         loss_e = _train_epoch(net, data, config, lr, velocity, rng)
         if not np.isfinite(loss_e):
-            raise DivergenceError(
-                f"non-finite loss at epoch {epoch}", records=records
-            )
-        rec = _record(net, config, epoch, lr, loss_e, data, np.random.default_rng(
-            (config.seed, epoch)
-        ))
+            where = (f"in warmup epoch {epoch - start}" if epoch < 0
+                     else f"at epoch {epoch}")
+            raise DivergenceError(f"non-finite loss {where}", records=records)
+        if epoch < 0:
+            continue
+        rec = _record(net, config, epoch, lr, loss_e, data,
+                      np.random.default_rng((config.seed, epoch)))
         records.append(rec)
         if on_epoch is not None:
             on_epoch(rec)

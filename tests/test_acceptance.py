@@ -17,8 +17,7 @@ from tscnc.checkpoint import load_checkpoint, save_checkpoint
 from tscnc.data import synth_blobs
 from tscnc.metrics import (
     check_eq7,
-    condition_constraint_grad,
-    condition_constraint_loss,
+    condition_constraint,
     local_lipschitz_estimate,
 )
 from tscnc.network import (
@@ -108,7 +107,7 @@ class TestGradientExactness:
                     worst_layer = max(worst_layer, rel)
 
             tau = 1e-4
-            cc = condition_constraint_grad(net, tau)
+            cc = condition_constraint(net, tau)[1]
             for li in net.prunable_indices():
                 arr = net.layers[li].W
                 fd = np.zeros_like(arr)
@@ -116,10 +115,10 @@ class TestGradientExactness:
                     old = arr[idx]
                     arr[idx] = old + h
                     net.bump()
-                    up = condition_constraint_loss(net, tau)
+                    up = condition_constraint(net, tau)[0]
                     arr[idx] = old - h
                     net.bump()
-                    dn = condition_constraint_loss(net, tau)
+                    dn = condition_constraint(net, tau)[0]
                     arr[idx] = old
                     net.bump()
                     fd[idx] = (up - dn) / (2.0 * h)

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import tscnc
@@ -99,6 +100,28 @@ class TestTrain:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_negative_lr_milestone_exits_2(self, tmp_path, config_path, capsys):
+        doc = json.loads(config_path.read_text())
+        doc["lr_milestones"] = [-1]
+        config_path.write_text(json.dumps(doc))
+        rc = main(["--quiet", "train", "--config", str(config_path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "configuration error: lr_milestones must be non-negative, got [-1]\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_failed_metrics_write_exits_3(self, tmp_path, config_path, capsys):
+        out = tmp_path / "o"
+        (out / "metrics.csv").mkdir(parents=True)
+        rc = main(["--quiet", "train", "--config", str(config_path),
+                   "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        # no temp file is left beside the outputs
+        assert sorted(os.listdir(out)) == ["metrics.csv", "model.tscn"]
+        assert os.listdir(out / "metrics.csv") == []
+
     def test_invalid_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -131,8 +154,6 @@ class TestTrain:
         assert not (tmp_path / "o" / "model.tscn").exists()
 
     def test_divergence_exits_4(self, tmp_path, config_path):
-        import numpy as np
-
         doc = json.loads(config_path.read_text())
         doc["lr"] = 1e9
         doc["warmup_epochs"] = 0
@@ -169,6 +190,63 @@ class TestPrune:
                    "--checkpoint", str(trained / "model.tscn"),
                    "--out", str(tmp_path / "p")])
         assert rc == 2
+
+
+    def test_zero_sparsity_rejected_before_the_checkpoint(self, tmp_path,
+                                                          config_path, capsys):
+        doc = json.loads(config_path.read_text())
+        doc["prune"]["sparsity"] = 0.0
+        config_path.write_text(json.dumps(doc))
+        rc = main(["--quiet", "prune", "--config", str(config_path),
+                   "--checkpoint", str(tmp_path / "absent.tscn"),
+                   "--out", str(tmp_path / "p")])
+        assert rc == 2
+        assert "prune.sparsity > 0" in capsys.readouterr().err
+
+    def test_magnitude_prune_reads_no_data(self, tmp_path, config_path, trained):
+        doc = json.loads(config_path.read_text())
+        missing = f"idx:{tmp_path / 'no-images'}:{tmp_path / 'no-labels'}"
+        runs = [("real", doc["dataset"], "magnitude", 0),
+                ("missing", missing, "magnitude", 0),
+                ("saliency", missing, "adversarial_saliency", 3)]
+        for name, dataset, criterion, status in runs:
+            doc["dataset"] = dataset
+            doc["prune"] = {"sparsity": 0.7, "criterion": criterion}
+            config_path.write_text(json.dumps(doc))
+            assert main(["--quiet", "prune", "--config", str(config_path),
+                         "--checkpoint", str(trained / "model.tscn"),
+                         "--out", str(tmp_path / name)]) == status
+        real, missing = tmp_path / "real", tmp_path / "missing"
+        assert (real / "prune_report.json").read_bytes() == \
+            (missing / "prune_report.json").read_bytes()
+        # the checkpoints differ only in the dataset id their header records
+        nets = [load_checkpoint(d / "model.tscn").net for d in (real, missing)]
+        for a, b in zip(nets[0].layers, nets[1].layers):
+            if a.parameterized:
+                for name in ("W", "b", "Z"):
+                    assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_reprune_at_or_below_the_held_sparsity_warns(self, tmp_path,
+                                                         config_path, trained,
+                                                         capsys):
+        doc = json.loads(config_path.read_text())
+        capsys.readouterr()
+        for sparsity, warned in ((0.2, True), (0.4, True), (0.7, False)):
+            doc["prune"]["sparsity"] = sparsity
+            config_path.write_text(json.dumps(doc))
+            out = tmp_path / f"p{sparsity}"
+            assert main(["--quiet", "prune", "--config", str(config_path),
+                         "--checkpoint", str(trained / "model.tscn"),
+                         "--out", str(out)]) == 0
+            err = capsys.readouterr().err
+            if warned:
+                assert err.startswith("warning: global sparsity stayed at 0.4")
+                assert err.count("\n") == 1
+                # masked weights are never unmasked
+                assert (out / "prune_report.json").read_bytes() == \
+                    (trained / "prune_report.json").read_bytes()
+            else:
+                assert err == ""
 
 
 class TestEvaluate:

@@ -11,8 +11,7 @@ from tscnc.attacks import AttackSpec, pgd
 from tscnc.errors import ValidationError
 from tscnc.metrics import (
     check_eq7,
-    condition_constraint_grad,
-    condition_constraint_loss,
+    condition_constraint,
     condition_report,
     local_lipschitz_estimate,
     robustness_radius,
@@ -52,13 +51,13 @@ class TestConditionConstraintLoss:
     def test_all_zero_effective_weights(self):
         net = build_mlp(3, [], 2, seed=0)
         apply_masks(net, {0: np.zeros_like(net.layers[0].Z)})
-        got = condition_constraint_loss(net, 1e-4)
+        got = condition_constraint(net, 1e-4)[0]
         assert abs(got - math.log(1e-4)) <= 1e-12
 
     def test_unit_frobenius(self):
         net = build_mlp(3, [], 2, seed=1)
         set_layer_fro_sq(net.layers[0], 1.0)
-        got = condition_constraint_loss(net, 1e-4)
+        got = condition_constraint(net, 1e-4)[0]
         assert abs(got - math.log(1.0001)) <= 1e-12
 
     def test_three_layer_sum_against_script(self):
@@ -70,31 +69,31 @@ class TestConditionConstraintLoss:
         want = 0.0
         for t in targets:
             want += math.log(tau + t)
-        assert abs(condition_constraint_loss(net, tau) - want) <= 1e-12
+        assert abs(condition_constraint(net, tau)[0] - want) <= 1e-12
 
     def test_nonpositive_tau_rejected(self):
         net = build_mlp(3, [], 2, seed=0)
         for tau in (0.0, -1e-4):
             with pytest.raises(ValidationError):
-                condition_constraint_loss(net, tau)
+                condition_constraint(net, tau)[0]
 
     def test_shrinking_weights_strictly_decreases(self):
         net = build_mlp(5, [6], 3, seed=3)
-        base = condition_constraint_loss(net, 1e-4)
+        base = condition_constraint(net, 1e-4)[0]
         for c in (0.9, 0.5, 0.1):
             shrunk = net.clone()
             for li in shrunk.parameterized_indices():
                 shrunk.layers[li].W *= c
-            assert condition_constraint_loss(shrunk, 1e-4) < base
+            assert condition_constraint(shrunk, 1e-4)[0] < base
 
     def test_masked_weights_do_not_contribute(self):
         net = build_mlp(4, [4], 2, seed=4)
-        before = condition_constraint_loss(net, 1e-4)
+        before = condition_constraint(net, 1e-4)[0]
         net.layers[0].W[0, 0] = 1e6
         mask = net.layers[0].Z.copy()
         mask[0, 0] = False
         apply_masks(net, {0: mask})
-        after_mask = condition_constraint_loss(net, 1e-4)
+        after_mask = condition_constraint(net, 1e-4)[0]
         assert after_mask < before + 1e-12
 
 
@@ -102,19 +101,19 @@ class TestConditionConstraintGrad:
     def test_zero_weights_zero_grad(self):
         net = build_mlp(3, [], 2, seed=0)
         net.layers[0].W[:] = 0.0
-        g = condition_constraint_grad(net, 1e-4)
+        g = condition_constraint(net, 1e-4)[1]
         assert np.array_equal(g[0], np.zeros_like(net.layers[0].W))
 
     def test_scalar_layer_closed_form(self):
         net = linear_net(np.array([[1.0]]))
-        g = condition_constraint_grad(net, 1e-4)
+        g = condition_constraint(net, 1e-4)[1]
         assert abs(g[0][0, 0] - 2.0 / 1.0001) <= 1e-12
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         net = linear_net(rng.normal(size=(3, 4)))
         tau = 1e-4
-        g = condition_constraint_grad(net, tau)[0]
+        g = condition_constraint(net, tau)[1][0]
         h = 1e-7
         W = net.layers[0].W
         fd = np.zeros_like(W)
@@ -122,13 +121,21 @@ class TestConditionConstraintGrad:
             for j in range(4):
                 orig = W[i, j]
                 W[i, j] = orig + h
-                lp = condition_constraint_loss(net, tau)
+                lp = condition_constraint(net, tau)[0]
                 W[i, j] = orig - h
-                lm = condition_constraint_loss(net, tau)
+                lm = condition_constraint(net, tau)[0]
                 W[i, j] = orig
                 fd[i, j] = (lp - lm) / (2 * h)
         denom = max(np.abs(fd).max(), 1e-12)
         assert np.abs(g - fd).max() / denom <= 1e-6
+
+    def test_one_call_covers_every_parameterized_layer(self):
+        net = build_cnn((1, 6, 6), [2], 5, 3, seed=0)
+        loss, g = condition_constraint(net, 1e-4)
+        assert sorted(g) == net.parameterized_indices()
+        want = sum(math.log(1e-4 + float((net.layers[li].W ** 2).sum()))
+                   for li in g)
+        assert abs(loss - want) <= 1e-12
 
     def test_masked_entries_get_zero_grad(self):
         rng = np.random.default_rng(8)
@@ -136,14 +143,14 @@ class TestConditionConstraintGrad:
         mask = net.layers[0].Z.copy()
         mask[2, 1] = False
         apply_masks(net, {0: mask})
-        g = condition_constraint_grad(net, 1e-4)[0]
+        g = condition_constraint(net, 1e-4)[1][0]
         assert g[2, 1] == 0.0
 
     def test_step_is_descent_direction_for_frobenius(self):
         rng = np.random.default_rng(9)
         for trial in range(10):
             net = linear_net(rng.normal(size=(4, 4)))
-            g = condition_constraint_grad(net, 1e-4)[0]
+            g = condition_constraint(net, 1e-4)[1][0]
             before = float((net.layers[0].W ** 2).sum())
             net.layers[0].W -= 1e-3 * g
             after = float((net.layers[0].W ** 2).sum())

@@ -214,7 +214,7 @@ class TestRejections:
             write_metrics([a, b], str(tmp_path / "m"))
 
     def test_unwritable_path(self, tmp_path):
-        with pytest.raises(ValidationError):
+        with pytest.raises(OSError):
             write_metrics([make_record()], str(tmp_path / "no" / "dir" / "m"))
 
 
@@ -292,7 +292,7 @@ class TestAtomicWrites:
             return repr(v)
 
         monkeypatch.setattr(metrics_io, "_fmt", fmt)
-        with pytest.raises(ValidationError):
+        with pytest.raises(OSError):
             write_metrics([make_record(epoch=1)], str(base))
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
@@ -301,7 +301,7 @@ class TestAtomicWrites:
         write_metrics([make_record()], str(base))
         json_before = (tmp_path / "metrics.json").read_bytes()
         monkeypatch.setattr(metrics_io, "json", _half_dump(tmp_path / "metrics.json"))
-        with pytest.raises(ValidationError):
+        with pytest.raises(OSError):
             write_metrics([make_record(epoch=1)], str(base))
         assert (tmp_path / "metrics.json").read_bytes() == json_before
         assert sorted(os.listdir(tmp_path)) == ["metrics.csv", "metrics.json"]

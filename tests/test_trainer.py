@@ -290,7 +290,8 @@ class TestConfigFromDict:
 
     def test_validate_rejects_bad_numbers(self):
         for over in ({"epochs": 0}, {"lr": 0.0}, {"lam": -0.1},
-                     {"tau": 0.0}, {"batch_size": 0}, {"warmup_epochs": -1}):
+                     {"tau": 0.0}, {"batch_size": 0}, {"warmup_epochs": -1},
+                     {"lr_milestones": (2, -1)}):
             cfg = small_config(**over)
             with pytest.raises(ValidationError):
                 cfg.validate()
@@ -473,6 +474,57 @@ class TestRunTscnc:
         _, records = run_tscnc(cfg, on_epoch=seen.append)
         assert [r.epoch for r in seen] == [0, 1, 2]
         assert seen == records
+
+    @pytest.mark.parametrize("case", ["warmup", "reference", "dense"])
+    def test_one_epoch_loop(self, monkeypatch, case):
+        calls = []
+        train_epoch, score_weights = trainer._train_epoch, trainer.score_weights
+
+        def log_train(net, data, config, lr, velocity, rng):
+            calls.append(("train", lr, bool(velocity)))
+            return train_epoch(net, data, config, lr, velocity, rng)
+
+        def log_score(*args):
+            calls.append(("score",))
+            return score_weights(*args)
+
+        monkeypatch.setattr(trainer, "_train_epoch", log_train)
+        monkeypatch.setattr(trainer, "score_weights", log_score)
+        cfg = small_config(epochs=4, warmup_epochs=2, lr_milestones=(0, 2),
+                           lr_factor=0.5)
+        reference = None
+        if case == "reference":
+            data = load_dataset(cfg.dataset, seed=cfg.seed)
+            reference = build_network(cfg.architecture, data.images.shape[1:],
+                                      data.classes, seed=cfg.seed)
+        if case == "dense":
+            cfg.prune = PruneSpec(sparsity=0.0)
+        _, records = run_tscnc(cfg, reference=reference)
+        # warmup trains at config.lr; scoring resets the momentum; phase 2
+        # follows the schedule, whose milestone 0 applies from epoch 0
+        phase2 = [("train", lr_at(e, cfg), e > 0) for e in range(4)]
+        assert [c[1] for c in phase2] == [0.05, 0.05, 0.025, 0.025]
+        want = {
+            "warmup": [("train", 0.1, False), ("train", 0.1, True), ("score",)]
+            + phase2,
+            "reference": [("score",)] + phase2,
+            "dense": [("train", 0.1, False), ("train", 0.1, True),
+                      ("train", 0.05, True)] + phase2[1:],
+        }[case]
+        assert calls == want
+        assert [r.epoch for r in records] == [0, 1, 2, 3]
+        assert [r.lr for r in records] == [c[1] for c in phase2]
+
+    # at lr 1e9 this config first overflows in phase 2, so larger rates
+    # reach the warmup; warmup epochs are counted from 0
+    @pytest.mark.parametrize("lr, first_bad", [(1e100, 0), (1e30, 1)])
+    def test_divergence_in_warmup_has_no_records(self, lr, first_bad):
+        cfg = small_config(lr=lr, warmup_epochs=2)
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                run_tscnc(cfg)
+        assert str(err.value) == f"non-finite loss in warmup epoch {first_bad}"
+        assert err.value.records == []
 
     def test_divergence_reports_partial_records(self):
         cfg = small_config(epochs=20, warmup_epochs=0, lr=1e9,
