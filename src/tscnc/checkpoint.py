@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import read_array
 from .errors import DimensionError, FormatError
 from .metrics_io import atomic_open
 from .network import MaskedLayer, Network, forward
@@ -28,7 +29,6 @@ VERSION = 1
 
 @dataclass
 class Checkpoint:
-    header: dict
     net: Network
     state: dict
 
@@ -93,10 +93,10 @@ def save_checkpoint(path, net: Network, state: dict | None = None) -> None:
         f.write(struct.pack("<I", zlib.crc32(bytes(payload))))
 
 
-def _take(buf, offset, count, path):
-    if offset + count > len(buf):
-        raise FormatError(f"{path}: truncated payload", offset=offset)
-    return buf[offset : offset + count], offset + count
+def _floats(buf, pos, shape, path):
+    """A writable float64 array of shape read at pos, and the offset past it."""
+    arr, pos = read_array(buf, pos, "<f8", math.prod(shape), path)
+    return arr.reshape(shape).copy(), pos
 
 
 def _field(d, key, kind, path, low=None):
@@ -120,34 +120,37 @@ def _shape(d, key, path, ndim=None):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint written by save_checkpoint; validates both CRCs."""
+    """Read a checkpoint written by save_checkpoint; validates both CRCs.
+
+    Every FormatError offset is a file position: the field at fault, or the
+    byte where a short file ends.
+    """
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < 12 or raw[:4] != MAGIC:
         raise FormatError(f"{path}: not a checkpoint file", offset=0)
-    version = struct.unpack("<I", raw[4:8])[0]
+    (version, hlen), off = read_array(raw, 4, "<u4", 2, path)
     if version != VERSION:
         raise FormatError(
             f"{path}: unsupported checkpoint version {version}", offset=4
         )
-    hlen = struct.unpack("<I", raw[8:12])[0]
-    hbytes, off = _take(raw, 12, hlen, path)
-    crc_bytes, off = _take(raw, off, 4, path)
-    if struct.unpack("<I", crc_bytes)[0] != zlib.crc32(hbytes):
+    hbytes, off = read_array(raw, off, np.uint8, int(hlen), path)
+    (hcrc,), off = read_array(raw, off, "<u4", 1, path)
+    if hcrc != zlib.crc32(hbytes):
         raise FormatError(f"{path}: header checksum mismatch", offset=12)
     try:
-        header = json.loads(hbytes.decode("utf-8"))
-    except ValueError as exc:
+        header = json.loads(hbytes.tobytes().decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: header is not JSON: {exc}", offset=12) from exc
-    payload = raw[off:-4]
-    if len(raw) < off + 4:
-        raise FormatError(f"{path}: truncated payload", offset=off)
-    if struct.unpack("<I", raw[-4:])[0] != zlib.crc32(payload):
+    # the payload ends where its CRC, the file's last 4 bytes, begins
+    (pcrc,), _ = read_array(raw, max(off, len(raw) - 4), "<u4", 1, path)
+    payload = memoryview(raw)[: len(raw) - 4]
+    if pcrc != zlib.crc32(payload[off:]):
         raise FormatError(f"{path}: payload checksum mismatch", offset=off)
 
     layers = []
     momentum = {} if _field(header, "momentum", bool, path) else None
-    pos = 0
+    pos = off
     for li, desc in enumerate(_field(header, "layers", list, path)):
         kind = _field(desc, "kind", str, path)
         if kind in ("relu", "flatten"):
@@ -160,16 +163,11 @@ def load_checkpoint(path) -> Checkpoint:
         if b_len != shape[1 if kind == "linear" else 0]:
             raise FormatError(f"{path}: layer {li} bias length {b_len} does not "
                               f"match its weight shape {shape}", offset=12)
+        W, pos = _floats(payload, pos, shape, path)
+        b, pos = _floats(payload, pos, (b_len,), path)
         wn = math.prod(shape)
-        blob, pos = _take(payload, pos, wn * 8, path)
-        W = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
-        blob, pos = _take(payload, pos, b_len * 8, path)
-        b = np.frombuffer(blob, dtype="<f8").copy()
-        nbytes = (wn + 7) // 8
-        blob, pos = _take(payload, pos, nbytes, path)
-        bits = np.unpackbits(
-            np.frombuffer(blob, dtype=np.uint8), bitorder="little"
-        )[:wn]
+        bits, pos = read_array(payload, pos, np.uint8, (wn + 7) // 8, path)
+        bits = np.unpackbits(bits, bitorder="little")[:wn]
         layer = MaskedLayer(kind=kind, W=W, Z=bits.reshape(shape), b=b,
                             prunable=_field(desc, "prunable", bool, path))
         if kind == "conv2d":
@@ -183,15 +181,12 @@ def load_checkpoint(path) -> Checkpoint:
                                   offset=12)
         layers.append(layer)
         if momentum is not None:
-            blob, pos = _take(payload, pos, wn * 8, path)
-            vW = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
-            blob, pos = _take(payload, pos, b_len * 8, path)
-            vb = np.frombuffer(blob, dtype="<f8").copy()
+            vW, pos = _floats(payload, pos, shape, path)
+            vb, pos = _floats(payload, pos, (b_len,), path)
             momentum[li] = {"W": vW, "b": vb}
     if pos != len(payload):
         raise FormatError(
-            f"{path}: {len(payload) - pos} unexpected trailing bytes",
-            offset=off + pos,
+            f"{path}: {len(payload) - pos} unexpected trailing bytes", offset=pos
         )
     net = Network(
         layers=layers,
@@ -200,9 +195,11 @@ def load_checkpoint(path) -> Checkpoint:
     )
     if not net.parameterized_indices():
         raise FormatError(f"{path}: no parameterized layer", offset=12)
+    # a zero-row probe allocates nothing input-sized; a conv gather plan
+    # still scales with h * w, which numpy may refuse
     try:
-        forward(net, np.zeros((1,) + net.input_shape))
-    except DimensionError as exc:
+        forward(net, np.zeros((0,) + net.input_shape))
+    except (DimensionError, MemoryError, OverflowError, ValueError) as exc:
         raise FormatError(f"{path}: layers do not compose: {exc}", offset=12) from exc
     state = {
         key: header.get(key)
@@ -211,4 +208,4 @@ def load_checkpoint(path) -> Checkpoint:
     }
     if momentum is not None:
         state["momentum"] = momentum
-    return Checkpoint(header=header, net=net, state=state)
+    return Checkpoint(net=net, state=state)

@@ -32,7 +32,7 @@ def _load_config(path, seed_override):
             doc = json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     config = config_from_dict(doc)
     if seed_override is not None:
@@ -130,7 +130,7 @@ def _cmd_prune(args):
     os.makedirs(args.out, exist_ok=True)
     save_checkpoint(
         os.path.join(args.out, "model.tscn"), net,
-        state={"architecture": ckpt.header.get("architecture", ""),
+        state={"architecture": ckpt.state.get("architecture"),
                "config": {"dataset": config.dataset, "seed": config.seed}},
     )
     _write_json(os.path.join(args.out, "prune_report.json"), report)

@@ -7,9 +7,8 @@ without extra plumbing.
 
 from __future__ import annotations
 
-import os
+import math
 import re
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,25 +35,34 @@ class Dataset:
         return self.images.shape[0]
 
 
-def _read_exact(f, count, path, offset):
-    # checked against the file size first, so a huge count allocates nothing
-    left = os.fstat(f.fileno()).st_size - f.tell()
-    if count > left:
-        raise FormatError(
-            f"{path}: truncated, wanted {count} bytes", offset=offset + left
-        )
-    return f.read(count)
+def read_array(buf, offset, dtype, count, path):
+    """(count items of dtype at byte offset in buf, the offset just past them).
+
+    The size is checked against len(buf) first, so a huge count allocates
+    nothing; a read past the end raises FormatError at offset len(buf).
+    """
+    end = offset + count * np.dtype(dtype).itemsize
+    if end > len(buf):
+        raise FormatError(f"{path}: truncated, wanted {end - offset} bytes at "
+                          f"offset {offset}", offset=len(buf))
+    return np.frombuffer(buf, dtype, count, offset), end
 
 
-def _counts(f, path, names, offset):
-    """Read one big-endian int32 per name; each must be at least 1."""
-    values = struct.unpack(f">{len(names)}i",
-                           _read_exact(f, 4 * len(names), path, offset))
-    for i, (name, value) in enumerate(zip(names, values)):
+def _idx_file(path, magic, what, count_names):
+    """Check one IDX file's magic, read its counts (each at least 1) and body."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    (found,), off = read_array(raw, 0, ">i4", 1, path)
+    if found != magic:
+        raise FormatError(f"{path}: bad {what} magic 0x{found:08x}", offset=0)
+    counts, off = read_array(raw, off, ">i4", len(count_names), path)
+    counts = counts.tolist()
+    for i, (name, value) in enumerate(zip(count_names, counts)):
         if value < 1:
             raise FormatError(f"{path}: {name} {value} is below 1",
-                              offset=offset + 4 * i)
-    return values
+                              offset=4 + 4 * i)
+    body, _ = read_array(raw, off, np.uint8, math.prod(counts), path)
+    return counts, body
 
 
 def load_idx(images_path, labels_path) -> Dataset:
@@ -64,25 +72,12 @@ def load_idx(images_path, labels_path) -> Dataset:
     sizes below 1, and truncated files raise a format error carrying the
     byte offset of the problem.
     """
-    with open(images_path, "rb") as f:
-        magic = struct.unpack(">i", _read_exact(f, 4, images_path, 0))[0]
-        if magic != _IDX_IMAGES_MAGIC:
-            raise FormatError(
-                f"{images_path}: bad image magic 0x{magic:08x}", offset=0
-            )
-        n, rows, cols = _counts(f, images_path, ("image count", "rows", "cols"), 4)
-        raw = _read_exact(f, n * rows * cols, images_path, 16)
-        images = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
-        images = images.reshape(n, 1, rows, cols)
-    with open(labels_path, "rb") as f:
-        magic = struct.unpack(">i", _read_exact(f, 4, labels_path, 0))[0]
-        if magic != _IDX_LABELS_MAGIC:
-            raise FormatError(
-                f"{labels_path}: bad label magic 0x{magic:08x}", offset=0
-            )
-        (ln,) = _counts(f, labels_path, ("label count",), 4)
-        raw = _read_exact(f, ln, labels_path, 8)
-        labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+    (n, rows, cols), body = _idx_file(images_path, _IDX_IMAGES_MAGIC, "image",
+                                      ("image count", "rows", "cols"))
+    images = (body.astype(np.float64) / 255.0).reshape(n, 1, rows, cols)
+    (ln,), body = _idx_file(labels_path, _IDX_LABELS_MAGIC, "label",
+                            ("label count",))
+    labels = body.astype(np.int64)
     if ln != n:
         raise FormatError(
             f"{labels_path}: {ln} labels for {n} images", offset=4

@@ -15,8 +15,9 @@ The rest has no caller in the package: a checked matrix product, a
 single-image ``im2col`` built on the package's own gather plan
 (``tscnc.tensor_ops.im2col_indices``, so the im2col tests still check the
 indices the convolution layers use), the function-preserving layer
-rescaling behind the scale-invariance tests, and the random Bernoulli masks
-of the Lipschitz monotonicity experiment.
+rescaling behind the scale-invariance tests, the random Bernoulli masks
+of the Lipschitz monotonicity experiment, and the Hypothesis strategy of
+byte edits behind the property tests of the two binary loaders.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from hypothesis import strategies as st
 
 from tscnc.errors import DimensionError, NumericError, ValidationError
 from tscnc.network import Network
@@ -289,3 +291,18 @@ def random_bernoulli_masks(net: Network, alphas, seed: int) -> dict:
         shape = net.layers[li].Z.shape
         masks[li] = rng.uniform(size=shape) >= a
     return masks
+
+
+@st.composite
+def edited_bytes(draw, raw: bytes) -> bytes:
+    """raw with 1-3 bytes changed, truncated, or with bytes appended; never
+    raw itself."""
+    kind = draw(st.sampled_from(["change", "truncate", "append"]))
+    if kind == "truncate":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    if kind == "append":
+        return raw + draw(st.binary(min_size=1, max_size=16))
+    out = bytearray(raw)
+    for i in draw(st.sets(st.integers(0, len(raw) - 1), min_size=1, max_size=3)):
+        out[i] ^= draw(st.integers(1, 255))
+    return bytes(out)

@@ -6,6 +6,9 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracles import edited_bytes
 
 from tscnc.checkpoint import load_checkpoint, save_checkpoint
 from tscnc.cli import main
@@ -197,6 +200,23 @@ class TestCorruption:
 _DROP = object()
 
 
+def rewrite_header(path, edit):
+    """Apply edit to the header of the checkpoint at path; fix length and CRC.
+
+    edit changes the header dict in place or returns a replacement: any
+    JSON value, or raw bytes written as the header as they are.
+    """
+    raw = path.read_bytes()
+    hlen = struct.unpack("<I", raw[8:12])[0]
+    header = json.loads(raw[12 : 12 + hlen])
+    replaced = edit(header)
+    header = header if replaced is None else replaced
+    hbytes = header if isinstance(header, bytes) else json.dumps(header).encode()
+    path.write_bytes(raw[:8] + struct.pack("<I", len(hbytes)) + hbytes
+                     + struct.pack("<I", zlib.crc32(hbytes))
+                     + raw[12 + hlen + 4 :])
+
+
 def _with(*keys, value=_DROP):
     """Header edit that sets (or, by default, deletes) the value at keys."""
     def edit(header):
@@ -211,11 +231,14 @@ def _with(*keys, value=_DROP):
 
 
 class TestHeaderSchema:
-    """Headers with a valid checksum but a bad schema are format errors."""
+    """Headers with a valid checksum but a bad schema are format errors,
+    most at the header's offset, 12.  The oversized inputs are ones numpy
+    refuses at once."""
 
     @pytest.mark.parametrize("edit", [
         lambda h: [h],
         lambda h: b"{not json",
+        lambda h: b"[" * 100000 + b"]" * 100000,
         _with("momentum"),
         _with("momentum", value=0),
         _with("layers", value={"0": {"kind": "conv2d"}}),
@@ -232,25 +255,115 @@ class TestHeaderSchema:
         _with("input_shape", value=[2, 6, 6]),
         _with("input_shape", value=[1, 0, 6]),
         _with("class_count", value=4),
+        _with("input_shape", value=[10 ** 12]),
+        _with("input_shape", value=[1, 10 ** 6, 10 ** 6]),
     ], ids=[
-        "not-an-object", "not-json", "no-momentum", "momentum-not-bool",
-        "layers-not-a-list", "no-parameterized-layer", "no-w_shape",
-        "negative-w_shape", "float-w_shape", "b_len-mismatch", "unknown-kind",
-        "kernel-mismatch", "zero-stride", "no-prunable", "flat-input-shape",
-        "channel-misfit", "zero-input-shape", "class-count-misfit",
+        "not-an-object", "not-json", "deeply-nested", "no-momentum",
+        "momentum-not-bool", "layers-not-a-list", "no-parameterized-layer",
+        "no-w_shape", "negative-w_shape", "float-w_shape", "b_len-mismatch",
+        "unknown-kind", "kernel-mismatch", "zero-stride", "no-prunable",
+        "flat-input-shape", "channel-misfit", "zero-input-shape",
+        "class-count-misfit", "huge-flat-input", "huge-image-input",
     ])
-    def test_rejected_with_fresh_crc(self, tmp_path, edit):
+    def test_rejected_with_fresh_crc(self, tmp_path, capsys, edit):
         path = tmp_path / "c.tscn"
         save_checkpoint(path, build_cnn((1, 6, 6), [4], 10, 3, seed=5))
-        raw = path.read_bytes()
+        rewrite_header(path, edit)
+        with pytest.raises(FormatError) as err:
+            load_checkpoint(path)
+        # a layer list that reads no blob leaves the whole payload as
+        # trailing bytes, reported where the payload starts
+        hlen = struct.unpack("<I", path.read_bytes()[8:12])[0]
+        offset = 12 + hlen + 4 if "trailing" in str(err.value) else 12
+        assert err.value.offset == offset
+        assert main(["--quiet", "inspect", "--checkpoint", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data format error at offset {offset}: ")
+        assert err.count("\n") == 1
+
+
+class TestOffsets:
+    """FormatError.offset is a file position: the field at fault, or the byte
+    where a short file ends."""
+
+    def test_payload_shorter_than_the_header_claims(self, tmp_path):
+        # the payload starts after the header; the read runs out where the
+        # payload CRC begins
+        path = tmp_path / "m.tscn"
+        save_checkpoint(path, build_mlp(5, [4], 3, seed=7))
+
+        def widen(header):
+            header["layers"][0].update(w_shape=[5, 400], b_len=400)
+
+        rewrite_header(path, widen)
+        with pytest.raises(FormatError) as err:
+            load_checkpoint(path)
+        assert err.value.offset == len(path.read_bytes()) - 4
+
+    def test_file_ending_inside_the_header(self, tmp_path):
+        path = tmp_path / "m.tscn"
+        save_checkpoint(path, build_mlp(5, [4], 3, seed=7))
+        path.write_bytes(path.read_bytes()[:40])
+        with pytest.raises(FormatError) as err:
+            load_checkpoint(path)
+        assert err.value.offset == 40
+
+
+# Hypothesis: every edit of a saved checkpoint is a FormatError inside the
+# file, and nothing else escapes.  Shape-like integers are 0-8 or at least
+# 10**12, never sizes that would really be allocated.
+_SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                     max_examples=150,
+                     suppress_health_check=[HealthCheck.too_slow])
+_INT = st.integers(-2, 8) | st.integers(min_value=10 ** 12)
+_JSON = st.lists(_INT, min_size=1, max_size=3) | st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4) | _INT,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module", params=["mlp", "cnn"])
+def saved(request, tmp_path_factory):
+    """A saved checkpoint with momentum: its path and its bytes."""
+    net = (build_mlp(5, [4], 3, seed=7) if request.param == "mlp"
+           else build_cnn((1, 6, 6), [2], 4, 3, seed=5))
+    momentum = {li: {"W": net.layers[li].W * 0.5, "b": net.layers[li].b + 1.0}
+                for li in net.parameterized_indices()}
+    path = tmp_path_factory.mktemp(request.param) / "base.tscn"
+    save_checkpoint(path, net, state={"epoch": 3, "architecture": "x",
+                                      "momentum": momentum})
+    return path, path.read_bytes()
+
+
+class TestProperties:
+    @_SETTINGS
+    @given(data=st.data())
+    def test_any_byte_edit_is_a_format_error(self, saved, data):
+        path, raw = saved
+        edited = data.draw(edited_bytes(raw))
+        target = path.with_name("edited.tscn")
+        target.write_bytes(edited)
+        with pytest.raises(FormatError) as err:
+            load_checkpoint(target)
+        assert 0 <= err.value.offset <= len(edited)
+
+    @_SETTINGS
+    @given(data=st.data(), value=_JSON)
+    def test_any_header_field_loads_or_is_a_format_error(self, saved, data,
+                                                          value):
+        path, raw = saved
         hlen = struct.unpack("<I", raw[8:12])[0]
         header = json.loads(raw[12 : 12 + hlen])
-        replaced = edit(header)
-        header = header if replaced is None else replaced
-        hbytes = header if isinstance(header, bytes) else json.dumps(header).encode()
-        path.write_bytes(raw[:8] + struct.pack("<I", len(hbytes)) + hbytes
-                         + struct.pack("<I", zlib.crc32(hbytes))
-                         + raw[12 + hlen + 4 :])
-        with pytest.raises(FormatError):
-            load_checkpoint(path)
-        assert main(["--quiet", "inspect", "--checkpoint", str(path)]) == 3
+        fields = [(key,) for key in header]
+        fields += [("layers", li, key)
+                   for li, desc in enumerate(header["layers"]) for key in desc]
+        keys = data.draw(st.sampled_from(fields))
+        target = path.with_name("edited.tscn")
+        target.write_bytes(raw)
+        rewrite_header(target, _with(*keys, value=value))
+        try:
+            load_checkpoint(target)
+        except FormatError as exc:
+            assert 0 <= exc.offset <= len(target.read_bytes())

@@ -61,7 +61,7 @@ class TestTrain:
         assert names == ["metrics.csv", "metrics.json", "model.tscn",
                          "prune_report.json"]
         ck = load_checkpoint(trained / "model.tscn")
-        assert ck.header["architecture"] == "mlp-10"
+        assert ck.state["architecture"] == "mlp-10"
         report = json.loads((trained / "prune_report.json").read_text())
         assert abs(report["global_sparsity"] - 0.4) < 0.01
         doc = json.loads((trained / "metrics.json").read_text())
@@ -128,6 +128,15 @@ class TestTrain:
         rc = main(["--quiet", "train", "--config", str(bad),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        rc = main(["--quiet", "train", "--config", str(deep),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
 
     def test_malformed_nested_value_exits_2_without_traceback(self, tmp_path,
                                                                  config_path):

@@ -4,8 +4,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracles import edited_bytes
 
-from tscnc.data import load_dataset, load_idx, synth_blobs
+from tscnc.data import load_dataset, load_idx, read_array, synth_blobs
 from tscnc.errors import FormatError, ValidationError
 
 
@@ -143,6 +146,57 @@ class TestLoadIdx:
         write_idx_labels(lp, [0, 1])
         with pytest.raises(FormatError):
             load_idx(ip, lp)
+
+
+class TestReadArray:
+    def test_reads_at_offset(self):
+        buf = struct.pack(">ii", 7, -2) + b"\x05"
+        values, end = read_array(buf, 0, ">i4", 2, "f")
+        assert values.tolist() == [7, -2] and end == 8
+        values, end = read_array(buf, end, np.uint8, 1, "f")
+        assert values.tolist() == [5] and end == 9
+
+    @pytest.mark.parametrize("count", [3, 2 ** 70])
+    def test_short_buffer_reports_its_end(self, count):
+        # a huge count is checked against the buffer, not allocated
+        with pytest.raises(FormatError) as err:
+            read_array(b"\x00" * 10, 4, "<f8", count, "f")
+        assert err.value.offset == 10
+
+
+_IDX_SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                         max_examples=200,
+                         suppress_health_check=[HealthCheck.too_slow])
+
+
+@pytest.fixture(scope="module")
+def idx_pair(tmp_path_factory):
+    """Paths of an images/labels pair, rewritten by each example."""
+    tmp = tmp_path_factory.mktemp("idx")
+    return tmp / "img", tmp / "lab"
+
+
+class TestIdxProperties:
+    @_IDX_SETTINGS
+    @given(data=st.data(), which=st.sampled_from([(0,), (1,), (0, 1)]))
+    def test_edited_pair_loads_or_is_a_format_error(self, idx_pair, data,
+                                                    which):
+        ip, lp = idx_pair
+        write_idx_images(ip, [np.full((3, 2), 40 * i, dtype=np.uint8)
+                              for i in range(4)])
+        write_idx_labels(lp, [0, 1, 2, 1])
+        for path in [idx_pair[i] for i in which]:
+            path.write_bytes(data.draw(edited_bytes(path.read_bytes())))
+        try:
+            ds = load_idx(ip, lp)
+        except FormatError as exc:
+            # the message starts with the path of the file at fault
+            path = ip if str(exc).startswith(f"{ip}:") else lp
+            assert 0 <= exc.offset <= len(path.read_bytes())
+        else:
+            assert ds.images.shape == (len(ds), 1) + ds.images.shape[2:]
+            assert len(ds.labels) == len(ds)
+            assert 0 <= ds.images.min() and ds.images.max() <= 1
 
 
 class TestSynthBlobs:
