@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import copy
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError, StateError, ValidationError
-from .tensor_ops import as_tensor, im2col_indices
+from .tensor_ops import as_tensor, conv_output_size, im2col_indices
 
 _PARAM_KINDS = ("linear", "conv2d")
 
@@ -72,7 +73,28 @@ class MaskedLayer:
         """Alias of W, kept for perfbench/workloads.py; the package reads W."""
         return self.W
 
-    def conv_plan(self, h: int, w: int):
+    def output_shape(self, shape: tuple) -> tuple:
+        """One example's output shape for input ``shape``, or DimensionError:
+        the one shape rule that forward, the builders and load_checkpoint read."""
+        kind = self.kind
+        if kind == "relu":
+            return shape
+        if kind == "linear":
+            fan_in, fan_out = self.W.shape
+            if shape != (fan_in,):
+                raise DimensionError(f"linear layer expects ({fan_in},), got {shape}")
+            return (fan_out,)
+        if kind == "conv2d":
+            if len(shape) != 3 or shape[0] != self.in_channels:
+                raise DimensionError(
+                    f"conv layer expects ({self.in_channels}, h, w), got {shape}")
+            return (self.out_channels, *conv_output_size(
+                shape[1], shape[2], self.kernel_size, self.stride, self.pad))
+        if kind == "flatten":
+            return (math.prod(shape),)
+        raise ValidationError(f"unknown layer kind {kind!r}")
+
+    def conv_plan(self, h: int, w: int) -> np.ndarray:
         key = (h, w)
         if key not in self._plan:
             self._plan[key] = im2col_indices(
@@ -97,6 +119,13 @@ class Network:
 
     def prunable_indices(self) -> list:
         return [i for i, l in enumerate(self.layers) if l.parameterized and l.prunable]
+
+    def output_shape(self) -> tuple:
+        """One example's logits shape: each layer's rule from input_shape."""
+        shape = tuple(self.input_shape)
+        for layer in self.layers:
+            shape = layer.output_shape(shape)
+        return shape
 
     def clone(self) -> "Network":
         return copy.deepcopy(self)
@@ -131,43 +160,28 @@ def forward(net: Network, x) -> tuple:
     network's parameters.
     """
     x = as_tensor(x)
-    if x.shape[1:] != tuple(net.input_shape):
-        raise DimensionError(
-            f"input shape {x.shape[1:]} does not match network input "
-            f"shape {tuple(net.input_shape)}"
-        )
-    batch = x.shape[0]
-    inputs = []
-    cols = {}
-    a = x
+    shape = tuple(net.input_shape)
+    if x.shape[1:] != shape:
+        raise DimensionError(f"input shape {x.shape[1:]} does not match network "
+                             f"input shape {shape}")
+    batch, inputs, cols, a = x.shape[0], [], {}, x
     for li, layer in enumerate(net.layers):
         inputs.append(a)
+        out = layer.output_shape(shape)
         if layer.kind == "linear":
-            if a.ndim != 2 or a.shape[1] != layer.W.shape[0]:
-                raise DimensionError(
-                    f"linear layer {li} expects (batch, {layer.W.shape[0]}), "
-                    f"got {a.shape}"
-                )
             a = a @ layer.W + layer.b
         elif layer.kind == "conv2d":
-            if a.ndim != 4 or a.shape[1] != layer.in_channels:
-                raise DimensionError(
-                    f"conv layer {li} expects (batch, {layer.in_channels}, h, w), "
-                    f"got {a.shape}"
-                )
-            idx, (oh, ow) = layer.conv_plan(a.shape[2], a.shape[3])
-            flat = np.concatenate([a.reshape(batch, math.prod(a.shape[1:])),
+            idx = layer.conv_plan(shape[1], shape[2])
+            flat = np.concatenate([a.reshape(batch, math.prod(shape)),
                                    np.zeros((batch, 1))], axis=1)
             c = cols[li] = flat[:, idx]  # (batch, c_in*k*k, oh*ow)
-            z = np.matmul(layer.W, c) + layer.b[:, None]
-            a = z.reshape(batch, layer.out_channels, oh, ow)
+            a = (np.matmul(layer.W, c) + layer.b[:, None]).reshape((batch, *out))
         elif layer.kind == "relu":
             a = np.maximum(a, 0.0)
-        elif layer.kind == "flatten":
-            a = a.reshape(batch, math.prod(a.shape[1:]))
-        else:
-            raise ValidationError(f"unknown layer kind {layer.kind!r}")
-    if a.ndim != 2 or a.shape[1] != net.class_count:
+        else:  # flatten
+            a = a.reshape((batch, *out))
+        shape = out
+    if shape != (net.class_count,):
         raise DimensionError(
             f"network produced shape {a.shape}, expected (batch, {net.class_count})"
         )
@@ -239,7 +253,7 @@ def backward(
                 dW[li] = np.einsum("bos,bks->ok", dz, cache.cols[li])
                 db[li] = dz.sum(axis=(0, 2))
             dcols = np.matmul(layer.W.T, dz)
-            idx, _ = layer.conv_plan(h, w)
+            idx = layer.conv_plan(h, w)
             flat_idx = np.arange(0, batch * size, size)[:, None, None] + idx
             dflat = np.bincount(
                 flat_idx.ravel(), weights=dcols.ravel(), minlength=batch * size
@@ -264,101 +278,67 @@ def _kaiming_uniform(rng, shape, fan_in):
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _dense_layers(rng, widths) -> list:
-    """Linear layers widths[0] -> ... -> widths[-1], a ReLU between each two."""
-    layers = []
-    for fan_in, fan_out in zip(widths, widths[1:]):
-        if layers:
-            layers.append(MaskedLayer(kind="relu"))
-        layers.append(
-            MaskedLayer(
-                kind="linear",
-                W=_kaiming_uniform(rng, (fan_in, fan_out), fan_in),
-                b=np.zeros(fan_out),
-                prunable=True,
-            )
-        )
-    return layers
+def _build(input_shape, channels, widths, class_count: int, seed: int) -> Network:
+    """3x3, stride-1, pad-1 convs with the given channels, each then ReLU; a
+    flatten if the shape is not flat; linear layers to each of widths and to
+    class_count, ReLU between.  Each input width is read off output_shape."""
+    rng = np.random.default_rng(seed)
+    layers, shape = [], tuple(input_shape)
+
+    def add(layer):
+        nonlocal shape
+        shape = layer.output_shape(shape)
+        layers.append(layer)
+
+    for c_out in channels:
+        fan_in = shape[0] * 3 * 3
+        add(MaskedLayer(kind="conv2d",
+                        W=_kaiming_uniform(rng, (c_out, fan_in), fan_in),
+                        b=np.zeros(c_out), kernel_size=3, stride=1, pad=1,
+                        in_channels=shape[0], out_channels=c_out, prunable=True))
+        add(MaskedLayer(kind="relu"))
+    if len(shape) != 1:
+        add(MaskedLayer(kind="flatten"))
+    for i, fan_out in enumerate([*widths, class_count]):
+        if i:
+            add(MaskedLayer(kind="relu"))
+        add(MaskedLayer(kind="linear",
+                        W=_kaiming_uniform(rng, (shape[0], fan_out), shape[0]),
+                        b=np.zeros(fan_out), prunable=True))
+    return Network(layers, tuple(input_shape), class_count)
 
 
 def build_mlp(input_dim: int, hidden, class_count: int, seed: int = 0) -> Network:
     """Fully-connected ReLU network: input_dim -> hidden... -> class_count."""
-    layers = _dense_layers(np.random.default_rng(seed),
-                           [input_dim, *hidden, class_count])
-    return Network(layers=layers, input_shape=(input_dim,), class_count=class_count)
+    return _build((input_dim,), [], hidden, class_count, seed)
 
 
-def build_cnn(
-    input_shape,
-    channels,
-    fc_width: int,
-    class_count: int,
-    seed: int = 0,
-) -> Network:
-    """Two conv + two fc network on (c, h, w) inputs.
+def build_cnn(input_shape, channels, fc_width, class_count, seed=0) -> Network:
+    """3x3 convs with the given channel counts, then two fc layers."""
+    return _build(input_shape, channels, [fc_width], class_count, seed)
 
-    3x3 kernels at stride 1 and pad 1 keep the spatial size, so the flatten
-    width is channels[-1] * h * w.
-    """
-    c_in, h, w = input_shape
-    rng = np.random.default_rng(seed)
-    layers = []
-    prev = c_in
-    for c_out in channels:
-        fan_in = prev * 3 * 3
-        layers.append(
-            MaskedLayer(
-                kind="conv2d",
-                W=_kaiming_uniform(rng, (c_out, fan_in), fan_in),
-                b=np.zeros(c_out),
-                kernel_size=3,
-                stride=1,
-                pad=1,
-                in_channels=prev,
-                out_channels=c_out,
-                prunable=True,
-            )
-        )
-        layers.append(MaskedLayer(kind="relu"))
-        prev = c_out
-    layers.append(MaskedLayer(kind="flatten"))
-    layers += _dense_layers(rng, [prev * h * w, fc_width, class_count])
-    return Network(layers=layers, input_shape=tuple(input_shape), class_count=class_count)
+
+# positive decimal widths, "x"-separated
+_WIDTHS = "[1-9][0-9]*(?:x[1-9][0-9]*)*"
+_ARCH = re.compile(f"mlp(?:-({_WIDTHS}))?|cnn-({_WIDTHS})-([1-9][0-9]*)")
 
 
 def build_network(arch: str, input_shape, class_count: int, seed: int = 0) -> Network:
     """Construct a network from an architecture id.
 
     "mlp-64x32" is a ReLU MLP with hidden widths 64 and 32 ("mlp" alone is
-    logistic regression); "cnn-8x16-32" is two 3x3 convs with 8 and 16
-    channels followed by a 32-wide fc layer.  Non-flat input to an mlp gets
-    a flatten layer prepended.
+    logistic regression); "cnn-8x16-32" is 3x3 convs with 8 and 16
+    channels followed by a 32-wide fc layer, on (c, h, w) input.  Non-flat
+    input to an mlp gets a flatten layer first.  Any other id is a
+    ValidationError.
     """
-    input_shape = tuple(input_shape)
-    name, _, rest = arch.partition("-")
-    if name == "mlp":
-        try:
-            hidden = [int(t) for t in rest.split("x")] if rest else []
-        except ValueError:
-            raise ValidationError(f"bad mlp architecture id {arch!r}")
-        dim = int(np.prod(input_shape))
-        net = build_mlp(dim, hidden, class_count, seed=seed)
-        if len(input_shape) > 1:
-            net.layers.insert(0, MaskedLayer(kind="flatten"))
-            net.input_shape = input_shape
-        return net
-    if name == "cnn":
-        parts = rest.split("-")
-        if len(parts) != 2:
-            raise ValidationError(f"bad cnn architecture id {arch!r}")
-        try:
-            channels = [int(t) for t in parts[0].split("x")]
-            fc_width = int(parts[1])
-        except ValueError:
-            raise ValidationError(f"bad cnn architecture id {arch!r}")
-        if len(input_shape) != 3:
-            raise ValidationError(
-                f"cnn architecture needs (c, h, w) input, got {input_shape}"
-            )
-        return build_cnn(input_shape, channels, fc_width, class_count, seed=seed)
-    raise ValidationError(f"unknown architecture id {arch!r}")
+    match = _ARCH.fullmatch(arch)
+    if match is None:
+        raise ValidationError(f"unknown architecture id {arch!r}")
+    hidden, channels, fc = ([int(t) for t in g.split("x")] if g else []
+                            for g in match.groups())
+    if channels and len(input_shape) != 3:
+        raise ValidationError(
+            f"cnn architecture needs (c, h, w) input, got {tuple(input_shape)}"
+        )
+    return _build(input_shape, channels, hidden + fc, class_count, seed)

@@ -1,12 +1,13 @@
 """Dense float64 linear-algebra kernels.
 
-The gather plan that lowers a convolution to one matrix product
-(``im2col_indices``: it reads the unpadded input, and every padding tap
-points at one zero sentinel column after it), Frobenius norms, and layer
-spectra: LAPACK singular values (``numpy.linalg.svd``) with the one rule for
-condition number and numerical rank that every diagnostic uses. Everything
-works on plain ``numpy.ndarray`` values in 64-bit floats; all functions are
-pure and deterministic for fixed inputs.
+The one conv output-size formula (``conv_output_size``), the gather plan
+that lowers a convolution to one matrix product (``im2col_indices``: it
+reads the unpadded input, and every padding tap points at one zero sentinel
+column after it), Frobenius norms, and layer spectra: LAPACK singular
+values (``numpy.linalg.svd``) with the one rule for condition number and
+numerical rank that every diagnostic uses. Everything works on plain
+``numpy.ndarray`` values in 64-bit floats; all functions are pure and
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -37,17 +38,12 @@ def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def im2col_indices(c_in: int, h: int, w: int, kernel_size: int, stride: int = 1,
-                   pad: int = 0) -> tuple[np.ndarray, tuple[int, int]]:
-    """Gather indices that lower a convolution to one matrix product.
+def conv_output_size(h: int, w: int, kernel_size: int, stride: int = 1,
+                     pad: int = 0) -> tuple[int, int]:
+    """``(out_h, out_w)`` of a ``kernel_size`` convolution of an ``h x w``
+    input at ``stride`` with ``pad`` zeros on each side.
 
-    Returns ``(idx, (out_h, out_w))`` where ``idx`` has shape
-    ``(c_in * k * k, out_h * out_w)`` and indexes into the *flattened
-    unpadded* input of shape ``(c_in, h, w)`` followed by one zero sentinel
-    column: every tap that falls in the zero padding holds index
-    ``c_in * h * w``. Column j of the gathered matrix is the receptive field
-    of output position j (row-major over output positions; rows ordered
-    channel-major, then kernel row, then kernel column).
+    Allocates nothing, so it may be asked about any size.
     """
     if kernel_size < 1:
         raise ValidationError(f"kernel_size must be >= 1, got {kernel_size}")
@@ -56,12 +52,25 @@ def im2col_indices(c_in: int, h: int, w: int, kernel_size: int, stride: int = 1,
     if pad < 0:
         raise ValidationError(f"pad must be >= 0, got {pad}")
     hp, wp = h + 2 * pad, w + 2 * pad
-    out_h = (hp - kernel_size) // stride + 1
-    out_w = (wp - kernel_size) // stride + 1
-    if hp < kernel_size or wp < kernel_size or out_h < 1 or out_w < 1:
+    if hp < kernel_size or wp < kernel_size:
         raise DimensionError(
-            f"kernel {kernel_size} does not fit padded input {c_in}x{hp}x{wp}")
+            f"kernel {kernel_size} does not fit padded input {hp}x{wp}")
+    return (hp - kernel_size) // stride + 1, (wp - kernel_size) // stride + 1
 
+
+def im2col_indices(c_in: int, h: int, w: int, kernel_size: int, stride: int = 1,
+                   pad: int = 0) -> np.ndarray:
+    """Gather indices that lower a convolution to one matrix product.
+
+    Returns ``idx`` of shape ``(c_in * k * k, out_h * out_w)``, with the
+    output size of ``conv_output_size``.  It indexes into the *flattened
+    unpadded* input of shape ``(c_in, h, w)`` followed by one zero sentinel
+    column: every tap that falls in the zero padding holds index
+    ``c_in * h * w``. Column j of the gathered matrix is the receptive field
+    of output position j (row-major over output positions; rows ordered
+    channel-major, then kernel row, then kernel column).
+    """
+    out_h, out_w = conv_output_size(h, w, kernel_size, stride, pad)
     k = kernel_size
     # (channel, row, col) of each tap in the unpadded input; rows and cols
     # outside [0, h) x [0, w) are padding.
@@ -74,7 +83,7 @@ def im2col_indices(c_in: int, h: int, w: int, kernel_size: int, stride: int = 1,
     cols = kcol[:, None] + ocol[None, :]
     idx = chan[:, None] * (h * w) + rows * w + cols
     inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
-    return np.where(inside, idx, c_in * h * w), (out_h, out_w)
+    return np.where(inside, idx, c_in * h * w)
 
 
 def frobenius_norm_sq(m) -> float:

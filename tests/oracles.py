@@ -221,7 +221,7 @@ def im2col(x, kernel_size: int, stride: int = 1, pad: int = 0) -> np.ndarray:
     if a.ndim != 3:
         raise DimensionError(f"expected c x h x w input, got shape {a.shape}")
     c, h, w = a.shape
-    idx, _ = im2col_indices(c, h, w, kernel_size, stride, pad)
+    idx = im2col_indices(c, h, w, kernel_size, stride, pad)
     return np.append(a.ravel(), 0.0)[idx]
 
 

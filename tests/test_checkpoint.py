@@ -230,10 +230,14 @@ def _with(*keys, value=_DROP):
     return edit
 
 
+def _unparameterized(header):
+    """No edit: the case saves a network of relu and flatten layers only."""
+
+
 class TestHeaderSchema:
-    """Headers with a valid checksum but a bad schema are format errors,
-    most at the header's offset, 12.  The oversized inputs are ones numpy
-    refuses at once."""
+    """Headers with a valid checksum but a bad schema are format errors at
+    the header's offset, 12.  The loader checks the declared input by shape
+    arithmetic alone, so no input size allocates anything."""
 
     @pytest.mark.parametrize("edit", [
         lambda h: [h],
@@ -242,7 +246,7 @@ class TestHeaderSchema:
         _with("momentum"),
         _with("momentum", value=0),
         _with("layers", value={"0": {"kind": "conv2d"}}),
-        _with("layers", value=[{"kind": "relu"}]),
+        _unparameterized,
         _with("layers", 0, "w_shape"),
         _with("layers", 0, "w_shape", value=[-1, 2]),
         _with("layers", 0, "w_shape", value=[4.0, 9]),
@@ -257,6 +261,7 @@ class TestHeaderSchema:
         _with("class_count", value=4),
         _with("input_shape", value=[10 ** 12]),
         _with("input_shape", value=[1, 10 ** 6, 10 ** 6]),
+        _with("input_shape", value=[1, 600, 600]),
     ], ids=[
         "not-an-object", "not-json", "deeply-nested", "no-momentum",
         "momentum-not-bool", "layers-not-a-list", "no-parameterized-layer",
@@ -264,22 +269,35 @@ class TestHeaderSchema:
         "unknown-kind", "kernel-mismatch", "zero-stride", "no-prunable",
         "flat-input-shape", "channel-misfit", "zero-input-shape",
         "class-count-misfit", "huge-flat-input", "huge-image-input",
+        "large-image-input",
     ])
     def test_rejected_with_fresh_crc(self, tmp_path, capsys, edit):
         path = tmp_path / "c.tscn"
-        save_checkpoint(path, build_cnn((1, 6, 6), [4], 10, 3, seed=5))
+        net = build_cnn((1, 6, 6), [4], 10, 3, seed=5)
+        if edit is _unparameterized:
+            # the header lists no blob and the payload is empty
+            net.layers = [l for l in net.layers if not l.parameterized]
+        save_checkpoint(path, net)
         rewrite_header(path, edit)
         with pytest.raises(FormatError) as err:
             load_checkpoint(path)
-        # a layer list that reads no blob leaves the whole payload as
-        # trailing bytes, reported where the payload starts
-        hlen = struct.unpack("<I", path.read_bytes()[8:12])[0]
-        offset = 12 + hlen + 4 if "trailing" in str(err.value) else 12
-        assert err.value.offset == offset
+        assert err.value.offset == 12
+        if edit is _unparameterized:
+            assert str(err.value).endswith("no parameterized layer")
         assert main(["--quiet", "inspect", "--checkpoint", str(path)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith(f"data format error at offset {offset}: ")
+        assert err.startswith("data format error at offset 12: ")
         assert err.count("\n") == 1
+
+    def test_loading_builds_no_gather_plan(self, tmp_path):
+        # composition is checked by shapes; the first forward builds the plan
+        path = tmp_path / "c.tscn"
+        save_checkpoint(path, build_cnn((1, 6, 6), [2, 3], 10, 3, seed=5))
+        net = load_checkpoint(path).net
+        convs = [l for l in net.layers if l.kind == "conv2d"]
+        assert len(convs) == 2 and all(not l._plan for l in convs)
+        forward(net, np.zeros((1, 1, 6, 6)))
+        assert all(list(l._plan) == [(6, 6)] for l in convs)
 
 
 class TestOffsets:

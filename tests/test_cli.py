@@ -162,6 +162,16 @@ class TestTrain:
         assert "configuration error" in proc.stderr
         assert not (tmp_path / "o" / "model.tscn").exists()
 
+    def test_zero_width_architecture_exits_2(self, tmp_path, config_path):
+        doc = json.loads(config_path.read_text())
+        doc["architecture"] = "mlp-0"
+        config_path.write_text(json.dumps(doc))
+        proc = run_cli("--quiet", "train", "--config", str(config_path),
+                       "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stderr == "configuration error: unknown architecture id 'mlp-0'\n"
+        assert not (tmp_path / "o" / "model.tscn").exists()
+
     def test_divergence_exits_4(self, tmp_path, config_path):
         doc = json.loads(config_path.read_text())
         doc["lr"] = 1e9

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from oracles import apply_scaling, col2im_add_at
 from tscnc.checkpoint import load_checkpoint, save_checkpoint
@@ -19,6 +21,7 @@ from tscnc.network import (
     input_gradient,
 )
 from tscnc.pruning import apply_masks
+from tscnc.tensor_ops import conv_output_size
 from tscnc.trainer import sgd_step
 
 
@@ -362,7 +365,7 @@ class TestBackward:
         logits, cache = forward(net, rng.normal(size=(batch, c_in, h, w)))
         gl = rng.normal(size=logits.shape)
         dcols = np.matmul(layer.W.T, gl.reshape(batch, c_out, -1))
-        idx, _ = layer.conv_plan(h, w)
+        idx = layer.conv_plan(h, w)
         want = col2im_add_at(dcols, idx, (batch, c_in, h, w))
         for weights in (True, False):
             got = backward(net, cache, gl, weights=weights).input
@@ -504,13 +507,92 @@ class TestBuilders:
         assert logits.shape == (2, 10)
 
     def test_unknown_architecture_rejected(self):
-        for arch in ("vgg-16", "mlp-abc", "cnn-4", "cnn-4x6-x"):
-            with pytest.raises(ValidationError):
-                build_network(arch, (4,), 2, seed=0)
+        # widths are positive decimals: no zero, sign, space or underscore
+        for arch in ("vgg-16", "mlp-abc", "cnn-4", "cnn-4x6-x", "mlp-0",
+                     "mlp--1", "cnn-0-3", "cnn-4x0-8", "mlp-3_0", "mlp-+3",
+                     "mlp- 3"):
+            for shape in ((4,), (1, 4, 4)):
+                with pytest.raises(ValidationError):
+                    build_network(arch, shape, 2, seed=0)
 
     def test_logistic_regression_id(self):
         net = build_network("mlp", (7,), 3, seed=0)
         assert len([l for l in net.layers if l.parameterized]) == 1
+
+
+def check_shape_rule(net, x):
+    """Forward x through net; the shape rule must predict every shape seen."""
+    logits, cache = forward(net, x)
+    assert net.output_shape() == logits.shape[1:]
+    seen = cache.inputs + [logits]
+    for li, layer in enumerate(net.layers):
+        assert layer.output_shape(seen[li].shape[1:]) == seen[li + 1].shape[1:]
+
+
+# Hypothesis: well-formed mlp and cnn ids, and ids joined from any name and
+# groups, malformed widths among them.  Every width drawn is at most 200, so
+# no draw asks numpy for a large array.
+_RULE_SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                          max_examples=120,
+                          suppress_health_check=[HealthCheck.too_slow])
+_MALFORMED = ["0", "", "-1", "03", "3_0", "+3", " 3", "x", "a"]
+_WIDTH = st.integers(1, 200).map(str)
+_GROUP = st.lists(_WIDTH, min_size=1, max_size=2).map("x".join)
+_IDS = (st.builds("mlp-{}".format, _GROUP)
+        | st.builds("cnn-{}-{}".format, _GROUP, _WIDTH)
+        | st.builds(
+            lambda name, groups: "-".join([name, *groups]),
+            st.sampled_from(["mlp", "cnn", "vgg"]),
+            st.lists(_GROUP | st.sampled_from(_MALFORMED), max_size=3)))
+_SHAPES = (st.tuples(st.integers(1, 6))
+           | st.tuples(st.integers(1, 2), st.integers(1, 4), st.integers(1, 4)))
+
+
+class TestShapeRule:
+    @_RULE_SETTINGS
+    @given(arch=_IDS, shape=_SHAPES, classes=st.integers(1, 4),
+           seed=st.integers(0, 3))
+    def test_short_ids_build_or_raise_validation_error(self, arch, shape,
+                                                       classes, seed):
+        try:
+            net = build_network(arch, shape, classes, seed=seed)
+        except ValidationError:
+            return
+        x = np.random.default_rng(seed).normal(size=(3,) + shape)
+        check_shape_rule(net, x)
+        assert net.output_shape() == (classes,)
+
+    @_RULE_SETTINGS
+    @given(k=st.integers(1, 4), stride=st.integers(1, 3), pad=st.integers(0, 2),
+           h=st.integers(1, 7), w=st.integers(1, 7))
+    @example(k=3, stride=2, pad=0, h=7, w=6)
+    def test_conv_geometry(self, k, stride, pad, h, w):
+        rng = np.random.default_rng(k + 10 * stride + 100 * pad)
+        conv = MaskedLayer(kind="conv2d", W=rng.normal(size=(2, 2 * k * k)),
+                           b=rng.normal(size=2), kernel_size=k, stride=stride,
+                           pad=pad, in_channels=2, out_channels=2)
+        layers = [conv, MaskedLayer(kind="relu"), MaskedLayer(kind="flatten")]
+        x = rng.normal(size=(2, 2, h, w))
+        if h + 2 * pad < k or w + 2 * pad < k:
+            with pytest.raises(DimensionError):
+                conv_output_size(h, w, k, stride, pad)
+            with pytest.raises(DimensionError):
+                forward(Network(layers, (2, h, w), 1), x)
+            return
+        oh = (h + 2 * pad - k) // stride + 1
+        ow = (w + 2 * pad - k) // stride + 1
+        assert conv_output_size(h, w, k, stride, pad) == (oh, ow)
+        check_shape_rule(Network(layers, (2, h, w), 2 * oh * ow), x)
+
+    def test_rule_rejects_shapes_a_layer_cannot_take(self):
+        net = build_cnn((1, 5, 5), [2], 6, 3, seed=0)
+        conv, linear = net.layers[0], net.layers[3]
+        for layer, shape in ((conv, (2, 5, 5)), (conv, (5, 5)),
+                             (linear, (49,)), (linear, (1, 50))):
+            with pytest.raises(DimensionError):
+                layer.output_shape(shape)
+        with pytest.raises(ValidationError):
+            MaskedLayer(kind="pool").output_shape((1, 5, 5))
 
 
 # ---------------------------------------------------------------- masks

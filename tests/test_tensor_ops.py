@@ -140,7 +140,10 @@ class TestIm2col:
     @pytest.mark.parametrize("pad", [0, 1])
     def test_padding_taps_and_only_they_hit_the_sentinel(self, stride, pad):
         c_in, h, w, k = 2, 5, 4, 3
-        idx, (out_h, out_w) = im2col_indices(c_in, h, w, k, stride, pad)
+        idx = im2col_indices(c_in, h, w, k, stride, pad)
+        out_h = (h + 2 * pad - k) // stride + 1
+        out_w = (w + 2 * pad - k) // stride + 1
+        assert idx.shape == (c_in * k * k, out_h * out_w)
         sentinel = c_in * h * w
         for row in range(c_in * k * k):
             c, ki, kj = row // (k * k), row // k % k, row % k
