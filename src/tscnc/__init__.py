@@ -20,7 +20,8 @@ from .metrics import (
     local_lipschitz_estimate,
     robustness_radius,
 )
-from .network import Network, backward, build_network, cross_entropy, forward
+from .network import (Network, backward, build_network, cross_entropy, forward,
+                      loss_gradients)
 from .pruning import PruneSpec, apply_masks, prune_report, saliency, select_mask
 from .tensor_ops import INFINITE, layer_spectrum
 from .trainer import (TrainConfig, config_from_dict, evaluate, run_tscnc,
@@ -37,6 +38,7 @@ __all__ = [
     "check_eq7", "condition_constraint", "condition_report",
     "local_lipschitz_estimate", "robustness_radius",
     "Network", "backward", "build_network", "cross_entropy", "forward",
+    "loss_gradients",
     "PruneSpec", "apply_masks", "prune_report", "saliency", "select_mask",
     "INFINITE", "layer_spectrum",
     "TrainConfig", "config_from_dict", "evaluate", "run_tscnc", "score_weights",

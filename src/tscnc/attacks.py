@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .network import Network, input_gradient
+from .network import Network, loss_gradients
 from .tensor_ops import as_tensor
 
 
@@ -69,7 +69,7 @@ def pgd(net: Network, x, y, spec: AttackSpec, rng=None) -> np.ndarray:
         adv = np.clip(adv, lo, hi)
         adv = x0 + np.clip(adv - x0, -eps, eps)
     for _ in range(spec.steps):
-        g = input_gradient(net, adv, y)
+        g = loss_gradients(net, adv, y, weights=False)[1].input
         adv = adv + spec.step_size * np.sign(g)
         adv = np.clip(adv, lo, hi)
         adv = x0 + np.clip(adv - x0, -eps, eps)

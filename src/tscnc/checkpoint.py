@@ -93,9 +93,12 @@ def save_checkpoint(path, net: Network, state: dict | None = None) -> None:
 
 
 def _floats(buf, pos, shape, path):
-    """A writable float64 array of shape read at pos, and the offset past it."""
-    arr, pos = read_array(buf, pos, "<f8", math.prod(shape), path)
-    return arr.reshape(shape).copy(), pos
+    """A writable, finite float64 array of shape read at pos, and the offset
+    past it; a NaN or infinity is a FormatError at pos."""
+    arr, end = read_array(buf, pos, "<f8", math.prod(shape), path)
+    if not np.isfinite(arr).all():
+        raise FormatError(f"{path}: non-finite value in a float blob", offset=pos)
+    return arr.reshape(shape).copy(), end
 
 
 def _field(d, key, kind, path, low=None):

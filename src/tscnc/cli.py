@@ -1,7 +1,8 @@
 """Command-line front end: train, prune, evaluate, inspect.
 
-Exit codes: 0 success, 2 configuration problems, 3 data-format and file i/o
-problems (including data whose shape or labels do not fit the checkpoint, and
+Exit codes: 0 success, 2 configuration problems (a size that does not fit in
+memory included), 3 data-format and file i/o problems (including data whose
+shape or labels do not fit the checkpoint, a non-finite checkpoint value, and
 a failed write of any output file), 4 divergence during training.
 """
 
@@ -82,18 +83,20 @@ def _write_json(path, doc):
 def _cmd_train(args):
     config = _load_config(args.config, args.seed)
     os.makedirs(args.out, exist_ok=True)
+    records = []
 
     def on_epoch(rec):
+        records.append(rec)
         robust = " ".join(f"{k}={v:.4f}" for k, v in rec.robust_acc.items())
         _print(args, f"epoch {rec.epoch} lr={rec.lr:g} "
                      f"clean={rec.clean_acc:.4f} {robust} "
                      f"loss={rec.loss_total:.4f} kappa_max={rec.kappa_max:.4g}")
 
     try:
-        net, records = run_tscnc(config, on_epoch=on_epoch)
+        net, _ = run_tscnc(config, on_epoch=on_epoch)
     except DivergenceError as exc:
-        if exc.records:
-            write_metrics(exc.records, os.path.join(args.out, "metrics"))
+        if records:
+            write_metrics(records, os.path.join(args.out, "metrics"))
         print(f"training diverged: {exc}", file=sys.stderr)
         return 4
     save_checkpoint(
@@ -173,13 +176,14 @@ def _cmd_inspect(args):
         _print(args, f"bound check skipped: {net.class_count} class, no "
                      "rival to compare against")
         return 0
-    x = np.full(net.input_shape, 0.5)
-    logits, _ = forward(net, x[None])
-    order = np.argsort(logits[0])[::-1]
-    k = int(order[1])
     try:
+        x = np.full(net.input_shape, 0.5)
+        k = int(np.argsort(forward(net, x[None])[0][0])[-2])
         eq7 = check_eq7(net, x, k, r=0.1, q=2, n=200,
                         seed=args.seed if args.seed is not None else 0)
+    except MemoryError as exc:
+        raise FormatError(f"{args.checkpoint}: input_shape {list(net.input_shape)}"
+                          f" does not fit in memory: {exc}", offset=12) from exc
     except ValidationError as exc:
         _print(args, f"bound check skipped: {exc}")
         return 0
@@ -239,7 +243,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ConfigError, ValidationError) as exc:
+    # a config key or --data sets these sizes; inspect's own are FormatErrors
+    except (ConfigError, ValidationError, MemoryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except FormatError as exc:

@@ -14,14 +14,7 @@ class ValidationError(TscncError):
 
 
 class NumericError(TscncError):
-    """A numerical kernel failed, such as an SVD that did not converge.
-
-    ``residual`` carries the kernel's remaining error when it reports one.
-    """
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """A numerical kernel failed, such as an SVD that did not converge."""
 
 
 class StateError(TscncError):
@@ -41,8 +34,5 @@ class ConfigError(TscncError):
 
 
 class DivergenceError(TscncError):
-    """Training produced non-finite losses; carries the metrics recorded so far."""
-
-    def __init__(self, message, records=()):
-        super().__init__(message)
-        self.records = list(records)
+    """Training produced non-finite losses; the epochs recorded before it
+    reach the caller through ``run_tscnc``'s ``on_epoch`` only."""

@@ -8,16 +8,17 @@ condition-number and saliency paths is the storage layout itself.
 
 ``backward`` returns the input gradient and each parameterized layer's dW
 and db; ``backward(..., weights=False)`` computes the input gradient only,
-for attacks and Lipschitz estimates.  A conv layer gathers its patches from
-its flattened input with one zero sentinel column appended, where every
-padding tap points.  Its input gradient is scattered back by one
-``np.bincount`` that drops the sentinel bin; it adds in the same order as an
-element-wise ``np.add.at`` scatter and so gives the same bits.
+for attacks and Lipschitz estimates.  ``loss_gradients`` is the one
+cross-entropy pass (forward, loss, backward) that attacks, saliency and
+training run.  A conv layer gathers its patches from its flattened input
+with one zero sentinel column appended, where every padding tap points.  Its
+input gradient is scattered back by one ``np.bincount`` that drops the
+sentinel bin; it adds in the same order as an element-wise ``np.add.at``
+scatter and so gives the same bits.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import re
 from dataclasses import dataclass, field
@@ -126,9 +127,6 @@ class Network:
         for layer in self.layers:
             shape = layer.output_shape(shape)
         return shape
-
-    def clone(self) -> "Network":
-        return copy.deepcopy(self)
 
 
 @dataclass
@@ -266,11 +264,12 @@ def backward(
     return Gradients(input=grad, weight=dW, bias=db)
 
 
-def input_gradient(net: Network, x, y) -> np.ndarray:
-    """Gradient of the mean cross-entropy loss w.r.t. the input batch."""
+def loss_gradients(net: Network, x, y, *, weights: bool = True) -> tuple:
+    """(mean cross-entropy loss, Gradients) of net on the batch (x, y): one
+    forward, cross_entropy and backward, passing weights to backward."""
     logits, cache = forward(net, x)
-    _, grad_logits = cross_entropy(logits, y)
-    return backward(net, cache, grad_logits, weights=False).input
+    loss, grad_logits = cross_entropy(logits, y)
+    return loss, backward(net, cache, grad_logits, weights=weights)
 
 
 def _kaiming_uniform(rng, shape, fan_in):

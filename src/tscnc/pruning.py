@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .network import Network, backward, cross_entropy, forward
+from .network import Network, loss_gradients
 
 
 @dataclass
@@ -57,9 +57,7 @@ def saliency(net: Network, batches) -> dict:
     totals = {li: np.zeros_like(net.layers[li].W) for li in prunable}
     count = 0
     for x_adv, y in batches:
-        logits, cache = forward(net, x_adv)
-        _, grad_logits = cross_entropy(logits, y)
-        grads = backward(net, cache, grad_logits)
+        grads = loss_gradients(net, x_adv, y)[1]
         for li in prunable:
             totals[li] += taylor_scores(net.layers[li].W, grads.weight[li])
         count += 1

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, NumericError, ValidationError
 
@@ -72,18 +73,13 @@ def im2col_indices(c_in: int, h: int, w: int, kernel_size: int, stride: int = 1,
     """
     out_h, out_w = conv_output_size(h, w, kernel_size, stride, pad)
     k = kernel_size
-    # (channel, row, col) of each tap in the unpadded input; rows and cols
-    # outside [0, h) x [0, w) are padding.
-    chan = np.repeat(np.arange(c_in), k * k)                       # (c*k*k,)
-    krow = np.tile(np.repeat(np.arange(k), k), c_in)
-    kcol = np.tile(np.arange(k), c_in * k)
-    orow = stride * np.repeat(np.arange(out_h), out_w) - pad       # (s_z,)
-    ocol = stride * np.tile(np.arange(out_w), out_h) - pad
-    rows = krow[:, None] + orow[None, :]
-    cols = kcol[:, None] + ocol[None, :]
-    idx = chan[:, None] * (h * w) + rows * w + cols
-    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
-    return np.where(inside, idx, c_in * h * w)
+    # each input position's flat index; the padding ring holds the sentinel
+    grid = np.full((c_in, h + 2 * pad, w + 2 * pad), c_in * h * w)
+    grid[:, pad : pad + h, pad : pad + w] = np.arange(c_in * h * w).reshape(c_in, h, w)
+    win = sliding_window_view(grid, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    # (c, out_h, out_w, k, k) -> (c, k, k, out_h, out_w)
+    return np.ascontiguousarray(
+        win.transpose(0, 3, 4, 1, 2).reshape(c_in * k * k, out_h * out_w))
 
 
 def frobenius_norm_sq(m) -> float:

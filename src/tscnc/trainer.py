@@ -18,8 +18,7 @@ from .attacks import AttackSpec, pgd
 from .data import Dataset, load_dataset
 from .errors import ConfigError, DimensionError, DivergenceError, ValidationError
 from .metrics import LayerCondition, condition_constraint, condition_report
-from .network import (Gradients, Network, backward, build_network, cross_entropy,
-                      forward)
+from .network import Gradients, Network, build_network, forward, loss_gradients
 from .pruning import (
     PruneSpec,
     apply_masks,
@@ -242,11 +241,9 @@ def _train_epoch(net, data, config, lr, velocity, rng):
     total = 0.0
     batches = 0
     for x_adv, yb in _adversarial_batches(net, data, config, rng):
-        logits, cache = forward(net, x_adv)
-        loss_e, grad_logits = cross_entropy(logits, yb)
+        loss_e, grads = loss_gradients(net, x_adv, yb)
         if not np.isfinite(loss_e):
             return float("nan")
-        grads = backward(net, cache, grad_logits)
         if config.lam > 0.0:
             cc = condition_constraint(net, config.tau)[1]
             for li in grads.weight:
@@ -349,7 +346,7 @@ def run_tscnc(config: TrainConfig, data: Dataset | None = None,
         if not np.isfinite(loss_e):
             where = (f"in warmup epoch {epoch - start}" if epoch < 0
                      else f"at epoch {epoch}")
-            raise DivergenceError(f"non-finite loss {where}", records=records)
+            raise DivergenceError(f"non-finite loss {where}")
         if epoch < 0:
             continue
         rec = _record(net, config, epoch, lr, loss_e, data,

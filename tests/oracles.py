@@ -22,6 +22,7 @@ byte edits behind the property tests of the two binary loaders.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,15 @@ from tscnc.tensor_ops import (
     frobenius_norm_sq,
     im2col_indices,
 )
+
+
+class ConvergenceError(NumericError):
+    """An oracle iteration stopped short of its tolerance; ``residual`` is
+    the error it had left."""
+
+    def __init__(self, message, residual):
+        super().__init__(message)
+        self.residual = residual
 
 
 @dataclass
@@ -56,7 +66,7 @@ def spectral_norm(m, tol: float = 1e-10, max_iter: int = 20000) -> float:
 
     Raises
     ------
-    NumericError
+    ConvergenceError
         If the iteration cap is reached before the estimate stabilises to
         ``tol`` (relative); the exception carries the last residual.
     """
@@ -83,7 +93,7 @@ def spectral_norm(m, tol: float = 1e-10, max_iter: int = 20000) -> float:
         if abs(new_sigma - sigma) <= tol * max(1.0, new_sigma):
             return float(new_sigma)
         sigma = new_sigma
-    raise NumericError(
+    raise ConvergenceError(
         f"power iteration did not converge in {max_iter} iterations",
         residual=abs(new_sigma - sigma))
 
@@ -121,7 +131,7 @@ def svd(m, compute_vectors: bool = False, tol: float = 1e-12,
 
     Raises
     ------
-    NumericError
+    ConvergenceError
         If convergence is not reached within ``max_sweeps`` sweeps; the
         exception carries the remaining off-diagonal mass.
     """
@@ -171,7 +181,7 @@ def svd(m, compute_vectors: bool = False, tol: float = 1e-12,
         if off <= tol:
             break
     else:
-        raise NumericError(
+        raise ConvergenceError(
             f"Jacobi SVD did not converge in {max_sweeps} sweeps",
             residual=off)
 
@@ -261,7 +271,7 @@ def apply_scaling(net: Network, layer: int, mu: float) -> Network:
             )
     if nxt is None:
         raise ValidationError(f"no parameterized layer follows layer {layer}")
-    out = net.clone()
+    out = copy.deepcopy(net)
     out.layers[layer].W = out.layers[layer].W * mu
     out.layers[layer].b = out.layers[layer].b * mu
     out.layers[nxt].W = out.layers[nxt].W / mu

@@ -8,6 +8,8 @@ single [PASS]/[FAIL] line so the whole gate can be read off a terminal, and
 asserts the same condition so pytest enforces it.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -82,7 +84,7 @@ class TestGradientExactness:
             # the loss in every entry of W; difference an unmasked clone, whose
             # W still holds 0.0 at the masked entries, so the oracle measures
             # the same function and may perturb those entries too
-            probe = net.clone()
+            probe = copy.deepcopy(net)
             apply_masks(probe, {li: np.ones_like(probe.layers[li].Z)
                                 for li in probe.parameterized_indices()})
             for li in net.parameterized_indices():
@@ -478,7 +480,7 @@ class TestMaskedLipschitz:
         for alpha in (0.0, 0.25, 0.5, 0.75):
             vals = []
             for ms in range(20):
-                masked = net.clone()
+                masked = copy.deepcopy(net)
                 apply_masks(masked, random_bernoulli_masks(masked, alpha, seed=1000 + ms))
                 logits, _ = forward(masked, x[None])
                 yhat = int(np.argmax(logits[0]))

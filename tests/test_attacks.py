@@ -68,6 +68,10 @@ class TestAttackSpec:
         with pytest.raises(ValidationError):
             AttackSpec(0.1, 0.1, 1, clamp=(1.0, 0.0)).validate()
 
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ValidationError, match="steps must be non-negative"):
+            AttackSpec(0.1, 0.1, steps=-1).validate()
+
     @pytest.mark.parametrize("eps, step", [
         (float("nan"), 0.1), (float("inf"), 0.1), (0.1, float("nan")),
         (0.1, float("inf")), (0.0, float("nan")),

@@ -197,6 +197,62 @@ class TestCorruption:
             load_checkpoint(path)
 
 
+def payload_start(path):
+    """File offset of the first payload byte: past the header and its CRC."""
+    return 12 + struct.unpack("<I", path.read_bytes()[8:12])[0] + 4
+
+
+def rewrite_payload(path, offset, data):
+    """Write data at offset, inserting it when offset is the payload CRC's,
+    and store a fresh payload CRC."""
+    raw = path.read_bytes()
+    end = len(raw) - 4
+    tail = raw[offset + len(data) : end] if offset < end else b""
+    payload = raw[payload_start(path) : offset] + data + tail
+    path.write_bytes(raw[: payload_start(path)] + payload
+                     + struct.pack("<I", zlib.crc32(payload)))
+
+
+class TestFreshPayloadCrc:
+    """Payload edits under a recomputed CRC are caught by the payload reads."""
+
+    def test_trailing_payload_bytes(self, tmp_path):
+        path = tmp_path / "m.tscn"
+        save_checkpoint(path, build_mlp(5, [4], 3, seed=7))
+        end = len(path.read_bytes()) - 4
+        rewrite_payload(path, end, b"\x00" * 8)
+        with pytest.raises(FormatError, match="8 unexpected trailing bytes") as err:
+            load_checkpoint(path)
+        assert err.value.offset == end
+
+    # file offsets, from the payload start, of the blobs of build_mlp(5, [4],
+    # 3) saved with momentum: layer 0's W (5x4), b (4), 3-byte mask, momentum
+    # W and b, then layer 2's W (4x3)
+    @pytest.mark.parametrize("start, index", [
+        (0, 7), (160, 2), (195, 19), (355, 0), (387, 11),
+    ], ids=["W", "b", "momentum-W", "momentum-b", "second-layer-W"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_at_its_blob_offset(self, tmp_path, capsys, start,
+                                                 index, value):
+        net = build_mlp(5, [4], 3, seed=7)
+        momentum = {li: {"W": np.zeros_like(net.layers[li].W),
+                         "b": np.zeros_like(net.layers[li].b)}
+                    for li in net.parameterized_indices()}
+        path = tmp_path / "m.tscn"
+        save_checkpoint(path, net, state={"momentum": momentum})
+        blob = payload_start(path) + start
+        rewrite_payload(path, blob + 8 * index, struct.pack("<d", value))
+        with pytest.raises(FormatError, match="non-finite") as err:
+            load_checkpoint(path)
+        assert err.value.offset == blob
+        for argv in (["inspect"], ["evaluate", "--data", "blobs-c3-d5-n4-s0.1",
+                                   "--attacks", "fgsm:0.1"]):
+            assert main(["--quiet", *argv, "--checkpoint", str(path)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"data format error at offset {blob}: ")
+            assert err.count("\n") == 1
+
+
 _DROP = object()
 
 

@@ -8,12 +8,17 @@ import sys
 
 import numpy as np
 import pytest
+from test_checkpoint import rewrite_header
 
 import tscnc
 from tscnc import cli
-from tscnc.checkpoint import load_checkpoint
+from tscnc.checkpoint import load_checkpoint, save_checkpoint
 from tscnc.cli import _parse_attacks, main
-from tscnc.errors import ConfigError
+from tscnc.errors import ConfigError, DivergenceError
+from tscnc.metrics_io import write_metrics
+from tscnc.network import build_cnn, build_mlp
+from tscnc.pruning import apply_masks
+from tscnc.trainer import config_from_dict, run_tscnc
 
 
 @pytest.fixture()
@@ -36,14 +41,21 @@ def config_path(tmp_path):
     return path
 
 
-def run_cli(*args, **env):
+def run_cli(*args, preexec_fn=None, **env):
     """`python -m tscnc.cli ARGS` in a subprocess, with this package on the path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(tscnc.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "tscnc.cli", *args],
-        env=dict(os.environ, PYTHONPATH=path, **env),
+        env=dict(os.environ, PYTHONPATH=path, **env), preexec_fn=preexec_fn,
         capture_output=True, text=True, timeout=300)
+
+
+def limit_address_space():
+    """Cap the calling process's address space at 2 GB (a preexec_fn)."""
+    import resource
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 1024 ** 3, hard))
 
 
 @pytest.fixture()
@@ -172,17 +184,37 @@ class TestTrain:
         assert proc.stderr == "configuration error: unknown architecture id 'mlp-0'\n"
         assert not (tmp_path / "o" / "model.tscn").exists()
 
-    def test_divergence_exits_4(self, tmp_path, config_path):
+    @staticmethod
+    def _diverging(config_path):
         doc = json.loads(config_path.read_text())
         doc["lr"] = 1e9
         doc["warmup_epochs"] = 0
         doc["prune"] = {"sparsity": 0.0}
         doc["epochs"] = 20
         config_path.write_text(json.dumps(doc))
+        return doc
+
+    def test_divergence_exits_4(self, tmp_path, config_path):
+        self._diverging(config_path)
         with np.errstate(all="ignore"):
             rc = main(["--quiet", "train", "--config", str(config_path),
                        "--out", str(tmp_path / "o")])
         assert rc == 4
+
+    def test_divergence_writes_the_epochs_before_it(self, tmp_path, config_path):
+        records = []
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError):
+                run_tscnc(config_from_dict(self._diverging(config_path)),
+                          on_epoch=records.append)
+            rc = main(["--quiet", "train", "--config", str(config_path),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 4 and records
+        os.makedirs(tmp_path / "want")
+        write_metrics(records, str(tmp_path / "want" / "metrics"))
+        for name in ("metrics.csv", "metrics.json"):
+            got = (tmp_path / "o" / name).read_bytes()
+            assert got == (tmp_path / "want" / name).read_bytes()
 
 
 class TestPrune:
@@ -519,6 +551,80 @@ class TestMalformedInputs:
         rc = main(["inspect", "--checkpoint", str(out / "model.tscn")])
         assert rc == 0
         assert "bound check skipped" in capsys.readouterr().out
+
+    def test_inspect_tied_logits_skip_bound_check(self, tmp_path, capsys):
+        # every weight masked: both logits are 0, so the runner-up is the
+        # predicted class and check_eq7 has no margin to bound
+        net = build_mlp(3, [4], 2, seed=0)
+        apply_masks(net, {li: np.zeros_like(net.layers[li].Z)
+                          for li in net.parameterized_indices()})
+        path = tmp_path / "tied.tscn"
+        save_checkpoint(path, net)
+        assert main(["inspect", "--checkpoint", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "bound check skipped: comparison class 0 equals the predicted " \
+               "class" in out
+        assert "bound check against" not in out
+
+
+class TestOversized:
+    """A size from a config key or --data that does not fit in memory is a
+    config error: exit 2 and one line; one a checkpoint declares is a format
+    error: exit 3.  Each run caps its address space, so the allocation fails
+    at once; with memory overcommit an uncapped one can succeed and the OS
+    kills the process later.  One BLAS thread keeps OpenBLAS's per-thread
+    buffers from using up the cap before the CLI starts."""
+
+    @pytest.mark.parametrize("over", [
+        {"architecture": "mlp-1000000000000"},
+        {"architecture": "cnn-2-1000000000000",
+         "dataset": "blobs-c3-d16-n10-s0.1-i1x4x4"},
+        {"dataset": "blobs-c2-d1000000000000-n1-s0.1"},
+        {"dataset": "blobs-c2-d4-n1000000000000-s0.1"},
+    ], ids=["mlp-width", "cnn-fc-width", "blobs-dim", "blobs-count"])
+    def test_train(self, tmp_path, config_path, over):
+        pytest.importorskip("resource")
+        doc = json.loads(config_path.read_text())
+        config_path.write_text(json.dumps({**doc, **over}))
+        proc = run_cli("--quiet", "train", "--config", str(config_path),
+                       "--out", str(tmp_path / "o"),
+                       preexec_fn=limit_address_space, OPENBLAS_NUM_THREADS="1")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("configuration error: Unable to allocate")
+        assert proc.stderr.count("\n") == 1
+
+    def test_evaluate_data(self, trained):
+        pytest.importorskip("resource")
+        proc = run_cli("evaluate", "--checkpoint", str(trained / "model.tscn"),
+                       "--attacks", "fgsm:0.1",
+                       "--data", "blobs-c2-d1000000000000-n1-s0.1",
+                       preexec_fn=limit_address_space, OPENBLAS_NUM_THREADS="1")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("configuration error: Unable to allocate")
+        assert proc.stderr.count("\n") == 1
+
+    # a stride that maps the declared image onto the conv's 6x6 output keeps
+    # the loader's shape walk intact, so only inspect's probe input (a) or
+    # its 200 bound-check samples (b) reach the size
+    @pytest.mark.parametrize("side, stride", [(600000, 100000), (6000, 1000)],
+                             ids=["probe", "samples"])
+    def test_inspect_declared_input(self, tmp_path, side, stride):
+        pytest.importorskip("resource")
+        path = tmp_path / "c.tscn"
+        save_checkpoint(path, build_cnn((1, 6, 6), [4], 10, 3, seed=5))
+
+        def edit(header):
+            header["input_shape"] = [1, side, side]
+            header["layers"][0]["stride"] = stride
+        rewrite_header(path, edit)
+        assert load_checkpoint(path).net.input_shape == (1, side, side)
+        proc = run_cli("--quiet", "inspect", "--checkpoint", str(path),
+                       preexec_fn=limit_address_space, OPENBLAS_NUM_THREADS="1")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith(
+            f"data format error at offset 12: {path}: input_shape "
+            f"[1, {side}, {side}] does not fit in memory: Unable to allocate")
+        assert proc.stderr.count("\n") == 1
 
 
 # the README quick-start config

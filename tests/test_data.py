@@ -293,6 +293,10 @@ class TestLoadDataset:
         with pytest.raises(ValidationError):
             load_dataset("blobs-c3")
 
+    def test_idx_id_needs_two_paths(self):
+        with pytest.raises(ValidationError, match="must be idx:IMAGES:LABELS"):
+            load_dataset("idx:a")
+
     @pytest.mark.parametrize("spread", ["0.0.5", ".", "1..2", "0.5."])
     def test_malformed_spread_is_unknown(self, spread):
         with pytest.raises(ValidationError, match="unknown dataset id"):

@@ -1,5 +1,6 @@
 """Conditioning penalty, condition reports, Lipschitz estimation, radii."""
 
+import copy
 import math
 
 import numpy as np
@@ -81,7 +82,7 @@ class TestConditionConstraintLoss:
         net = build_mlp(5, [6], 3, seed=3)
         base = condition_constraint(net, 1e-4)[0]
         for c in (0.9, 0.5, 0.1):
-            shrunk = net.clone()
+            shrunk = copy.deepcopy(net)
             for li in shrunk.parameterized_indices():
                 shrunk.layers[li].W *= c
             assert condition_constraint(shrunk, 1e-4)[0] < base
@@ -208,6 +209,18 @@ class TestLocalLipschitzEstimate:
             est = local_lipschitz_estimate(net, x, k, r=0.1, q=q, n=50, seed=0)
             # gradient candidate is exact for a linear functional
             assert abs(est - want) <= 1e-10
+
+    def test_a_batch_is_not_a_single_input(self):
+        net = linear_net(np.eye(3))
+        with pytest.raises(ValidationError, match="expected a single input"):
+            local_lipschitz_estimate(net, np.zeros((1, 3)), 1, r=0.1, q=2, n=5,
+                                     seed=0)
+
+    def test_rival_index_must_be_a_class(self):
+        net = linear_net(np.eye(3))
+        with pytest.raises(ValidationError, match=r"class index 3 outside \[0, 3\)"):
+            local_lipschitz_estimate(net, np.array([0.9, 0.2, 0.1]), 3, r=0.1,
+                                     q=2, n=5, seed=0)
 
     def test_constant_output_net_gives_zero(self):
         net = linear_net(np.zeros((4, 3)), b=np.array([2.0, 1.0, 0.0]))
@@ -390,6 +403,15 @@ class TestCheckEq7:
         for row in rep["layers"]:
             assert row["holds"] == (row["lhs"] <= row["kappa"])
 
+    def test_conv_classifier_has_infinite_constants(self):
+        # the products are only defined for a linear last layer
+        conv = MaskedLayer(kind="conv2d", W=np.eye(3), b=np.zeros(3),
+                           kernel_size=1, in_channels=3, out_channels=3)
+        net = Network([conv, MaskedLayer(kind="flatten")], (3, 1, 1), 3)
+        x = np.array([0.9, 0.2, 0.1]).reshape(3, 1, 1)
+        rep = check_eq7(net, x, k=1, r=0.1, q=2, n=20, seed=0)
+        assert rep["c1"] == rep["c2"] == INFINITE
+
     def test_constant_products_scale_with_final_layer(self):
         # doubling the last layer doubles both logged constants
         rng = np.random.default_rng(6)
@@ -398,7 +420,7 @@ class TestCheckEq7:
         logits, _ = forward(net, x[None])
         k = (int(np.argmax(logits[0])) + 1) % 3
         rep1 = check_eq7(net, x, k, r=0.1, q=2, n=40, seed=2)
-        doubled = net.clone()
+        doubled = copy.deepcopy(net)
         doubled.layers[-1].W *= 2.0
         doubled.layers[-1].b *= 2.0
         rep2 = check_eq7(doubled, x, k, r=0.1, q=2, n=40, seed=2)

@@ -1,5 +1,7 @@
 """Forward/backward correctness for the masked network layers."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -18,7 +20,7 @@ from tscnc.network import (
     build_network,
     cross_entropy,
     forward,
-    input_gradient,
+    loss_gradients,
 )
 from tscnc.pruning import apply_masks
 from tscnc.tensor_ops import conv_output_size
@@ -123,6 +125,12 @@ class TestForward:
         logits, _ = forward(net, x)
         assert np.array_equal(logits, x)
 
+    def test_output_that_misses_class_count_rejected(self):
+        net = single_linear_net(np.eye(3))
+        net.class_count = 2
+        with pytest.raises(DimensionError, match=r"expected \(batch, 2\)"):
+            forward(net, np.zeros((1, 3)))
+
     def test_fully_pruned_net_outputs_zero(self):
         net = build_mlp(5, [7], 3, seed=1)
         apply_masks(net, {li: np.zeros_like(net.layers[li].Z)
@@ -203,6 +211,10 @@ class TestCrossEntropy:
         loss, _ = cross_entropy(np.zeros((4, 10)), np.array([0, 3, 7, 9]))
         assert abs(loss - np.log(10.0)) <= 1e-12
 
+    def test_label_count_must_match_batch(self):
+        with pytest.raises(DimensionError, match="does not match batch 3"):
+            cross_entropy(np.zeros((3, 2)), np.array([0, 1]))
+
     def test_large_true_margin_drives_loss_to_zero(self):
         logits = np.zeros((1, 5))
         logits[0, 2] = 1e4
@@ -248,6 +260,12 @@ class TestCrossEntropy:
 
 
 class TestBackward:
+    def test_grad_logits_shape_must_match(self):
+        net = single_linear_net(np.eye(3))
+        _, cache = forward(net, np.zeros((2, 3)))
+        with pytest.raises(DimensionError, match=r"expected \(2, 3\)"):
+            backward(net, cache, np.zeros((1, 3)))
+
     def test_sum_loss_linear_layout(self):
         # L = sum(z) with one sample: dW[i, j] = a[i] for every output j
         rng = np.random.default_rng(2)
@@ -405,16 +423,34 @@ class TestInputGradient:
         net = single_linear_net(W)
         x = rng.normal(size=(3, 6))
         y = rng.integers(0, 4, size=3)
-        g = input_gradient(net, x, y)
+        g = loss_gradients(net, x, y, weights=False)[1].input
         logits, _ = forward(net, x)
         _, gl = cross_entropy(logits, y)
         want = gl @ W.T
         assert np.abs(g - want).max() <= 1e-14
 
+    def test_loss_gradients_is_forward_cross_entropy_backward(self):
+        rng = np.random.default_rng(9)
+        net = build_cnn((1, 5, 5), [2], 8, 3, seed=9)
+        x = rng.normal(size=(3, 1, 5, 5))
+        y = rng.integers(0, 3, size=3)
+        logits, cache = forward(net, x)
+        want_loss, gl = cross_entropy(logits, y)
+        want = backward(net, cache, gl)
+        loss, full = loss_gradients(net, x, y)
+        assert loss == want_loss
+        assert np.array_equal(full.input, want.input)
+        for li in net.parameterized_indices():
+            assert np.array_equal(full.weight[li], want.weight[li])
+            assert np.array_equal(full.bias[li], want.bias[li])
+        loss, lean = loss_gradients(net, x, y, weights=False)
+        assert loss == want_loss and lean.weight == {} and lean.bias == {}
+        assert np.array_equal(lean.input, want.input)
+
     def test_constant_logits_give_zero_gradient(self):
         net = single_linear_net(np.zeros((5, 3)), b=np.array([1.0, 2.0, 3.0]))
         x = np.random.default_rng(0).normal(size=(4, 5))
-        g = input_gradient(net, x, np.array([0, 1, 2, 0]))
+        g = loss_gradients(net, x, np.array([0, 1, 2, 0]), weights=False)[1].input
         assert np.array_equal(g, np.zeros_like(x))
 
     def test_cnn_input_gradient_matches_finite_differences(self):
@@ -422,7 +458,7 @@ class TestInputGradient:
         net = build_cnn((1, 5, 5), [2], 8, 3, seed=55)
         x = rng.normal(size=(2, 1, 5, 5)) * 0.3
         y = rng.integers(0, 3, size=2)
-        g = input_gradient(net, x, y)
+        g = loss_gradients(net, x, y, weights=False)[1].input
         h = 1e-6
         flat = x.reshape(-1)
         for pix in rng.choice(flat.size, size=20, replace=False):
@@ -665,7 +701,7 @@ class TestMaskRepresentation:
         # assigning Z by hand leaves W nonzero under the mask, as a file
         # written when masks were applied by multiplication on every read
         for i, (net, masks) in enumerate(_random_masked_nets(3)):
-            oracle = net.clone()
+            oracle = copy.deepcopy(net)
             for li, mask in masks.items():
                 net.layers[li].Z = mask
                 oracle.layers[li].W = net.layers[li].W * mask

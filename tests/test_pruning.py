@@ -49,6 +49,16 @@ def linear_chain(*widths):
                    class_count=widths[-1])
 
 
+class TestPruneSpec:
+    @pytest.mark.parametrize("field, message", [
+        ("scope", "unknown scope 'layerwise'"),
+        ("criterion", "unknown criterion 'layerwise'"),
+    ])
+    def test_unknown_choice_rejected(self, field, message):
+        with pytest.raises(ValidationError, match=message):
+            PruneSpec(0.5, **{field: "layerwise"}).validate()
+
+
 class TestTaylorScores:
     def test_hand_example(self):
         got = taylor_scores(np.array([[1.0, -2.0]]), np.array([[0.5, 0.1]]))

@@ -11,12 +11,13 @@ its tests check the plan the convolution layers use.
 import numpy as np
 import pytest
 
-from oracles import im2col, matmul, spectral_norm, svd
+from oracles import ConvergenceError, im2col, matmul, spectral_norm, svd
 from tscnc.attacks import AttackSpec
 from tscnc.errors import DimensionError, NumericError, ValidationError
 from tscnc.pruning import PruneSpec
 from tscnc.tensor_ops import (
     INFINITE,
+    conv_output_size,
     frobenius_norm_sq,
     im2col_indices,
     layer_spectrum,
@@ -164,6 +165,19 @@ class TestIm2col:
         with pytest.raises(ValidationError):
             im2col(np.zeros((1, 2, 2)), kernel_size=0)
 
+    @pytest.mark.parametrize("stride, pad, message", [
+        (0, 0, "stride must be >= 1"), (1, -1, "pad must be >= 0"),
+    ])
+    def test_bad_stride_or_pad(self, stride, pad, message):
+        with pytest.raises(ValidationError, match=message):
+            conv_output_size(4, 4, 3, stride, pad)
+        with pytest.raises(ValidationError, match=message):
+            im2col_indices(1, 4, 4, 3, stride, pad)
+
+    def test_plan_is_a_c_ordered_integer_array(self):
+        idx = im2col_indices(2, 5, 4, 3, stride=2, pad=1)
+        assert idx.dtype == np.intp and idx.flags.c_contiguous
+
 
 # ---------------------------------------------------------------------------
 # svd
@@ -226,7 +240,7 @@ class TestSvd:
     def test_nonconvergence_raises_with_residual(self):
         rng = np.random.default_rng(10)
         m = rng.standard_normal((6, 6))
-        with pytest.raises(NumericError) as exc:
+        with pytest.raises(ConvergenceError) as exc:
             svd(m, max_sweeps=1, tol=1e-15)
         assert exc.value.residual is not None
 
@@ -289,6 +303,10 @@ class TestLayerSpectrum:
                 infinite += got.kappa == INFINITE
         assert infinite > 0
         assert layer_spectrum(np.zeros((4, 3))).rank == 0
+
+    def test_rejects_a_vector(self):
+        with pytest.raises(DimensionError, match="must be 2-D"):
+            layer_spectrum(np.ones(3))
 
     def test_final_layers_of_short_quickstart_run(self):
         layers = short_run_layers(dataset="blobs-c6-d64-n60-s0.35",

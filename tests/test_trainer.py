@@ -74,6 +74,12 @@ class TestSgdStep:
         assert abs(vel[0]["W"][0, 0] - 0.57) < 1e-12
         assert abs(net.layers[0].W[0, 0] - 0.913) < 1e-12
 
+    def test_wrongly_shaped_gradient_rejected(self):
+        net = build_mlp(3, [], 2, seed=0)
+        g = Gradients(None, weight={0: np.zeros((2, 3))}, bias={0: np.zeros(2)})
+        with pytest.raises(ValidationError, match="gradient shape mismatch on layer 0"):
+            sgd_step(net, g, {}, lr=0.1, momentum=0.9, weight_decay=0.0)
+
     def test_matches_reference_recurrence(self):
         # oracle: the same update written as explicit scalar loops
         rng = np.random.default_rng(8)
@@ -175,6 +181,29 @@ class TestConfigFromDict:
             assert getattr(cfg.prune, f.name) != f.default, f.name
         doc = json.loads(json.dumps(dataclasses.asdict(cfg)))
         assert config_from_dict(doc) == cfg
+
+    def test_document_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="must be a JSON object"):
+            config_from_dict([{"dataset": "x", "architecture": "y"}])
+
+    def test_attack_epsilon_is_required(self):
+        with pytest.raises(ConfigError, match="train_attack.epsilon is required"):
+            config_from_dict({"dataset": "x", "architecture": "y",
+                              "train_attack": {}})
+
+    def test_float_overflow_is_a_config_error(self):
+        # float() of a 400-digit integer overflows
+        with pytest.raises(ConfigError, match="config key lr must be a float"):
+            config_from_dict({"dataset": "x", "architecture": "y",
+                              "lr": 10 ** 400})
+
+    @pytest.mark.parametrize("key, message", [
+        ("dataset", "config needs a dataset id"),
+        ("architecture", "config needs an architecture id"),
+    ])
+    def test_ids_are_required(self, key, message):
+        with pytest.raises(ValidationError, match=message):
+            small_config(**{key: ""}).validate()
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError):
@@ -520,19 +549,23 @@ class TestRunTscnc:
     @pytest.mark.parametrize("lr, first_bad", [(1e100, 0), (1e30, 1)])
     def test_divergence_in_warmup_has_no_records(self, lr, first_bad):
         cfg = small_config(lr=lr, warmup_epochs=2)
+        records = []
         with np.errstate(all="ignore"):
             with pytest.raises(DivergenceError) as err:
-                run_tscnc(cfg)
+                run_tscnc(cfg, on_epoch=records.append)
         assert str(err.value) == f"non-finite loss in warmup epoch {first_bad}"
-        assert err.value.records == []
+        assert records == []
 
     def test_divergence_reports_partial_records(self):
         cfg = small_config(epochs=20, warmup_epochs=0, lr=1e9,
                            prune=PruneSpec(sparsity=0.0))
+        records = []
         with np.errstate(all="ignore"):
             with pytest.raises(DivergenceError) as err:
-                run_tscnc(cfg)
-        assert isinstance(err.value.records, list)
+                run_tscnc(cfg, on_epoch=records.append)
+        # every epoch before the diverged one was recorded, in order
+        assert str(err.value) == f"non-finite loss at epoch {len(records)}"
+        assert [r.epoch for r in records] == list(range(len(records)))
 
     def test_trained_square_layer_obeys_conditioning_sandwich(self):
         # the first layer of an 8-wide model on 8-dim data is square, so the
