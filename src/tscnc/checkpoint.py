@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import read_array
-from .errors import DimensionError, FormatError
+from .errors import DimensionError, FormatError, ValidationError
 from .metrics_io import atomic_open
 from .network import MaskedLayer, Network
 
@@ -35,8 +35,13 @@ class Checkpoint:
     state: dict
 
 
-def _weight_bytes(arr) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
+def _weight_bytes(arr, what: str) -> bytes:
+    """arr as little-endian float64 bytes; a NaN or infinity, which
+    load_checkpoint would refuse, is a ValidationError naming what."""
+    arr = np.ascontiguousarray(arr, dtype="<f8")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"cannot save a non-finite value in {what}")
+    return arr.tobytes()
 
 
 def _mask_bytes(mask) -> bytes:
@@ -57,7 +62,9 @@ def save_checkpoint(path, net: Network, state: dict | None = None) -> None:
     """Write the network and optional trainer state to one binary file.
 
     state may carry "epoch", "architecture", "config", and "momentum" (a
-    dict of per-layer {"W": array, "b": array} velocity tensors).
+    dict of per-layer {"W": array, "b": array} velocity tensors).  A NaN or
+    infinite weight, bias or momentum value is a ValidationError raised
+    before the file is opened, so a file already at path is left as it was.
     """
     state = state or {}
     momentum = state.get("momentum")
@@ -76,12 +83,12 @@ def save_checkpoint(path, net: Network, state: dict | None = None) -> None:
     for li, layer in enumerate(net.layers):
         if not layer.parameterized:
             continue
-        payload += _weight_bytes(layer.W)
-        payload += _weight_bytes(layer.b)
+        payload += _weight_bytes(layer.W, f"layer {li} weights")
+        payload += _weight_bytes(layer.b, f"layer {li} bias")
         payload += _mask_bytes(layer.Z)
         if momentum is not None:
-            payload += _weight_bytes(momentum[li]["W"])
-            payload += _weight_bytes(momentum[li]["b"])
+            payload += _weight_bytes(momentum[li]["W"], f"layer {li} weight momentum")
+            payload += _weight_bytes(momentum[li]["b"], f"layer {li} bias momentum")
     with atomic_open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))

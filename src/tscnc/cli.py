@@ -160,22 +160,11 @@ def _cmd_evaluate(args):
     return 0
 
 
-def _cmd_inspect(args):
-    ckpt = load_checkpoint(args.checkpoint)
-    net = ckpt.net
-    crep = condition_report(net)
-    _print(args, f"{'layer':>5} {'kind':<8} {'sigma_max':>12} "
-                 f"{'sigma_min':>12} {'kappa':>12} {'rank':>5}")
-    for row in crep.layers:
-        _print(args, f"{row.layer:>5} {row.kind:<8} {row.sigma_max:>12.6g} "
-                     f"{row.sigma_min:>12.6g} {row.kappa:>12.6g} {row.rank:>5}")
-    _print(args, f"kappa_max {crep.kappa_max:.6g}")
-    report = prune_report(net)
-    _print(args, f"global sparsity {report['global_sparsity']:.4f}")
+def _bound_check(args, net) -> str:
+    """inspect's last line: check_eq7 at x = 0.5 against the runner-up class."""
     if net.class_count < 2:
-        _print(args, f"bound check skipped: {net.class_count} class, no "
-                     "rival to compare against")
-        return 0
+        return (f"bound check skipped: {net.class_count} class, no rival to "
+                "compare against")
     try:
         x = np.full(net.input_shape, 0.5)
         k = int(np.argsort(forward(net, x[None])[0][0])[-2])
@@ -185,12 +174,27 @@ def _cmd_inspect(args):
         raise FormatError(f"{args.checkpoint}: input_shape {list(net.input_shape)}"
                           f" does not fit in memory: {exc}", offset=12) from exc
     except ValidationError as exc:
-        _print(args, f"bound check skipped: {exc}")
-        return 0
-    _print(args, f"bound check against class {k}: "
-                 f"{'holds' if eq7['holds'] else 'violated'} "
-                 f"(lipschitz {eq7['lipschitz']:.6g}, "
-                 f"c1 {eq7['c1']:.6g}, c2 {eq7['c2']:.6g})")
+        return f"bound check skipped: {exc}"
+    return (f"bound check against class {k}: "
+            f"{'holds' if eq7['holds'] else 'violated'} "
+            f"(lipschitz {eq7['lipschitz']:.6g}, "
+            f"c1 {eq7['c1']:.6g}, c2 {eq7['c2']:.6g})")
+
+
+def _cmd_inspect(args):
+    net = load_checkpoint(args.checkpoint).net
+    # everything that can fail runs before the first line is printed
+    crep = condition_report(net)
+    report = prune_report(net)
+    bound = _bound_check(args, net)
+    _print(args, f"{'layer':>5} {'kind':<8} {'sigma_max':>12} "
+                 f"{'sigma_min':>12} {'kappa':>12} {'rank':>5}")
+    for row in crep.layers:
+        _print(args, f"{row.layer:>5} {row.kind:<8} {row.sigma_max:>12.6g} "
+                     f"{row.sigma_min:>12.6g} {row.kappa:>12.6g} {row.rank:>5}")
+    _print(args, f"kappa_max {crep.kappa_max:.6g}")
+    _print(args, f"global sparsity {report['global_sparsity']:.4f}")
+    _print(args, bound)
     return 0
 
 

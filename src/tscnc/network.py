@@ -11,10 +11,20 @@ and db; ``backward(..., weights=False)`` computes the input gradient only,
 for attacks and Lipschitz estimates.  ``loss_gradients`` is the one
 cross-entropy pass (forward, loss, backward) that attacks, saliency and
 training run.  A conv layer gathers its patches from its flattened input
-with one zero sentinel column appended, where every padding tap points.  Its
-input gradient is scattered back by one ``np.bincount`` that drops the
-sentinel bin; it adds in the same order as an element-wise ``np.add.at``
-scatter and so gives the same bits.
+with one zero sentinel column appended, where every padding tap points, by
+``np.take`` along the input axis: the columns are C-contiguous, so each
+example's ``np.matmul`` reads one contiguous block.  Its input gradient is
+scattered back by one ``np.bincount`` that drops the sentinel bin; it adds
+in the same order as an element-wise ``np.add.at`` scatter and so gives the
+same bits.  Its dW ``einsum`` sums in an order set by operand strides, so
+it reads a batch-innermost copy of the columns, the layout of the
+fancy-index gather ``flat[:, idx]`` that the trained bytes depend on.
+
+Each bias is added in place to the fresh product of its layer, and a ReLU
+right after a parameterized layer rectifies that fresh output in place, so
+its cached input is its rectified output; ``max(a, 0) > 0`` holds exactly
+where ``a > 0``, so backward's mask is unchanged.  No layer writes the
+caller's array.
 """
 
 from __future__ import annotations
@@ -132,7 +142,12 @@ class Network:
 @dataclass
 class ForwardCache:
     """Per-layer inputs, and each conv layer's gathered patch columns,
-    retained by forward for the matching backward."""
+    retained by forward for the matching backward.
+
+    cols[li] is C-contiguous, (batch, c_in*k*k, oh*ow).  The entry in inputs
+    of a ReLU that follows a parameterized layer is the ReLU's rectified
+    output, which is also the next layer's input.
+    """
 
     net_id: int
     version: int
@@ -167,15 +182,21 @@ def forward(net: Network, x) -> tuple:
         inputs.append(a)
         out = layer.output_shape(shape)
         if layer.kind == "linear":
-            a = a @ layer.W + layer.b
+            a = a @ layer.W
+            a += layer.b
         elif layer.kind == "conv2d":
             idx = layer.conv_plan(shape[1], shape[2])
             flat = np.concatenate([a.reshape(batch, math.prod(shape)),
                                    np.zeros((batch, 1))], axis=1)
-            c = cols[li] = flat[:, idx]  # (batch, c_in*k*k, oh*ow)
-            a = (np.matmul(layer.W, c) + layer.b[:, None]).reshape((batch, *out))
+            c = cols[li] = np.take(flat, idx, axis=1)  # (batch, c_in*k*k, oh*ow)
+            a = np.matmul(layer.W, c)
+            a += layer.b[:, None]
+            a = a.reshape((batch, *out))
         elif layer.kind == "relu":
-            a = np.maximum(a, 0.0)
+            if li and net.layers[li - 1].parameterized:
+                np.maximum(a, 0.0, out=a)  # a is that layer's fresh output
+            else:
+                a = np.maximum(a, 0.0)
         else:  # flatten
             a = a.reshape((batch, *out))
         shape = out
@@ -248,7 +269,10 @@ def backward(
             size = c_in * h * w + 1  # + the sentinel column
             dz = grad.reshape(batch, layer.out_channels, math.prod(grad.shape[2:]))
             if weights:
-                dW[li] = np.einsum("bos,bks->ok", dz, cache.cols[li])
+                # einsum sums in an order set by operand strides; a
+                # batch-innermost copy of the columns fixes that order
+                cols = cache.cols[li].transpose(1, 2, 0).copy().transpose(2, 0, 1)
+                dW[li] = np.einsum("bos,bks->ok", dz, cols)
                 db[li] = dz.sum(axis=(0, 2))
             dcols = np.matmul(layer.W.T, dz)
             idx = layer.conv_plan(h, w)

@@ -9,7 +9,10 @@ precision even on graded matrices (Demmel & Veselic, 1992).
 
 The ``np.add.at`` col2im scatter was the conv layers' input-gradient kernel
 before ``np.bincount`` replaced it; it stays here as the bitwise oracle for
-the new one.
+the new one.  The Hypothesis property over random conv nets in
+``test_network.py`` also reads it: the input gradient that ``backward``
+computes from the C-contiguous columns must equal, bit for bit, this scatter
+of the column gradients.
 
 The rest has no caller in the package: a checked matrix product, a
 single-image ``im2col`` built on the package's own gather plan

@@ -12,7 +12,7 @@ from oracles import edited_bytes
 
 from tscnc.checkpoint import load_checkpoint, save_checkpoint
 from tscnc.cli import main
-from tscnc.errors import FormatError
+from tscnc.errors import FormatError, ValidationError
 from tscnc.network import build_cnn, build_mlp, forward
 from tscnc.pruning import apply_masks
 
@@ -251,6 +251,38 @@ class TestFreshPayloadCrc:
             err = capsys.readouterr().err
             assert err.startswith(f"data format error at offset {blob}: ")
             assert err.count("\n") == 1
+
+
+class TestNonFiniteSave:
+    """save_checkpoint refuses what load_checkpoint would refuse, before it
+    opens anything at the path."""
+
+    @pytest.mark.parametrize("li, key, momentum, name", [
+        (0, "W", False, "layer 0 weights"), (0, "b", False, "layer 0 bias"),
+        (0, "W", True, "layer 0 weight momentum"),
+        (0, "b", True, "layer 0 bias momentum"),
+        (2, "W", False, "layer 2 weights"),
+    ], ids=["W", "b", "momentum-W", "momentum-b", "second-layer-W"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_raises_and_leaves_existing_file(self, tmp_path, monkeypatch, li,
+                                             key, momentum, name, value):
+        net = build_mlp(5, [4], 3, seed=7)
+        velocity = {i: {"W": np.zeros_like(net.layers[i].W),
+                        "b": np.zeros_like(net.layers[i].b)}
+                    for i in net.parameterized_indices()}
+        path = tmp_path / "m.tscn"
+        save_checkpoint(path, net, state={"momentum": velocity})
+        before = path.read_bytes()
+        target = velocity[li] if momentum else vars(net.layers[li])
+        target[key].flat[1] = value
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("save_checkpoint opened the file")
+        monkeypatch.setattr("tscnc.checkpoint.atomic_open", refuse)
+        with pytest.raises(ValidationError, match=f"non-finite value in {name}$"):
+            save_checkpoint(path, net, state={"momentum": velocity})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tscn"]
 
 
 _DROP = object()

@@ -618,9 +618,11 @@ class TestOversized:
             header["layers"][0]["stride"] = stride
         rewrite_header(path, edit)
         assert load_checkpoint(path).net.input_shape == (1, side, side)
-        proc = run_cli("--quiet", "inspect", "--checkpoint", str(path),
+        # not --quiet: the report, printed only once nothing can fail, is absent
+        proc = run_cli("inspect", "--checkpoint", str(path),
                        preexec_fn=limit_address_space, OPENBLAS_NUM_THREADS="1")
         assert proc.returncode == 3
+        assert proc.stdout == ""
         assert proc.stderr.startswith(
             f"data format error at offset 12: {path}: input_shape "
             f"[1, {side}, {side}] does not fit in memory: Unable to allocate")

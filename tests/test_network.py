@@ -413,6 +413,97 @@ class TestBackward:
             backward(net, cache, np.ones_like(logits), weights=False)
 
 
+# ---------------------------------------------------------------- conv bits
+
+
+def same_bits(a, b):
+    """Equal values and equal signs of zero."""
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+_CONV_SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                          max_examples=150,
+                          suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestConvBitwise:
+    """forward and backward of [relu,] conv, relu, flatten, linear against
+    out-of-place recomputations: the columns are the fancy-index gather, C
+    contiguous; the logits are matmul + bias then maximum; the input gradient
+    is the add.at scatter; dW is the einsum over the fancy-index layout."""
+
+    @_CONV_SETTINGS
+    @given(c_in=st.integers(1, 3), c_out=st.integers(1, 4), h=st.integers(1, 7),
+           w=st.integers(1, 7), k=st.integers(1, 4), stride=st.integers(1, 3),
+           pad=st.integers(0, 2), batch=st.integers(1, 4), lead=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    @example(c_in=2, c_out=3, h=5, w=4, k=3, stride=2, pad=1, batch=1,
+             lead=False, seed=0)
+    def test_matches_out_of_place_recomputation(self, c_in, c_out, h, w, k,
+                                                stride, pad, batch, lead, seed):
+        if h + 2 * pad < k or w + 2 * pad < k:
+            return
+        oh, ow = conv_output_size(h, w, k, stride, pad)
+        rng = np.random.default_rng(seed)
+        conv = MaskedLayer(kind="conv2d", W=rng.normal(size=(c_out, c_in * k * k)),
+                           Z=rng.random((c_out, c_in * k * k)) > 0.3,
+                           b=rng.normal(size=c_out), kernel_size=k, stride=stride,
+                           pad=pad, in_channels=c_in, out_channels=c_out)
+        fc = MaskedLayer(kind="linear", W=rng.normal(size=(c_out * oh * ow, 3)),
+                         Z=rng.random((c_out * oh * ow, 3)) > 0.3,
+                         b=rng.normal(size=3))
+        layers = [conv, MaskedLayer(kind="relu"), MaskedLayer(kind="flatten"), fc]
+        if lead:
+            layers.insert(0, MaskedLayer(kind="relu"))
+        net = Network(layers, (c_in, h, w), 3)
+        x = rng.normal(size=(batch, c_in, h, w))
+        x[rng.random(x.shape) < 0.3] = -0.0
+        x_before = x.copy()
+        x.flags.writeable = False  # forward must not write the caller's array
+        logits, cache = forward(net, x)
+        ci = int(lead)
+
+        a = np.maximum(x, 0.0) if lead else x
+        idx = conv.conv_plan(h, w)
+        flat = np.concatenate([a.reshape(batch, -1), np.zeros((batch, 1))], axis=1)
+        cols = cache.cols[ci]
+        assert cols.flags.c_contiguous
+        assert same_bits(cols, flat[:, idx])
+
+        z = np.matmul(conv.W, cols) + conv.b[:, None]
+        r = np.maximum(z, 0.0)
+        assert same_bits(logits, r.reshape(batch, -1) @ fc.W + fc.b)
+
+        g = rng.normal(size=logits.shape)
+        dz = (g @ fc.W.T).reshape(z.shape) * (z > 0.0)
+        dx = col2im_add_at(np.matmul(conv.W.T, dz), idx, a.shape)
+        if lead:
+            dx = dx * (x > 0.0)
+        full = backward(net, cache, g)
+        for grads in (full, backward(net, cache, g, weights=False)):
+            assert same_bits(grads.input, dx)
+        assert same_bits(full.weight[ci], np.einsum("bos,bks->ok", dz, flat[:, idx]))
+        assert same_bits(full.bias[ci], dz.sum(axis=(0, 2)))
+        assert same_bits(x, x_before)
+
+    @pytest.mark.parametrize("lead, shape, body", [
+        ([], (4,), build_mlp(4, [5], 3, seed=3)),
+        (["relu"], (4,), build_mlp(4, [5], 3, seed=3)),
+        (["flatten", "relu"], (1, 2, 2), build_mlp(4, [5], 3, seed=3)),
+        (["relu"], (1, 3, 3), build_cnn((1, 3, 3), [2], 4, 3, seed=3)),
+    ], ids=["mlp", "relu-first", "flatten-relu", "relu-conv"])
+    def test_forward_leaves_input_unwritten(self, lead, shape, body):
+        net = Network([MaskedLayer(kind=k) for k in lead] + body.layers, shape, 3)
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(5, *shape))
+        before = x.copy()
+        logits, cache = forward(net, x)
+        backward(net, cache, np.ones_like(logits))
+        assert same_bits(x, before)
+        assert np.any(before < 0.0)  # a relu that wrote x would have changed it
+
+
 # ---------------------------------------------------------------- input grad
 
 
