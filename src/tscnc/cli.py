@@ -177,7 +177,7 @@ def _bound_check(args, net) -> str:
         return f"bound check skipped: {exc}"
     return (f"bound check against class {k}: "
             f"{'holds' if eq7['holds'] else 'violated'} "
-            f"(lipschitz {eq7['lipschitz']:.6g}, "
+            f"(lipschitz {eq7['lipschitz']:.6g} from {eq7['lipschitz_source']}, "
             f"c1 {eq7['c1']:.6g}, c2 {eq7['c2']:.6g})")
 
 

@@ -93,7 +93,8 @@ def _margin_lipschitz(net, x, k, r, q, n, seed):
     """One sampling pass for the margin functions g_yhat - g_k around x.
 
     k is one rival class, or None for every class other than yhat.  Returns
-    (logits of x, yhat, {k: sampled Lipschitz lower bound of g_yhat - g_k}).
+    (logits of x, yhat, {k: (Lipschitz lower bound of g_yhat - g_k, whether
+    the sampled quotient rather than the gradient norm set it)}).
     """
     if n < 1:
         raise ValidationError(f"sample count must be at least 1, got {n}")
@@ -144,7 +145,7 @@ def _margin_lipschitz(net, x, k, r, q, n, seed):
         gl[0, c] = -1.0
         g = backward(net, cache, gl, weights=False).input.ravel()
         gnorm = float(np.abs(g).sum()) if q == 1 else float(np.sqrt(g @ g))
-        values[c] = max(best, gnorm)
+        values[c] = max(best, gnorm), best > gnorm
     return logits, yhat, values
 
 
@@ -159,7 +160,7 @@ def local_lipschitz_estimate(
     normal draw of shape (n, d+1) feeds everything, so sample sets nest as
     n grows with a fixed seed.
     """
-    return _margin_lipschitz(net, x, k, r, q, n, seed)[2][k]
+    return _margin_lipschitz(net, x, k, r, q, n, seed)[2][k][0]
 
 
 def robustness_radius(net: Network, x, r: float, q: int, n: int, seed: int) -> float:
@@ -172,7 +173,7 @@ def robustness_radius(net: Network, x, r: float, q: int, n: int, seed: int) -> f
     """
     logits, yhat, values = _margin_lipschitz(net, x, None, r, q, n, seed)
     gamma = float(r)
-    for k, lhat in values.items():
+    for k, (lhat, _) in values.items():
         margin = float(logits[yhat] - logits[k])
         gamma = min(gamma, INFINITE if lhat == 0.0 else margin / lhat)
     return gamma
@@ -194,10 +195,11 @@ def check_eq7(net: Network, x, k: int, r: float, q: int, n: int, seed: int) -> d
 
     Also logs the layer-product constants that bound the network Lipschitz
     constant (c1 from sup-norm propagation, c2 from Frobenius products) so
-    the report can be compared across pruning levels.
+    the report can be compared across pruning levels.  lipschitz_source
+    names the candidate that set Lhat: the sampled quotient or the gradient norm.
     """
     _, yhat, values = _margin_lipschitz(net, x, k, r, q, n, seed)
-    lipschitz = values[k]
+    lipschitz, sampled = values[k]
     rows = []
     for row in condition_report(net).layers:
         smax = row.sigma_max
@@ -219,6 +221,7 @@ def check_eq7(net: Network, x, k: int, r: float, q: int, n: int, seed: int) -> d
         c2 *= math.sqrt(frobenius_norm_sq(net.layers[li].W))
     return {
         "lipschitz": lipschitz,
+        "lipschitz_source": "sampled quotient" if sampled else "gradient norm",
         "yhat": yhat,
         "k": k,
         "layers": rows,

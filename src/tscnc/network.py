@@ -10,15 +10,20 @@ condition-number and saliency paths is the storage layout itself.
 and db; ``backward(..., weights=False)`` computes the input gradient only,
 for attacks and Lipschitz estimates.  ``loss_gradients`` is the one
 cross-entropy pass (forward, loss, backward) that attacks, saliency and
-training run.  A conv layer gathers its patches from its flattened input
-with one zero sentinel column appended, where every padding tap points, by
-``np.take`` along the input axis: the columns are C-contiguous, so each
-example's ``np.matmul`` reads one contiguous block.  Its input gradient is
-scattered back by one ``np.bincount`` that drops the sentinel bin; it adds
-in the same order as an element-wise ``np.add.at`` scatter and so gives the
-same bits.  Its dW ``einsum`` sums in an order set by operand strides, so
-it reads a batch-innermost copy of the columns, the layout of the
-fancy-index gather ``flat[:, idx]`` that the trained bytes depend on.
+training run.  A conv layer works in row chunks, as many examples as fit
+their patch columns in _CHUNK_BYTES (256 KiB, about an L2 cache), so it
+builds no batch-sized column matrix or scatter index.  Its memoized chunk
+index is the flat position of every patch tap in a chunk's flattened input,
+each example with one zero sentinel column appended where every padding tap
+points.  forward gathers a chunk by ``np.take`` and runs each example's
+``np.matmul`` into one preallocated output; the input gradient scatters
+each chunk's ``W.T @ dz`` back through the same index by one
+``np.bincount``, which adds in the same order as an element-wise
+``np.add.at``, and drops the sentinel bins.  Each example's product and
+bins are its own, so the chunking changes no bit.  The dW ``einsum`` sums
+in an order set by operand strides, so backward gathers the whole batch's
+columns once, batch-innermost: the layout of the fancy-index gather
+``flat[:, idx]`` that the trained bytes depend on.
 
 Each bias is added in place to the fresh product of its layer, and a ReLU
 right after a parameterized layer rectifies that fresh output in place, so
@@ -39,6 +44,8 @@ from .errors import DimensionError, StateError, ValidationError
 from .tensor_ops import as_tensor, conv_output_size, im2col_indices
 
 _PARAM_KINDS = ("linear", "conv2d")
+# bytes of patch columns one conv chunk holds: about an L2 cache
+_CHUNK_BYTES = 256 * 1024
 
 
 @dataclass
@@ -106,11 +113,20 @@ class MaskedLayer:
         raise ValidationError(f"unknown layer kind {kind!r}")
 
     def conv_plan(self, h: int, w: int) -> np.ndarray:
+        """The chunk index for input (h, w), memoized: (rows, c_in*k*k, oh*ow).
+
+        Row r is the gather plan offset by r * (c_in*h*w + 1), where example
+        r starts in a chunk's padded, flattened input; row 0 is the plan.
+        rows is as many examples as fit their columns in _CHUNK_BYTES.
+        """
         key = (h, w)
         if key not in self._plan:
-            self._plan[key] = im2col_indices(
+            idx = im2col_indices(
                 self.in_channels, h, w, self.kernel_size, self.stride, self.pad
             )
+            rows = max(1, _CHUNK_BYTES // (8 * idx.size))  # float64 columns
+            size = self.in_channels * h * w + 1  # + the sentinel column
+            self._plan[key] = np.arange(0, rows * size, size)[:, None, None] + idx
         return self._plan[key]
 
 
@@ -141,18 +157,16 @@ class Network:
 
 @dataclass
 class ForwardCache:
-    """Per-layer inputs, and each conv layer's gathered patch columns,
-    retained by forward for the matching backward.
+    """Each layer's input, retained by forward for the matching backward.
 
-    cols[li] is C-contiguous, (batch, c_in*k*k, oh*ow).  The entry in inputs
-    of a ReLU that follows a parameterized layer is the ReLU's rectified
-    output, which is also the next layer's input.
+    No patch columns are kept: backward gathers again what it needs.  The
+    entry in inputs of a ReLU that follows a parameterized layer is the
+    ReLU's rectified output, which is also the next layer's input.
     """
 
     net_id: int
     version: int
     inputs: list
-    cols: dict
     batch: int
 
 
@@ -168,16 +182,16 @@ class Gradients:
 def forward(net: Network, x) -> tuple:
     """Run the network on a batch, returning (logits, cache).
 
-    x has shape (batch,) + net.input_shape.  The cache holds every layer
-    input needed by backward and is invalidated by any mutation of the
-    network's parameters.
+    x has shape (batch,) + net.input_shape.  The cache holds each layer's
+    input, all that backward reads, and is invalidated by any mutation of
+    the network's parameters.
     """
     x = as_tensor(x)
     shape = tuple(net.input_shape)
     if x.shape[1:] != shape:
         raise DimensionError(f"input shape {x.shape[1:]} does not match network "
                              f"input shape {shape}")
-    batch, inputs, cols, a = x.shape[0], [], {}, x
+    batch, inputs, a = x.shape[0], [], x
     for li, layer in enumerate(net.layers):
         inputs.append(a)
         out = layer.output_shape(shape)
@@ -185,13 +199,14 @@ def forward(net: Network, x) -> tuple:
             a = a @ layer.W
             a += layer.b
         elif layer.kind == "conv2d":
-            idx = layer.conv_plan(shape[1], shape[2])
-            flat = np.concatenate([a.reshape(batch, math.prod(shape)),
-                                   np.zeros((batch, 1))], axis=1)
-            c = cols[li] = np.take(flat, idx, axis=1)  # (batch, c_in*k*k, oh*ow)
-            a = np.matmul(layer.W, c)
-            a += layer.b[:, None]
-            a = a.reshape((batch, *out))
+            plan, flat = layer.conv_plan(shape[1], shape[2]), _padded(a)
+            z = np.empty((batch, layer.out_channels, plan.shape[2]))
+            for lo in range(0, batch, len(plan)):
+                part = flat[lo:lo + len(plan)]
+                np.matmul(layer.W, np.take(part, plan[:len(part)]),
+                          out=z[lo:lo + len(part)])
+            z += layer.b[:, None]
+            a = z.reshape((batch, *out))
         elif layer.kind == "relu":
             if li and net.layers[li - 1].parameterized:
                 np.maximum(a, 0.0, out=a)  # a is that layer's fresh output
@@ -204,10 +219,14 @@ def forward(net: Network, x) -> tuple:
         raise DimensionError(
             f"network produced shape {a.shape}, expected (batch, {net.class_count})"
         )
-    cache = ForwardCache(
-        net_id=id(net), version=net.version, inputs=inputs, cols=cols, batch=batch
-    )
-    return a, cache
+    return a, ForwardCache(id(net), net.version, inputs, batch)
+
+
+def _padded(a) -> np.ndarray:
+    """a's examples flattened, each with the zero sentinel column appended."""
+    batch = len(a)
+    return np.concatenate([a.reshape(batch, math.prod(a.shape[1:])),
+                           np.zeros((batch, 1))], axis=1)
 
 
 def cross_entropy(logits, labels) -> tuple:
@@ -265,22 +284,22 @@ def backward(
                 dW[li], db[li] = a.T @ grad, grad.sum(axis=0)
             grad = grad @ layer.W.T
         elif layer.kind == "conv2d":
-            batch, c_in, h, w = a.shape
-            size = c_in * h * w + 1  # + the sentinel column
+            batch, size = len(a), math.prod(a.shape[1:]) + 1
+            plan = layer.conv_plan(*a.shape[2:])
             dz = grad.reshape(batch, layer.out_channels, math.prod(grad.shape[2:]))
             if weights:
-                # einsum sums in an order set by operand strides; a
-                # batch-innermost copy of the columns fixes that order
-                cols = cache.cols[li].transpose(1, 2, 0).copy().transpose(2, 0, 1)
+                # einsum sums in an order set by operand strides: gather the
+                # whole batch's columns batch-innermost to fix that order
+                cols = np.take(_padded(a).T, plan[0], axis=0).transpose(2, 0, 1)
                 dW[li] = np.einsum("bos,bks->ok", dz, cols)
                 db[li] = dz.sum(axis=(0, 2))
-            dcols = np.matmul(layer.W.T, dz)
-            idx = layer.conv_plan(h, w)
-            flat_idx = np.arange(0, batch * size, size)[:, None, None] + idx
-            dflat = np.bincount(
-                flat_idx.ravel(), weights=dcols.ravel(), minlength=batch * size
-            )
-            grad = dflat.reshape(batch, size)[:, :-1].reshape(a.shape)
+            dflat = np.empty((batch, size))
+            for lo in range(0, batch, len(plan)):
+                dcols = np.matmul(layer.W.T, dz[lo:lo + len(plan)])
+                n = len(dcols)
+                dflat[lo:lo + n] = np.bincount(plan[:n].ravel(), weights=dcols.ravel(),
+                                               minlength=n * size).reshape(n, size)
+            grad = dflat[:, :-1].reshape(a.shape)
         elif layer.kind == "relu":
             grad = grad * (a > 0.0)
         elif layer.kind == "flatten":

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -346,6 +347,8 @@ class TestInspect:
         assert "kappa_max" in out
         assert "global sparsity" in out
         assert "bound check" in out
+        assert re.search(r"\(lipschitz \S+ from (sampled quotient|gradient norm), ",
+                         out)
 
     def test_seed_is_the_bound_check_sampling_seed(self, trained, monkeypatch,
                                                    capsys):

@@ -428,6 +428,31 @@ class TestCheckEq7:
         assert rep2["c2"] == pytest.approx(2.0 * rep1["c2"], rel=1e-9)
 
 
+class TestLipschitzSource:
+    """check_eq7 names the candidate that set its Lipschitz estimate."""
+
+    def test_gradient_norm_wins_on_a_linear_net(self):
+        # a difference quotient of a linear margin is at most its gradient norm
+        net = linear_net([[1.0, -2.0], [0.5, 3.0]])
+        x = np.array([0.9, 0.1])
+        rep = check_eq7(net, x, k=1, r=0.1, q=2, n=50, seed=0)
+        assert rep["lipschitz_source"] == "gradient norm"
+        assert rep["lipschitz"] == float(np.linalg.norm([3.0, -2.5]))
+
+    def test_sampled_quotient_wins_across_a_relu_boundary(self):
+        # x sits in the dead region of relu(x - 0.05): the gradient there is
+        # 0, and the samples past 0.05 give the margin 2 relu(x - 0.05) a slope
+        hidden = MaskedLayer(kind="linear", W=np.ones((1, 1)), b=np.array([-0.05]))
+        head = MaskedLayer(kind="linear", W=np.array([[1.0, -1.0]]),
+                           b=np.array([1.0, 0.0]))
+        net = Network([hidden, MaskedLayer(kind="relu"), head], (1,), 2)
+        x = np.zeros(1)
+        rep = check_eq7(net, x, k=1, r=0.1, q=2, n=50, seed=0)
+        assert rep["lipschitz_source"] == "sampled quotient"
+        assert 0.0 < rep["lipschitz"] < 2.0
+        assert rep["lipschitz"] == local_lipschitz_estimate(net, x, 1, 0.1, 2, 50, 0)
+
+
 class TestSharedSamplingPass:
     """The three diagnostics share one sampling pass on a six-class CNN."""
 
