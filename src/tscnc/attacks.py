@@ -76,11 +76,12 @@ def pgd(net: Network, x, y, spec: AttackSpec, rng=None) -> np.ndarray:
     return adv
 
 
+def fgsm_spec(epsilon: float, clamp: tuple[float, float] = (0.0, 1.0)) -> AttackSpec:
+    """FGSM as a PGD spec: one step of size epsilon, none at epsilon 0."""
+    return AttackSpec(epsilon, epsilon, 1 if epsilon > 0 else 0, False, clamp)
+
+
 def fgsm(net: Network, x, y, spec: AttackSpec) -> np.ndarray:
     """Single-step attack: clamp(x + epsilon * sign(grad_x loss))."""
     spec.validate()
-    if spec.epsilon == 0.0:
-        one = AttackSpec(0.0, 0.0, 0, False, spec.clamp)
-    else:
-        one = AttackSpec(spec.epsilon, spec.epsilon, 1, False, spec.clamp)
-    return pgd(net, x, y, one)
+    return pgd(net, x, y, fgsm_spec(spec.epsilon, spec.clamp))

@@ -63,7 +63,8 @@ def save_checkpoint(path, net: Network, state: dict | None = None) -> None:
 
     state may carry "epoch", "architecture", "config", and "momentum" (a
     dict of per-layer {"W": array, "b": array} velocity tensors).  A NaN or
-    infinite weight, bias or momentum value is a ValidationError raised
+    infinite weight, bias or momentum value, or a momentum entry missing or
+    shaped unlike its layer, is a ValidationError naming the layer, raised
     before the file is opened, so a file already at path is left as it was.
     """
     state = state or {}
@@ -87,8 +88,14 @@ def save_checkpoint(path, net: Network, state: dict | None = None) -> None:
         payload += _weight_bytes(layer.b, f"layer {li} bias")
         payload += _mask_bytes(layer.Z)
         if momentum is not None:
-            payload += _weight_bytes(momentum[li]["W"], f"layer {li} weight momentum")
-            payload += _weight_bytes(momentum[li]["b"], f"layer {li} bias momentum")
+            entry = momentum.get(li) or {}
+            for key, what in (("W", "weight"), ("b", "bias")):
+                want, got = getattr(layer, key).shape, np.shape(entry.get(key))
+                if got != want:
+                    raise ValidationError(
+                        f"layer {li} {what} momentum has shape {got}, not {want}"
+                        if key in entry else f"layer {li} has no {what} momentum")
+                payload += _weight_bytes(entry[key], f"layer {li} {what} momentum")
     with atomic_open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .attacks import AttackSpec
+from .attacks import AttackSpec, fgsm_spec
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import load_dataset
 from .errors import (ConfigError, DimensionError, DivergenceError, FormatError,
@@ -50,9 +50,7 @@ def _parse_attacks(text):
         kind = fields[0]
         try:
             if kind == "fgsm" and len(fields) == 2:
-                eps = float(fields[1])
-                spec = AttackSpec(epsilon=eps, step_size=eps,
-                                  steps=1 if eps > 0 else 0)
+                spec = fgsm_spec(float(fields[1]))
             elif kind == "pgd" and len(fields) == 4:
                 spec = AttackSpec(epsilon=float(fields[1]),
                                   steps=int(fields[2]),

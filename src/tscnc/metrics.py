@@ -193,10 +193,12 @@ def _holder_inf_norm(layer) -> float:
 def check_eq7(net: Network, x, k: int, r: float, q: int, n: int, seed: int) -> dict:
     """Check Lhat / (2 sigma_max) <= kappa on every parameterized layer.
 
-    Also logs the layer-product constants that bound the network Lipschitz
-    constant (c1 from sup-norm propagation, c2 from Frobenius products) so
-    the report can be compared across pruning levels.  lipschitz_source
-    names the candidate that set Lhat: the sampled quotient or the gradient norm.
+    Also logs layer-product upper bounds on the margin's Lipschitz constant,
+    c1 at q=1 by sup-norm propagation and c2 at q=2 by Frobenius norms, so
+    the report can be compared across pruning levels.  A conv layer's input
+    entry feeds at most k*k patches, so its operator norm is at most
+    k * sigma_max <= k * ||W||_F: c2 takes that.  lipschitz_source names the
+    candidate that set Lhat: the sampled quotient or the gradient norm.
     """
     _, yhat, values = _margin_lipschitz(net, x, k, r, q, n, seed)
     lipschitz, sampled = values[k]
@@ -217,8 +219,10 @@ def check_eq7(net: Network, x, k: int, r: float, q: int, n: int, seed: int) -> d
     else:
         c1 = c2 = INFINITE
     for li in pis[:-1]:
-        c1 *= _holder_inf_norm(net.layers[li])
-        c2 *= math.sqrt(frobenius_norm_sq(net.layers[li].W))
+        layer = net.layers[li]
+        c1 *= _holder_inf_norm(layer)
+        c2 *= math.sqrt(frobenius_norm_sq(layer.W)) * (
+            layer.kernel_size if layer.kind == "conv2d" else 1)
     return {
         "lipschitz": lipschitz,
         "lipschitz_source": "sampled quotient" if sampled else "gradient norm",

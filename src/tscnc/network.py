@@ -13,17 +13,18 @@ cross-entropy pass (forward, loss, backward) that attacks, saliency and
 training run.  A conv layer works in row chunks, as many examples as fit
 their patch columns in _CHUNK_BYTES (256 KiB, about an L2 cache), so it
 builds no batch-sized column matrix or scatter index.  Its memoized chunk
-index is the flat position of every patch tap in a chunk's flattened input,
-each example with one zero sentinel column appended where every padding tap
-points.  forward gathers a chunk by ``np.take`` and runs each example's
-``np.matmul`` into one preallocated output; the input gradient scatters
-each chunk's ``W.T @ dz`` back through the same index by one
-``np.bincount``, which adds in the same order as an element-wise
-``np.add.at``, and drops the sentinel bins.  Each example's product and
-bins are its own, so the chunking changes no bit.  The dW ``einsum`` sums
-in an order set by operand strides, so backward gathers the whole batch's
-columns once, batch-innermost: the layout of the fancy-index gather
-``flat[:, idx]`` that the trained bytes depend on.
+index (``MaskedLayer.conv_plan``) is the flat position of every patch tap in
+a chunk's flattened input, each example with one zero sentinel column
+appended where every padding tap points; it is cut in one step from a grid
+of those positions by ``sliding_window_view``.  forward gathers a chunk by
+``np.take`` and runs each example's ``np.matmul`` into one preallocated
+output; the input gradient scatters each chunk's ``W.T @ dz`` back through
+the same index by one ``np.bincount``, which adds in the same order as an
+element-wise ``np.add.at``, and drops the sentinel bins.  Each example's
+product and bins are its own, so the chunking changes no bit.  The dW
+``einsum`` sums in an order set by operand strides, so backward gathers the
+whole batch's columns once, batch-innermost: the layout of the fancy-index
+gather ``flat[:, idx]`` that the trained bytes depend on.
 
 Each bias is added in place to the fresh product of its layer, and a ReLU
 right after a parameterized layer rectifies that fresh output in place, so
@@ -39,9 +40,10 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, StateError, ValidationError
-from .tensor_ops import as_tensor, conv_output_size, im2col_indices
+from .tensor_ops import as_tensor, conv_output_size
 
 _PARAM_KINDS = ("linear", "conv2d")
 # bytes of patch columns one conv chunk holds: about an L2 cache
@@ -68,7 +70,7 @@ class MaskedLayer:
     in_channels: int = 0
     out_channels: int = 0
     prunable: bool = False
-    # memoized im2col plan, keyed by input (h, w)
+    # memoized conv_plan chunk index, keyed by input (h, w)
     _plan: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -115,18 +117,26 @@ class MaskedLayer:
     def conv_plan(self, h: int, w: int) -> np.ndarray:
         """The chunk index for input (h, w), memoized: (rows, c_in*k*k, oh*ow).
 
-        Row r is the gather plan offset by r * (c_in*h*w + 1), where example
-        r starts in a chunk's padded, flattened input; row 0 is the plan.
-        rows is as many examples as fit their columns in _CHUNK_BYTES.
+        Entry [r, (c, i, j), o] is the position, in a chunk's _padded input,
+        of tap (i, j) of channel c in output position o's patch of example
+        r: r*(c_in*h*w + 1) plus its flat position in (c_in, h, w), or
+        example r's sentinel, r*(c_in*h*w + 1) + c_in*h*w, for a padding
+        tap.  rows is as many examples as fit their columns in _CHUNK_BYTES.
         """
         key = (h, w)
         if key not in self._plan:
-            idx = im2col_indices(
-                self.in_channels, h, w, self.kernel_size, self.stride, self.pad
-            )
-            rows = max(1, _CHUNK_BYTES // (8 * idx.size))  # float64 columns
-            size = self.in_channels * h * w + 1  # + the sentinel column
-            self._plan[key] = np.arange(0, rows * size, size)[:, None, None] + idx
+            c, k, s, p = self.in_channels, self.kernel_size, self.stride, self.pad
+            oh, ow = conv_output_size(h, w, k, s, p)
+            rows = max(1, _CHUNK_BYTES // (8 * c * k * k * oh * ow))  # float64
+            size = c * h * w + 1  # + the sentinel column
+            starts = np.arange(0, rows * size, size)[:, None, None, None]
+            grid = np.empty((rows, c, h + 2 * p, w + 2 * p), np.intp)
+            grid[...] = starts + (size - 1)  # the padding ring: the sentinel
+            grid[..., p:p + h, p:p + w] = starts + np.arange(size - 1).reshape(c, h, w)
+            win = sliding_window_view(grid, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+            # (rows, c, oh, ow, k, k) -> (rows, c, k, k, oh, ow)
+            self._plan[key] = np.ascontiguousarray(
+                win.transpose(0, 1, 4, 5, 2, 3).reshape(rows, c * k * k, oh * ow))
         return self._plan[key]
 
 

@@ -1,13 +1,12 @@
 """Dense float64 linear-algebra kernels.
 
-The one conv output-size formula (``conv_output_size``), the gather plan
-that lowers a convolution to one matrix product (``im2col_indices``: it
-reads the unpadded input, and every padding tap points at one zero sentinel
-column after it), Frobenius norms, and layer spectra: LAPACK singular
-values (``numpy.linalg.svd``) with the one rule for condition number and
-numerical rank that every diagnostic uses. Everything works on plain
-``numpy.ndarray`` values in 64-bit floats; all functions are pure and
-deterministic for fixed inputs.
+The one conv output-size formula (``conv_output_size``; a conv layer's
+gather plan is its own, ``MaskedLayer.conv_plan`` in ``network.py``),
+Frobenius norms, and layer spectra: LAPACK singular values
+(``numpy.linalg.svd``) with the one rule for condition number and numerical
+rank that every diagnostic uses. Everything works on plain ``numpy.ndarray``
+values in 64-bit floats; all functions are pure and deterministic for fixed
+inputs.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, NumericError, ValidationError
 
@@ -57,29 +55,6 @@ def conv_output_size(h: int, w: int, kernel_size: int, stride: int = 1,
         raise DimensionError(
             f"kernel {kernel_size} does not fit padded input {hp}x{wp}")
     return (hp - kernel_size) // stride + 1, (wp - kernel_size) // stride + 1
-
-
-def im2col_indices(c_in: int, h: int, w: int, kernel_size: int, stride: int = 1,
-                   pad: int = 0) -> np.ndarray:
-    """Gather indices that lower a convolution to one matrix product.
-
-    Returns ``idx`` of shape ``(c_in * k * k, out_h * out_w)``, with the
-    output size of ``conv_output_size``.  It indexes into the *flattened
-    unpadded* input of shape ``(c_in, h, w)`` followed by one zero sentinel
-    column: every tap that falls in the zero padding holds index
-    ``c_in * h * w``. Column j of the gathered matrix is the receptive field
-    of output position j (row-major over output positions; rows ordered
-    channel-major, then kernel row, then kernel column).
-    """
-    out_h, out_w = conv_output_size(h, w, kernel_size, stride, pad)
-    k = kernel_size
-    # each input position's flat index; the padding ring holds the sentinel
-    grid = np.full((c_in, h + 2 * pad, w + 2 * pad), c_in * h * w)
-    grid[:, pad : pad + h, pad : pad + w] = np.arange(c_in * h * w).reshape(c_in, h, w)
-    win = sliding_window_view(grid, (k, k), axis=(1, 2))[:, ::stride, ::stride]
-    # (c, out_h, out_w, k, k) -> (c, k, k, out_h, out_w)
-    return np.ascontiguousarray(
-        win.transpose(0, 3, 4, 1, 2).reshape(c_in * k * k, out_h * out_w))
 
 
 def frobenius_norm_sq(m) -> float:

@@ -263,13 +263,14 @@ def evaluate(net: Network, data: Dataset, eval_attacks: dict, rng=None) -> dict:
 
     An example counts as robust under an attack only when both its clean and
     its attacked prediction are right, so robust accuracy never exceeds clean
-    accuracy.  A label at or above net.class_count is a DimensionError.
+    accuracy.  A label outside [0, net.class_count) is a DimensionError.
     """
     n = len(data)
     if n == 0:
         raise ValidationError("cannot evaluate on an empty dataset")
-    if data.labels.max() >= net.class_count:
-        raise DimensionError(f"label {int(data.labels.max())} does not fit a "
+    lo, hi = int(data.labels.min()), int(data.labels.max())
+    if lo < 0 or hi >= net.class_count:
+        raise DimensionError(f"label {lo if lo < 0 else hi} does not fit a "
                              f"network with {net.class_count} classes")
     correct = 0
     adv_correct = {name: 0 for name in eval_attacks}

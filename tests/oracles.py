@@ -14,10 +14,14 @@ the new one.  The Hypothesis property over random conv nets in
 computes from the C-contiguous columns must equal, bit for bit, this scatter
 of the column gradients.
 
-The rest has no caller in the package: a checked matrix product, a
-single-image ``im2col`` built on the package's own gather plan
-(``tscnc.tensor_ops.im2col_indices``, so the im2col tests still check the
-indices the convolution layers use), the function-preserving layer
+``im2col_indices``, one example's gather plan, was the package's until each
+conv layer came to build its whole chunk index in one step
+(``MaskedLayer.conv_plan``); it stays here, unchanged, as the reference
+that the chunk index is checked against, row by row, and that the
+single-image ``im2col`` gathers with.
+
+The rest has no caller in the package: a checked matrix product, the
+single-image ``im2col``, the function-preserving layer
 rescaling behind the scale-invariance tests, the random Bernoulli masks
 of the Lipschitz monotonicity experiment, and the Hypothesis strategy of
 byte edits behind the property tests of the two binary loaders.
@@ -30,14 +34,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from tscnc.errors import DimensionError, NumericError, ValidationError
 from tscnc.network import Network
 from tscnc.tensor_ops import (
     _as_matrix,
     as_tensor,
+    conv_output_size,
     frobenius_norm_sq,
-    im2col_indices,
 )
 
 
@@ -221,6 +226,29 @@ def matmul(a, b) -> np.ndarray:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"cannot multiply shapes {a.shape} x {b.shape}")
     return a @ b
+
+
+def im2col_indices(c_in: int, h: int, w: int, kernel_size: int, stride: int = 1,
+                   pad: int = 0) -> np.ndarray:
+    """Gather indices that lower a convolution to one matrix product.
+
+    Returns ``idx`` of shape ``(c_in * k * k, out_h * out_w)``, with the
+    output size of ``conv_output_size``.  It indexes into the *flattened
+    unpadded* input of shape ``(c_in, h, w)`` followed by one zero sentinel
+    column: every tap that falls in the zero padding holds index
+    ``c_in * h * w``. Column j of the gathered matrix is the receptive field
+    of output position j (row-major over output positions; rows ordered
+    channel-major, then kernel row, then kernel column).
+    """
+    out_h, out_w = conv_output_size(h, w, kernel_size, stride, pad)
+    k = kernel_size
+    # each input position's flat index; the padding ring holds the sentinel
+    grid = np.full((c_in, h + 2 * pad, w + 2 * pad), c_in * h * w)
+    grid[:, pad : pad + h, pad : pad + w] = np.arange(c_in * h * w).reshape(c_in, h, w)
+    win = sliding_window_view(grid, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    # (c, out_h, out_w, k, k) -> (c, k, k, out_h, out_w)
+    return np.ascontiguousarray(
+        win.transpose(0, 3, 4, 1, 2).reshape(c_in * k * k, out_h * out_w))
 
 
 def im2col(x, kernel_size: int, stride: int = 1, pad: int = 0) -> np.ndarray:

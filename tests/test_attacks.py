@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from tscnc.attacks import AttackSpec, fgsm, pgd
+import tscnc.attacks
+from tscnc.attacks import AttackSpec, fgsm, fgsm_spec, pgd
 from tscnc.errors import DimensionError, ValidationError
 import tscnc.network
 from tscnc.network import (
@@ -84,6 +85,16 @@ class TestAttackSpec:
 
 
 class TestFgsm:
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_runs_pgd_on_the_fgsm_spec(self, toy_net, monkeypatch, eps):
+        net, x, y = toy_net
+        specs = []
+        monkeypatch.setattr(tscnc.attacks, "pgd",
+                            lambda net, x, y, spec: specs.append(spec))
+        fgsm(net, x, y, AttackSpec(eps, clamp=(-1.0, 2.0)))
+        assert specs == [fgsm_spec(eps, (-1.0, 2.0))]
+        assert specs[0].steps == (1 if eps else 0)
+
     def test_zero_epsilon_returns_input(self, toy_net):
         net, x, y = toy_net
         adv = fgsm(net, x, y, AttackSpec(0.0))

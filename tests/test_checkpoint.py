@@ -285,6 +285,52 @@ class TestNonFiniteSave:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tscn"]
 
 
+def _edit_missing(velocity, net):
+    del velocity[2]
+
+
+def _edit_transposed(velocity, net):
+    velocity[0]["W"] = np.zeros_like(net.layers[0].W).T  # same size
+
+
+def _edit_resized(velocity, net):
+    velocity[0]["W"] = np.zeros((5, 5))
+
+
+def _edit_bias(velocity, net):
+    velocity[2]["b"] = np.zeros((1, 3))
+
+
+class TestMomentumShapeSave:
+    """A momentum entry that is missing or shaped unlike its layer is refused
+    before the file is opened, under the non-finite check's rule."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (_edit_missing, "layer 2 has no weight momentum"),
+        (_edit_transposed, r"layer 0 weight momentum has shape \(4, 5\), not \(5, 4\)"),
+        (_edit_resized, r"layer 0 weight momentum has shape \(5, 5\), not \(5, 4\)"),
+        (_edit_bias, r"layer 2 bias momentum has shape \(1, 3\), not \(3,\)"),
+    ], ids=["missing", "transposed", "resized", "bias"])
+    def test_raises_and_leaves_existing_file(self, tmp_path, monkeypatch, edit,
+                                             message):
+        net = build_mlp(5, [4], 3, seed=7)
+        velocity = {i: {"W": np.zeros_like(net.layers[i].W),
+                        "b": np.zeros_like(net.layers[i].b)}
+                    for i in net.parameterized_indices()}
+        path = tmp_path / "m.tscn"
+        save_checkpoint(path, net, state={"momentum": velocity})
+        before = path.read_bytes()
+        edit(velocity, net)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("save_checkpoint opened the file")
+        monkeypatch.setattr("tscnc.checkpoint.atomic_open", refuse)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            save_checkpoint(path, net, state={"momentum": velocity})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tscn"]
+
+
 _DROP = object()
 
 

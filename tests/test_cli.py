@@ -13,6 +13,7 @@ from test_checkpoint import rewrite_header
 
 import tscnc
 from tscnc import cli
+from tscnc.attacks import fgsm_spec
 from tscnc.checkpoint import load_checkpoint, save_checkpoint
 from tscnc.cli import _parse_attacks, main
 from tscnc.errors import ConfigError, DivergenceError
@@ -383,6 +384,10 @@ class TestAttackGrammar:
     def test_fgsm_zero_epsilon(self):
         attacks = _parse_attacks("fgsm:0")
         assert attacks["fgsm"].steps == 0
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_fgsm_spec_is_the_library_rule(self, eps):
+        assert _parse_attacks(f"fgsm:{eps}")["fgsm"] == fgsm_spec(eps)
 
     def test_rejections(self):
         for text in ("", "fgsm", "fgsm:a", "pgd:0.1:ten:0.01", "cw:0.1",

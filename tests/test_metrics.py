@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tscnc.metrics
 from oracles import apply_scaling
@@ -426,6 +428,81 @@ class TestCheckEq7:
         rep2 = check_eq7(doubled, x, k, r=0.1, q=2, n=40, seed=2)
         assert rep2["c1"] == pytest.approx(2.0 * rep1["c1"], rel=1e-9)
         assert rep2["c2"] == pytest.approx(2.0 * rep1["c2"], rel=1e-9)
+
+    def test_c2_bounds_a_conv_that_feeds_each_entry_to_nine_patches(self):
+        # margin = sum of an all-ones 3x3 pad-1 conv over 1x8x8, over 8: its
+        # gradient is each entry's patch count over 8 (9 inside, 6 on an edge,
+        # 4 in a corner), of norm sqrt(36*81 + 24*36 + 4*16) / 8 = 7.75,
+        # above the bare Frobenius product 3 * 1
+        conv = MaskedLayer(kind="conv2d", W=np.ones((1, 9)), b=np.zeros(1),
+                           kernel_size=3, pad=1, in_channels=1, out_channels=1)
+        W = np.zeros((64, 2))
+        W[:, 0] = 1.0 / 8.0
+        head = MaskedLayer(kind="linear", W=W, b=np.zeros(2))
+        net = Network([conv, MaskedLayer(kind="flatten"), head], (1, 8, 8), 2)
+        rep = check_eq7(net, np.full((1, 8, 8), 0.5), k=1, r=0.1, q=2, n=50,
+                        seed=0)
+        assert rep["lipschitz"] == pytest.approx(7.75, rel=1e-12)
+        assert rep["c2"] == 9.0
+        assert rep["lipschitz"] <= rep["c2"]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=st.data())
+    def test_constants_bound_the_estimate(self, case):
+        net, x = case.draw(small_nets())
+        q = case.draw(st.sampled_from([1, 2]))
+        logits, _ = forward(net, x[None])
+        k = (int(np.argmax(logits[0])) + 1) % net.class_count
+        rep = check_eq7(net, x, k, r=case.draw(st.sampled_from([0.05, 0.5])),
+                        q=q, n=50, seed=case.draw(st.integers(0, 9)))
+        # on a linear net the bound is tight, and a difference quotient over
+        # a short step carries the rounding of the two logits it subtracts
+        assert rep["lipschitz"] <= rep["c1" if q == 1 else "c2"] * (1 + 1e-9)
+
+
+@st.composite
+def small_nets(draw):
+    """A random net, (conv, relu){1,2} then flatten, or none, then
+    (linear, relu){0,1} and a linear head, and an input for it.  Weights and
+    biases are normal draws, or, in an aligned net, their magnitudes, with
+    the head's odd columns negated: every path then adds to the margin, which
+    brings it near the bounds."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    aligned = draw(st.booleans())
+
+    def draw_array(shape):
+        a = rng.normal(size=shape)
+        return np.abs(a) if aligned else a
+
+    layers, conv = [], draw(st.booleans())
+    shape = ((draw(st.integers(1, 2)), draw(st.integers(1, 6)),
+              draw(st.integers(1, 6))) if conv else (draw(st.integers(1, 5)),))
+    input_shape = shape
+    for _ in range(draw(st.integers(1, 2)) if conv else 0):
+        p = draw(st.integers(0, 1))
+        k = draw(st.integers(1, min(3, shape[1] + 2 * p, shape[2] + 2 * p)))
+        c_out = draw(st.integers(1, 3))
+        layer = MaskedLayer(kind="conv2d", W=draw_array((c_out, shape[0] * k * k)),
+                            b=draw_array(c_out), kernel_size=k,
+                            stride=draw(st.integers(1, 2)), pad=p,
+                            in_channels=shape[0], out_channels=c_out)
+        shape = layer.output_shape(shape)
+        layers += [layer, MaskedLayer(kind="relu")]
+    if conv:
+        layers.append(MaskedLayer(kind="flatten"))
+        shape = (math.prod(shape),)
+    classes = draw(st.integers(2, 4))
+    widths = [draw(st.integers(1, 5)) for _ in range(draw(st.integers(0, 1)))]
+    for i, width in enumerate([*widths, classes]):
+        if i:
+            layers.append(MaskedLayer(kind="relu"))
+        layers.append(MaskedLayer(kind="linear", W=draw_array((shape[0], width)),
+                                  b=draw_array(width)))
+        shape = (width,)
+    if aligned:
+        layers[-1].W[:, 1::2] *= -1.0
+    return Network(layers, input_shape, classes), rng.uniform(size=input_shape)
 
 
 class TestLipschitzSource:

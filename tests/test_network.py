@@ -1,6 +1,7 @@
 """Forward/backward correctness for the masked network layers."""
 
 import copy
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import apply_scaling, col2im_add_at
+from oracles import apply_scaling, col2im_add_at, im2col_indices
 from tscnc import network
 from tscnc.checkpoint import load_checkpoint, save_checkpoint
 from tscnc.errors import DimensionError, StateError, ValidationError
@@ -526,6 +527,36 @@ class TestConvBitwise:
         backward(net, cache, np.ones_like(logits))
         assert same_bits(x, before)
         assert np.any(before < 0.0)  # a relu that wrote x would have changed it
+
+
+class TestConvPlan:
+    """Row r of a conv layer's chunk index is the one-example oracle plan
+    offset by r * (c_in*h*w + 1), where example r starts in a chunk's
+    padded input, at budgets that give 1, 2 and (mostly) many rows."""
+
+    @pytest.mark.parametrize("rows", [1, 2, None], ids=["1-row", "2-row", "default"])
+    @pytest.mark.parametrize("c_in", [1, 2, 3, 8])
+    def test_rows_are_offset_oracle_plans(self, c_in, rows):
+        checked = 0
+        for h, w, k, stride, pad in itertools.product(
+                range(1, 10), [1, 4, 7, 16], [1, 2, 3, 5], [1, 2, 3], [0, 1, 2]):
+            if h + 2 * pad < k or w + 2 * pad < k:
+                continue
+            idx = im2col_indices(c_in, h, w, k, stride, pad)
+            budget = network._CHUNK_BYTES if rows is None else rows * 8 * idx.size
+            layer = MaskedLayer(kind="conv2d", W=np.zeros((1, c_in * k * k)),
+                                b=np.zeros(1), kernel_size=k, stride=stride,
+                                pad=pad, in_channels=c_in, out_channels=1)
+            with mock.patch.object(network, "_CHUNK_BYTES", budget):
+                plan = layer.conv_plan(h, w)
+            n = max(1, budget // (8 * idx.size))
+            assert plan.shape == (n, *idx.shape)
+            assert plan.dtype == idx.dtype and plan.flags.c_contiguous
+            starts = np.arange(n)[:, None, None] * (c_in * h * w + 1)
+            assert np.array_equal(plan, idx + starts)
+            assert layer.conv_plan(h, w) is plan  # memoized
+            checked += 1
+        assert checked == 1092
 
 
 class TestConvChunkMemory:

@@ -3,15 +3,22 @@
 Every derived expectation is computed by an independent oracle in this file
 (triple-loop products, sliding-window convolution, power iteration) or in
 ``oracles.py`` (the one-sided Jacobi SVD) rather than by the code path under
-test. The ``matmul`` and ``im2col`` exercised here also live in
-``oracles.py``; ``im2col`` gathers with the package's ``im2col_indices``, so
-its tests check the plan the convolution layers use.
+test. The ``matmul``, ``im2col`` and ``im2col_indices`` exercised here also
+live in ``oracles.py``: ``im2col_indices`` is the one-example gather plan
+that ``test_network.py`` checks each conv layer's chunk index against.
 """
 
 import numpy as np
 import pytest
 
-from oracles import ConvergenceError, im2col, matmul, spectral_norm, svd
+from oracles import (
+    ConvergenceError,
+    im2col,
+    im2col_indices,
+    matmul,
+    spectral_norm,
+    svd,
+)
 from tscnc.attacks import AttackSpec
 from tscnc.errors import DimensionError, NumericError, ValidationError
 from tscnc.pruning import PruneSpec
@@ -19,7 +26,6 @@ from tscnc.tensor_ops import (
     INFINITE,
     conv_output_size,
     frobenius_norm_sq,
-    im2col_indices,
     layer_spectrum,
 )
 from tscnc.trainer import TrainConfig, run_tscnc

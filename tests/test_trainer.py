@@ -409,6 +409,14 @@ class TestEvaluate:
                                                     steps=0)})
         assert attacked == []
 
+    def test_negative_label_rejected_like_one_beyond_the_classes(self):
+        net = build_mlp(3, [], 2, seed=0)
+        data = Dataset(images=np.zeros((4, 3)), labels=np.array([0, 1, -1, 0]),
+                       classes=2)
+        with pytest.raises(DimensionError,
+                           match="^label -1 does not fit a network with 2 classes$"):
+            evaluate(net, data, {})
+
 
 class TestRunTscnc:
     def test_plain_sgd_loss_decreases(self):
