@@ -63,8 +63,8 @@ def save_checkpoint(path, net: Network, state: dict | None = None) -> None:
 
     state may carry "epoch", "architecture", "config", and "momentum" (a
     dict of per-layer {"W": array, "b": array} velocity tensors).  A NaN or
-    infinite weight, bias or momentum value, or a momentum entry missing or
-    shaped unlike its layer, is a ValidationError naming the layer, raised
+    infinite value, or a momentum entry missing, shaped unlike its layer or
+    keyed by no parameterized layer, is a ValidationError naming it, raised
     before the file is opened, so a file already at path is left as it was.
     """
     state = state or {}
@@ -80,6 +80,9 @@ def save_checkpoint(path, net: Network, state: dict | None = None) -> None:
         "momentum": momentum is not None,
     }
     hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    for key in momentum or ():
+        if key not in net.parameterized_indices():
+            raise ValidationError(f"momentum key {key!r} is not a parameterized layer")
     payload = bytearray()
     for li, layer in enumerate(net.layers):
         if not layer.parameterized:

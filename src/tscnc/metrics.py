@@ -17,13 +17,6 @@ from .errors import ValidationError
 from .network import Network, backward, forward
 from .tensor_ops import INFINITE, as_tensor, frobenius_norm_sq, layer_spectrum
 
-_erf = np.vectorize(math.erf)
-
-
-def _normal_cdf(z):
-    return 0.5 * (1.0 + _erf(z / np.sqrt(2.0)))
-
-
 # ------------------------------------------------------------ L_CC
 
 
@@ -94,7 +87,11 @@ def _margin_lipschitz(net, x, k, r, q, n, seed):
 
     k is one rival class, or None for every class other than yhat.  Returns
     (logits of x, yhat, {k: (Lipschitz lower bound of g_yhat - g_k, whether
-    the sampled quotient rather than the gradient norm set it)}).
+    the sampled quotient rather than the gradient norm set it)}).  One draw
+    from default_rng(seed) gives the n offsets: uniform on [-r, r]^d at q=1;
+    at q=2, normal (n, d+1), whose first d columns give directions and last
+    the radius r * Phi(z)^(1/d).  One (n, rivals) array holds every rival's
+    quotients; each rival's gradient is one batch-1 backward.
     """
     if n < 1:
         raise ValidationError(f"sample count must be at least 1, got {n}")
@@ -119,33 +116,33 @@ def _margin_lipschitz(net, x, k, r, q, n, seed):
         )
     rivals = [k] if k is not None else [c for c in range(net.class_count) if c != yhat]
     d = x.size
-    raw = np.random.default_rng(seed).standard_normal((n, d + 1))
     if q == 1:
-        deltas = r * (2.0 * _normal_cdf(raw[:, :d]) - 1.0)
+        deltas = np.random.default_rng(seed).uniform(-r, r, size=(n, d))
         norms = np.abs(deltas).max(axis=1)
     else:
+        raw = np.random.default_rng(seed).standard_normal((n, d + 1))
         dirs = raw[:, :d]
         lens = np.linalg.norm(dirs, axis=1)
         lens[lens == 0.0] = 1.0
-        radii = r * _normal_cdf(raw[:, d]) ** (1.0 / d)
-        deltas = (dirs / lens[:, None]) * radii[:, None]
-        norms = radii
+        erf = [math.erf(v) for v in (raw[:, d] / np.sqrt(2.0)).tolist()]
+        norms = r * (0.5 * (1.0 + np.array(erf))) ** (1.0 / d)
+        deltas = (dirs / lens[:, None]) * norms[:, None]
     pts = (x.reshape(1, -1) + deltas).reshape((n,) + tuple(net.input_shape))
     plog, _ = forward(net, pts)
     safe = norms > 0.0
+    hvals = plog[:, [yhat]] - plog[:, rivals]
+    h0 = logits[yhat] - logits[rivals]
+    best = np.zeros(len(rivals))
+    if safe.any():
+        best = (np.abs(hvals - h0)[safe] / norms[safe, None]).max(axis=0)
     values = {}
-    for c in rivals:
-        hvals = plog[:, yhat] - plog[:, c]
-        h0 = logits[yhat] - logits[c]
-        best = 0.0
-        if safe.any():
-            best = float((np.abs(hvals - h0)[safe] / norms[safe]).max())
+    for c, quotient in zip(rivals, best.tolist()):
         gl = np.zeros((1, net.class_count))
         gl[0, yhat] = 1.0
         gl[0, c] = -1.0
         g = backward(net, cache, gl, weights=False).input.ravel()
         gnorm = float(np.abs(g).sum()) if q == 1 else float(np.sqrt(g @ g))
-        values[c] = max(best, gnorm), best > gnorm
+        values[c] = max(quotient, gnorm), quotient > gnorm
     return logits, yhat, values
 
 
@@ -156,9 +153,9 @@ def local_lipschitz_estimate(
 
     Draws n points in the ball B_p(x, r) with p dual to q (q=1 pairs with
     the sup-norm ball, q=2 with the Euclidean ball), takes the largest
-    difference quotient, and adds ||grad h(x)||_q as a candidate.  One
-    normal draw of shape (n, d+1) feeds everything, so sample sets nest as
-    n grows with a fixed seed.
+    difference quotient, and adds ||grad h(x)||_q as a candidate.  q=1
+    makes one uniform draw of shape (n, d) and q=2 one normal draw of shape
+    (n, d+1), so with a fixed seed the sample sets nest as n grows.
     """
     return _margin_lipschitz(net, x, k, r, q, n, seed)[2][k][0]
 

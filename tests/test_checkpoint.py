@@ -301,16 +301,33 @@ def _edit_bias(velocity, net):
     velocity[2]["b"] = np.zeros((1, 3))
 
 
+def _edit_relu_key(velocity, net):
+    velocity[1] = {"W": np.zeros((9, 9)), "b": np.zeros(9)}
+
+
+def _edit_absent_key(velocity, net):
+    velocity[7] = velocity[0]
+
+
+def _edit_string_key(velocity, net):
+    velocity["0"] = velocity[0]
+
+
 class TestMomentumShapeSave:
-    """A momentum entry that is missing or shaped unlike its layer is refused
-    before the file is opened, under the non-finite check's rule."""
+    """A momentum entry that is missing, shaped unlike its layer or keyed by
+    no parameterized layer is refused before the file is opened, under the
+    non-finite check's rule."""
 
     @pytest.mark.parametrize("edit, message", [
         (_edit_missing, "layer 2 has no weight momentum"),
         (_edit_transposed, r"layer 0 weight momentum has shape \(4, 5\), not \(5, 4\)"),
         (_edit_resized, r"layer 0 weight momentum has shape \(5, 5\), not \(5, 4\)"),
         (_edit_bias, r"layer 2 bias momentum has shape \(1, 3\), not \(3,\)"),
-    ], ids=["missing", "transposed", "resized", "bias"])
+        (_edit_relu_key, "momentum key 1 is not a parameterized layer"),
+        (_edit_absent_key, "momentum key 7 is not a parameterized layer"),
+        (_edit_string_key, "momentum key '0' is not a parameterized layer"),
+    ], ids=["missing", "transposed", "resized", "bias", "relu-key", "absent-key",
+            "string-key"])
     def test_raises_and_leaves_existing_file(self, tmp_path, monkeypatch, edit,
                                              message):
         net = build_mlp(5, [4], 3, seed=7)

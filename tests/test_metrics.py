@@ -505,6 +505,53 @@ def small_nets(draw):
     return Network(layers, input_shape, classes), rng.uniform(size=input_shape)
 
 
+def documented_estimate(net, x, k, r, q, n, seed):
+    """(largest quotient, gradient norm) from the draws the docstrings name:
+    uniform (n, d) on [-r, r] at q=1; at q=2, (n, d+1) normals, whose first
+    d columns give directions and last one the radius r * Phi(z_d)^(1/d)."""
+    d = x.size
+    rng = np.random.default_rng(seed)
+    if q == 1:
+        deltas = rng.uniform(-r, r, (n, d))
+        norms = np.abs(deltas).max(axis=1)
+    else:
+        raw = rng.standard_normal((n, d + 1))
+        dirs = raw[:, :d] / np.linalg.norm(raw[:, :d], axis=1)[:, None]
+        phi = np.array([0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+                        for z in raw[:, d].tolist()])
+        norms = r * phi ** (1.0 / d)
+        deltas = dirs * norms[:, None]
+    logits, cache = forward(net, x[None])
+    yhat = int(np.argmax(logits[0]))
+    plog, _ = forward(net, x[None] + deltas.reshape((n,) + x.shape))
+    h = plog[:, yhat] - plog[:, k]
+    quotient = float((np.abs(h - (logits[0, yhat] - logits[0, k])) / norms).max())
+    gl = np.zeros((1, net.class_count))
+    gl[0, yhat], gl[0, k] = 1.0, -1.0
+    g = backward(net, cache, gl, weights=False).input.ravel()
+    return quotient, float(np.abs(g).sum()) if q == 1 else float(np.sqrt(g @ g))
+
+
+class TestSamplerContract:
+    """local_lipschitz_estimate is the larger of the quotient over the
+    documented draws and the gradient norm, bit for bit.  Each case sits
+    where the quotient wins, so the draws decide the answer."""
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("net, x, r", [
+        (build_mlp(4, [8], 3, seed=1), np.random.default_rng(1).uniform(size=4), 0.5),
+        (build_cnn((1, 4, 4), [2], 8, 3, seed=3),
+         np.random.default_rng(0).uniform(size=(1, 4, 4)), 2.0),
+    ], ids=["mlp", "cnn"])
+    def test_estimate_recomputed_from_the_draws(self, net, x, r, q):
+        logits, _ = forward(net, x[None])
+        k = (int(np.argmax(logits[0])) + 1) % 3
+        quotient, gnorm = documented_estimate(net, x, k, r, q, n=40, seed=3)
+        assert quotient > gnorm
+        assert np.array_equal(local_lipschitz_estimate(net, x, k, r, q, n=40, seed=3),
+                              max(quotient, gnorm))
+
+
 class TestLipschitzSource:
     """check_eq7 names the candidate that set its Lipschitz estimate."""
 
@@ -516,7 +563,8 @@ class TestLipschitzSource:
         assert rep["lipschitz_source"] == "gradient norm"
         assert rep["lipschitz"] == float(np.linalg.norm([3.0, -2.5]))
 
-    def test_sampled_quotient_wins_across_a_relu_boundary(self):
+    @staticmethod
+    def assert_sample_wins(q):
         # x sits in the dead region of relu(x - 0.05): the gradient there is
         # 0, and the samples past 0.05 give the margin 2 relu(x - 0.05) a slope
         hidden = MaskedLayer(kind="linear", W=np.ones((1, 1)), b=np.array([-0.05]))
@@ -524,10 +572,17 @@ class TestLipschitzSource:
                            b=np.array([1.0, 0.0]))
         net = Network([hidden, MaskedLayer(kind="relu"), head], (1,), 2)
         x = np.zeros(1)
-        rep = check_eq7(net, x, k=1, r=0.1, q=2, n=50, seed=0)
+        rep = check_eq7(net, x, k=1, r=0.1, q=q, n=50, seed=0)
         assert rep["lipschitz_source"] == "sampled quotient"
         assert 0.0 < rep["lipschitz"] < 2.0
-        assert rep["lipschitz"] == local_lipschitz_estimate(net, x, 1, 0.1, 2, 50, 0)
+        assert rep["lipschitz"] == local_lipschitz_estimate(net, x, 1, 0.1, q, 50, 0)
+
+    def test_sampled_quotient_wins_across_a_relu_boundary(self):
+        self.assert_sample_wins(q=2)
+
+    def test_sampled_quotient_wins_at_q1(self):
+        # the sup-norm ball: here the uniform draw decides the answer
+        self.assert_sample_wins(q=1)
 
 
 class TestSharedSamplingPass:
