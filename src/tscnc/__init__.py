@@ -1,6 +1,6 @@
 """Joint sparse + condition-number-constrained adversarial training, desk scale."""
 
-from .attacks import AttackSpec, fgsm, pgd
+from .attacks import AttackSpec, fgsm_spec, pgd
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import load_dataset, load_idx, synth_blobs
 from .errors import (
@@ -30,7 +30,7 @@ from .trainer import (TrainConfig, config_from_dict, evaluate, run_tscnc,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttackSpec", "fgsm", "pgd",
+    "AttackSpec", "fgsm_spec", "pgd",
     "load_checkpoint", "save_checkpoint",
     "load_dataset", "load_idx", "synth_blobs",
     "TscncError", "DimensionError", "ValidationError", "NumericError",

@@ -1,7 +1,6 @@
-"""First-order l-infinity attacks: FGSM and iterated projected ascent (PGD).
+"""First-order l-infinity attacks: PGD, with FGSM as one full-budget step.
 
-Both attacks share one step path, so a single projected step with step size
-epsilon and no random start is bitwise identical to FGSM.
+Attacks clip to data.FEATURE_RANGE, the range both dataset loaders produce.
 """
 
 from __future__ import annotations
@@ -10,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import FEATURE_RANGE
 from .errors import ValidationError
 from .network import Network, loss_gradients
 from .tensor_ops import as_tensor
@@ -22,14 +22,13 @@ class AttackSpec:
     epsilon is the ball radius in input units, step_size the per-iteration
     magnitude, steps the iteration count.  random_start draws the initial
     point uniformly from the ball (training default); leave it off for
-    bit-reproducible attacks.  clamp bounds the valid input range.
+    bit-reproducible attacks.
     """
 
     epsilon: float
     step_size: float = 0.0
     steps: int = 0
     random_start: bool = False
-    clamp: tuple[float, float] = (0.0, 1.0)
 
     def validate(self) -> None:
         if not np.isfinite([self.epsilon, self.step_size]).all():
@@ -45,43 +44,34 @@ class AttackSpec:
             raise ValidationError(
                 f"step_size must be positive when steps > 0, got {self.step_size}"
             )
-        lo, hi = self.clamp
-        if not lo < hi:
-            raise ValidationError(f"clamp range must satisfy lo < hi, got {self.clamp}")
 
 
 def pgd(net: Network, x, y, spec: AttackSpec, rng=None) -> np.ndarray:
     """Projected gradient ascent on the cross-entropy loss.
 
-    Each iteration takes a signed-gradient step of spec.step_size, clamps to
-    the valid range, then projects back onto the epsilon-ball around the
-    original input.  sign(0) contributes no perturbation.
+    Each iteration takes a signed-gradient step of spec.step_size, clips to
+    FEATURE_RANGE, then projects back onto the epsilon-ball around the
+    original input.  sign(0) contributes no perturbation.  On fgsm_spec(eps)
+    this is FGSM: clip(x + eps * sign(grad_x loss)).
     """
     spec.validate()
     x0 = as_tensor(x)
-    lo, hi = spec.clamp
     eps = spec.epsilon
-    adv = np.clip(x0, lo, hi)
+    adv = np.clip(x0, *FEATURE_RANGE)
     if spec.random_start and eps > 0.0:
         if rng is None:
             rng = np.random.default_rng(0)
         adv = adv + rng.uniform(-eps, eps, size=adv.shape)
-        adv = np.clip(adv, lo, hi)
+        adv = np.clip(adv, *FEATURE_RANGE)
         adv = x0 + np.clip(adv - x0, -eps, eps)
     for _ in range(spec.steps):
         g = loss_gradients(net, adv, y, weights=False)[1].input
         adv = adv + spec.step_size * np.sign(g)
-        adv = np.clip(adv, lo, hi)
+        adv = np.clip(adv, *FEATURE_RANGE)
         adv = x0 + np.clip(adv - x0, -eps, eps)
     return adv
 
 
-def fgsm_spec(epsilon: float, clamp: tuple[float, float] = (0.0, 1.0)) -> AttackSpec:
+def fgsm_spec(epsilon: float) -> AttackSpec:
     """FGSM as a PGD spec: one step of size epsilon, none at epsilon 0."""
-    return AttackSpec(epsilon, epsilon, 1 if epsilon > 0 else 0, False, clamp)
-
-
-def fgsm(net: Network, x, y, spec: AttackSpec) -> np.ndarray:
-    """Single-step attack: clamp(x + epsilon * sign(grad_x loss))."""
-    spec.validate()
-    return pgd(net, x, y, fgsm_spec(spec.epsilon, spec.clamp))
+    return AttackSpec(epsilon, epsilon, 1 if epsilon > 0 else 0)

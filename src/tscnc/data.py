@@ -1,8 +1,8 @@
 """Dataset ingestion: IDX binary files and synthetic Gaussian blob tasks.
 
-Datasets carry float64 features scaled to [0, 1] and integer labels.  A
-small string registry ("blobs-..." / "idx:...") lets configs name datasets
-without extra plumbing.
+Datasets carry float64 features in FEATURE_RANGE, [0, 1], and integer
+labels.  A small string registry ("blobs-..." / "idx:...") lets configs name
+datasets without extra plumbing.
 """
 
 from __future__ import annotations
@@ -18,10 +18,12 @@ from .errors import FormatError, ValidationError
 _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
 
+FEATURE_RANGE = (0.0, 1.0)
+
 
 @dataclass
 class Dataset:
-    """Features in [0, 1] plus integer labels.
+    """Features in FEATURE_RANGE, [0, 1], plus integer labels.
 
     images is (n, c, h, w) for image data or (n, d) for flat feature tasks;
     labels lie in [0, classes).
@@ -119,7 +121,7 @@ def synth_blobs(
         center = np.where(coords % classes == k, 0.8, 0.2)
         xs.append(center + rng.normal(0.0, spread, size=(n_per_class, dim))
                   if spread > 0.0 else np.tile(center, (n_per_class, 1)))
-    images = np.clip(np.concatenate(xs), 0.0, 1.0)
+    images = np.clip(np.concatenate(xs), *FEATURE_RANGE)
     labels = np.repeat(np.arange(classes, dtype=np.int64), n_per_class)
     if image_shape is not None:
         image_shape = tuple(image_shape)

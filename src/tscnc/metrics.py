@@ -108,8 +108,6 @@ def _margin_lipschitz(net, x, k, r, q, n, seed):
     logits, cache = forward(net, x[None])
     logits = logits[0]
     yhat = int(np.argmax(logits))
-    if k is not None and not 0 <= k < net.class_count:
-        raise ValidationError(f"class index {k} outside [0, {net.class_count})")
     if yhat == k:
         raise ValidationError(
             f"comparison class {k} equals the predicted class; margin is degenerate"
@@ -146,6 +144,15 @@ def _margin_lipschitz(net, x, k, r, q, n, seed):
     return logits, yhat, values
 
 
+def _rival(net, k) -> int:
+    """k as one rival class: an int in [0, class_count), not a bool or None."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValidationError(f"rival k must be a class index, got {k!r}")
+    if not 0 <= k < net.class_count:
+        raise ValidationError(f"rival k: class index {k} outside [0, {net.class_count})")
+    return int(k)
+
+
 def local_lipschitz_estimate(
     net: Network, x, k: int, r: float, q: int, n: int, seed: int
 ) -> float:
@@ -157,7 +164,7 @@ def local_lipschitz_estimate(
     makes one uniform draw of shape (n, d) and q=2 one normal draw of shape
     (n, d+1), so with a fixed seed the sample sets nest as n grows.
     """
-    return _margin_lipschitz(net, x, k, r, q, n, seed)[2][k][0]
+    return _margin_lipschitz(net, x, _rival(net, k), r, q, n, seed)[2][k][0]
 
 
 def robustness_radius(net: Network, x, r: float, q: int, n: int, seed: int) -> float:
@@ -197,6 +204,7 @@ def check_eq7(net: Network, x, k: int, r: float, q: int, n: int, seed: int) -> d
     k * sigma_max <= k * ||W||_F: c2 takes that.  lipschitz_source names the
     candidate that set Lhat: the sampled quotient or the gradient norm.
     """
+    k = _rival(net, k)
     _, yhat, values = _margin_lipschitz(net, x, k, r, q, n, seed)
     lipschitz, sampled = values[k]
     rows = []

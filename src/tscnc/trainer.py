@@ -127,13 +127,7 @@ def _read(kind, value, key):
         return {name: _read(args[1], v, f"{key}[{name}]")
                 for name, v in _require(value, dict, key).items()}
     if get_origin(kind) is tuple:
-        items = _require(value, list, key)
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(items)
-        elif len(items) != len(args):
-            raise ConfigError(
-                f"config key {key} must have exactly {len(args)} entries")
-        return tuple(_read(a, v, key) for a, v in zip(args, items))
+        return tuple(_read(args[0], v, key) for v in _require(value, list, key))
     if kind in (bool, str):
         if not isinstance(value, kind):
             what = "true or false" if kind is bool else "a string"

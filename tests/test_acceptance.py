@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from oracles import random_bernoulli_masks, svd
-from tscnc.attacks import AttackSpec, fgsm, pgd
+from tscnc.attacks import AttackSpec, fgsm_spec, pgd
 from tscnc.checkpoint import load_checkpoint, save_checkpoint
 from tscnc.data import synth_blobs
 from tscnc.metrics import (
@@ -28,6 +28,7 @@ from tscnc.network import (
     build_mlp,
     cross_entropy,
     forward,
+    loss_gradients,
 )
 from tscnc.pruning import (
     PruneSpec,
@@ -224,16 +225,17 @@ class TestConditioningOracles:
 
 class TestAttackOracles:
     def test_single_step_equivalence_containment_and_grid(self, capsys):
-        # one projected ascent step at full budget is exactly the fast
-        # gradient step, bit for bit
+        # one projected ascent step at full budget is the textbook fast
+        # gradient sign step clip(x + eps * sign(grad_x loss)), bit for bit
         bitwise = True
         for i in range(5):
             rng = np.random.default_rng(i)
             net = build_mlp(4, [5], 3, seed=i)
             x = rng.uniform(size=(20, 4))
             y = rng.integers(0, 3, size=20)
-            spec = AttackSpec(epsilon=0.1, step_size=0.1, steps=1, random_start=False)
-            if not np.array_equal(pgd(net, x, y, spec), fgsm(net, x, y, spec)):
+            g = loss_gradients(net, x, y, weights=False)[1].input
+            want = np.clip(x + 0.1 * np.sign(g), 0.0, 1.0)
+            if not np.array_equal(pgd(net, x, y, fgsm_spec(0.1)), want):
                 bitwise = False
 
         net = build_mlp(6, [8], 3, seed=9)
@@ -276,7 +278,7 @@ class TestAttackOracles:
         ok = bitwise and inside and worst_gap <= 1e-3
         _verdict(
             capsys,
-            "single-step attack bitwise-equals fgsm, 10^4 attacks stay in the "
+            "single-step attack bitwise-equals the FGSM formula, 10^4 attacks stay in the "
             f"ball, 1-d grid gap {worst_gap:.2e}",
             ok,
         )

@@ -1,10 +1,10 @@
-"""FGSM/PGD behavior: closed forms, ball containment, oracle agreement."""
+"""PGD behavior, FGSM (PGD on fgsm_spec) included: closed forms, ball
+containment, oracle agreement."""
 
 import numpy as np
 import pytest
 
-import tscnc.attacks
-from tscnc.attacks import AttackSpec, fgsm, fgsm_spec, pgd
+from tscnc.attacks import AttackSpec, fgsm_spec, pgd
 from tscnc.errors import DimensionError, ValidationError
 import tscnc.network
 from tscnc.network import (
@@ -15,6 +15,7 @@ from tscnc.network import (
     build_mlp,
     cross_entropy,
     forward,
+    loss_gradients,
 )
 
 
@@ -65,10 +66,6 @@ class TestAttackSpec:
         with pytest.raises(ValidationError):
             AttackSpec(0.1, step_size=0.0, steps=5).validate()
 
-    def test_bad_clamp_rejected(self):
-        with pytest.raises(ValidationError):
-            AttackSpec(0.1, 0.1, 1, clamp=(1.0, 0.0)).validate()
-
     def test_negative_steps_rejected(self):
         with pytest.raises(ValidationError, match="steps must be non-negative"):
             AttackSpec(0.1, 0.1, steps=-1).validate()
@@ -85,19 +82,12 @@ class TestAttackSpec:
 
 
 class TestFgsm:
-    @pytest.mark.parametrize("eps", [0.0, 0.05])
-    def test_runs_pgd_on_the_fgsm_spec(self, toy_net, monkeypatch, eps):
-        net, x, y = toy_net
-        specs = []
-        monkeypatch.setattr(tscnc.attacks, "pgd",
-                            lambda net, x, y, spec: specs.append(spec))
-        fgsm(net, x, y, AttackSpec(eps, clamp=(-1.0, 2.0)))
-        assert specs == [fgsm_spec(eps, (-1.0, 2.0))]
-        assert specs[0].steps == (1 if eps else 0)
+    """FGSM is pgd on fgsm_spec(eps)."""
 
     def test_zero_epsilon_returns_input(self, toy_net):
         net, x, y = toy_net
-        adv = fgsm(net, x, y, AttackSpec(0.0))
+        assert fgsm_spec(0.0).steps == 0
+        adv = pgd(net, x, y, fgsm_spec(0.0))
         assert np.array_equal(adv, x)
 
     def test_linear_model_closed_form(self):
@@ -111,7 +101,7 @@ class TestFgsm:
         x = rng.uniform(0.2, 0.8, size=(6, 4))
         y = rng.integers(0, 2, size=6)
         eps = 0.05
-        adv = fgsm(net, x, y, AttackSpec(eps))
+        adv = pgd(net, x, y, fgsm_spec(eps))
         logits, _ = forward(net, x)
         _, gl = cross_entropy(logits, y)
         want = np.clip(x + eps * np.sign(gl @ W.T), 0.0, 1.0)
@@ -119,7 +109,7 @@ class TestFgsm:
 
     def test_loss_increases_on_trained_net(self, toy_net):
         net, x, y = toy_net
-        adv = fgsm(net, x, y, AttackSpec(0.1))
+        adv = pgd(net, x, y, fgsm_spec(0.1))
         clean = per_sample_loss(net, x, y)
         attacked = per_sample_loss(net, adv, y)
         assert np.mean(attacked >= clean) >= 0.95
@@ -127,18 +117,20 @@ class TestFgsm:
     def test_output_in_ball_and_range(self, toy_net):
         net, x, y = toy_net
         eps = 0.07
-        adv = fgsm(net, x, y, AttackSpec(eps))
+        adv = pgd(net, x, y, fgsm_spec(eps))
         assert np.abs(adv - x).max() <= eps + 1e-12
         assert adv.min() >= 0.0 and adv.max() <= 1.0
 
 
 class TestPgd:
     def test_single_step_equals_fgsm_bitwise(self, toy_net):
+        # one full-budget step is the textbook fast gradient sign step
         net, x, y = toy_net
         eps = 8.0 / 255.0
-        a = pgd(net, x, y, AttackSpec(eps, step_size=eps, steps=1))
-        b = fgsm(net, x, y, AttackSpec(eps))
-        assert np.array_equal(a, b)
+        g = loss_gradients(net, x, y, weights=False)[1].input
+        want = np.clip(x + eps * np.sign(g), 0.0, 1.0)
+        assert np.array_equal(pgd(net, x, y, AttackSpec(eps, eps, 1)), want)
+        assert np.array_equal(pgd(net, x, y, fgsm_spec(eps)), want)
 
     def test_ball_containment_random_specs(self, toy_net):
         net, x, y = toy_net
@@ -255,7 +247,7 @@ class TestInputGradientOnly:
     @pytest.mark.parametrize("attack", [
         lambda net, x, y: pgd(net, x, y, AttackSpec(0.1, 0.03, 4, random_start=True),
                               rng=np.random.default_rng(1)),
-        lambda net, x, y: fgsm(net, x, y, AttackSpec(0.1)),
+        lambda net, x, y: pgd(net, x, y, fgsm_spec(0.1)),
     ], ids=["pgd", "fgsm"])
     def test_cnn_attack_evaluates_no_weight_gradient(self, attack, monkeypatch):
         net = build_cnn((2, 6, 6), [3, 4], 8, 3, seed=0)

@@ -43,14 +43,19 @@ def config_path(tmp_path):
     return path
 
 
-def run_cli(*args, preexec_fn=None, **env):
-    """`python -m tscnc.cli ARGS` in a subprocess, with this package on the path."""
+def run_python(*args, preexec_fn=None, **env):
+    """`python ARGS` in a subprocess, with this package on the path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(tscnc.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "tscnc.cli", *args],
+        [sys.executable, *args],
         env=dict(os.environ, PYTHONPATH=path, **env), preexec_fn=preexec_fn,
         capture_output=True, text=True, timeout=300)
+
+
+def run_cli(*args, preexec_fn=None, **env):
+    """`python -m tscnc.cli ARGS` in a subprocess."""
+    return run_python("-m", "tscnc.cli", *args, preexec_fn=preexec_fn, **env)
 
 
 def limit_address_space():
@@ -162,6 +167,18 @@ class TestTrain:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "configuration error" in proc.stderr
+
+    def test_clamp_key_exits_2(self, tmp_path, config_path, capsys):
+        # attacks clip to the data's fixed range; a config that still sets
+        # a clamp is refused, not read and ignored
+        doc = json.loads(config_path.read_text())
+        doc["train_attack"]["clamp"] = [0.0, 1.0]
+        config_path.write_text(json.dumps(doc))
+        assert main(["--quiet", "train", "--config", str(config_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: unknown config keys: ['train_attack.clamp']\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("over", ['"lr": NaN', '"weight_decay": Infinity',
                                       '"epochs": 2.7'])
@@ -654,6 +671,34 @@ QUICKSTART = {
 }
 
 
+def _conv_config(dataset, architecture, batch_size, sparsity):
+    return {"dataset": dataset, "architecture": architecture, "epochs": 2,
+            "batch_size": batch_size, "warmup_epochs": 1,
+            "train_attack": {"epsilon": 0.05, "step_size": 0.0125, "steps": 2},
+            "eval_attacks": {}, "prune": {"sparsity": sparsity}}
+
+
+# cnn-8x16-32 on 1x8x8 runs its second conv in 7-row chunks, so a batch of 32
+# takes four full chunks and a partial one
+CONV_CONFIGS = {
+    "cnn-2-4": _conv_config("blobs-c3-d16-n10-s0.1-i1x4x4", "cnn-2-4", 16, 0.4),
+    "cnn-8x16-32": _conv_config("blobs-c6-d64-n20-s0.6-i1x8x8", "cnn-8x16-32",
+                                32, 0.5),
+}
+
+# no CLI command reaches the Lipschitz sampler: print q=1 and q=2 robustness
+# radii at four held-out points (data seed 1)
+RADII = """
+import sys, tscnc
+net = tscnc.load_checkpoint(sys.argv[1]).net
+held = tscnc.load_dataset(sys.argv[2], seed=1)
+for j in range(4):
+    for q in (1, 2):
+        print(j, q, repr(tscnc.robustness_radius(net, held.images[j], r=0.1,
+                                                 q=q, n=100, seed=1)))
+"""
+
+
 class TestBlasThreads:
     def test_thread_counts_give_identical_bytes(self, tmp_path):
         config = tmp_path / "config.json"
@@ -666,3 +711,32 @@ class TestBlasThreads:
             outputs.append([(out / name).read_bytes()
                             for name in ("model.tscn", "metrics.json")])
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("name", sorted(CONV_CONFIGS))
+    def test_conv_thread_counts_give_identical_bytes(self, tmp_path, name):
+        # each conv product is a BLAS call, and inspect and evaluate run the
+        # chunked conv gather and scatter
+        doc = CONV_CONFIGS[name]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            model = str(out / "model.tscn")
+            run_cli("--quiet", "train", "--config", str(config), "--out", str(out),
+                    OPENBLAS_NUM_THREADS=threads).check_returncode()
+            runs = [run_cli("inspect", "--checkpoint", model,
+                            OPENBLAS_NUM_THREADS=threads),
+                    run_cli("evaluate", "--checkpoint", model, "--attacks",
+                            "pgd:0.05:3:0.0125", "--data", doc["dataset"],
+                            OPENBLAS_NUM_THREADS=threads)]
+            if name == "cnn-8x16-32":
+                runs.append(run_python("-c", RADII, model, doc["dataset"],
+                                       OPENBLAS_NUM_THREADS=threads))
+            for proc in runs:
+                proc.check_returncode()
+            outputs.append([(out / f).read_bytes()
+                            for f in ("model.tscn", "metrics.json")]
+                           + [proc.stdout for proc in runs])
+        assert outputs[0] == outputs[1]
+        assert all(outputs[0])

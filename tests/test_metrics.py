@@ -224,6 +224,16 @@ class TestLocalLipschitzEstimate:
             local_lipschitz_estimate(net, np.array([0.9, 0.2, 0.1]), 3, r=0.1,
                                      q=2, n=5, seed=0)
 
+    @pytest.mark.parametrize("fn", [local_lipschitz_estimate, check_eq7],
+                             ids=["estimate", "eq7"])
+    @pytest.mark.parametrize("k", [None, 1.0, True])
+    def test_rival_must_be_one_class_index(self, fn, k):
+        # None (every rival) is robustness_radius's path only, and a float
+        # or a bool is no class index
+        net = build_mlp(4, [5], 3, seed=0)
+        with pytest.raises(ValidationError, match="rival k must be a class index"):
+            fn(net, np.full(4, 0.5), k, r=0.1, q=2, n=5, seed=0)
+
     def test_constant_output_net_gives_zero(self):
         net = linear_net(np.zeros((4, 3)), b=np.array([2.0, 1.0, 0.0]))
         est = local_lipschitz_estimate(

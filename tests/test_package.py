@@ -1,5 +1,7 @@
 """The public surface the README promises."""
 
+import dataclasses
+import inspect
 import pathlib
 import re
 
@@ -21,3 +23,13 @@ def test_readme_piecemeal_names_import_from_package():
         assert name in tscnc.__all__, name
         assert callable(getattr(tscnc, name)), name
 
+
+
+def test_one_fgsm_and_no_clamp():
+    # FGSM is pgd on fgsm_spec(eps), and attacks clip to the data's range
+    assert [f.name for f in dataclasses.fields(tscnc.AttackSpec)] == [
+        "epsilon", "step_size", "steps", "random_start"]
+    assert not hasattr(tscnc.attacks, "fgsm")
+    assert "fgsm_spec" in tscnc.__all__ and "fgsm" not in tscnc.__all__
+    assert list(inspect.signature(tscnc.fgsm_spec).parameters) == ["epsilon"]
+    assert tscnc.data.FEATURE_RANGE == (0.0, 1.0)

@@ -161,10 +161,9 @@ class TestConfigFromDict:
             batch_size=16, lr=0.25, momentum=0.5, weight_decay=1e-3,
             lr_milestones=(3, 5), lr_factor=0.5, lam=0.01, tau=1e-3,
             train_attack=AttackSpec(epsilon=0.2, step_size=0.05, steps=4,
-                                    random_start=True, clamp=(-1.0, 2.0)),
+                                    random_start=True),
             eval_attacks={"a": AttackSpec(epsilon=0.1, step_size=0.1,
-                                          steps=1, random_start=True,
-                                          clamp=(0.25, 0.75))},
+                                          steps=1, random_start=True)},
             prune=PruneSpec(sparsity=0.5, scope="per_layer",
                             protected=(0, 2), criterion="magnitude"),
             warmup_epochs=2, seed=11,
@@ -254,7 +253,7 @@ class TestConfigFromDict:
         {"prune": ["sparsity"]},
         {"lr_milestones": 5},
         {"train_attack": {"epsilon": "abc"}},
-        {"train_attack": {"epsilon": 0.1, "clamp": [0.0]}},
+        {"lr_milestones": [[10]]},
         {"prune": {"sparsity": "x"}},
         {"prune": {"sparsity": 0.5, "protected": 3}},
         {"train_attack": {"epsilon": 0.1, "steps": "2.5"}},
@@ -268,7 +267,7 @@ class TestConfigFromDict:
         {"prune": {"sparsity": 0.5, "protected": [0.5]}},
         {"prune": {"scope": 3}},
         {"prune": {"criterion": []}},
-        {"eval_attacks": {"w": {"epsilon": 0.1, "clamp": [0, 0.5, 1]}}},
+        {"prune": {"sparsity": 0.5, "protected": [True]}},
         # numeric keys take JSON numbers, not strings that parse as numbers
         {"epochs": "7"},
         {"lr": " 0.5 "},
@@ -279,6 +278,18 @@ class TestConfigFromDict:
     def test_malformed_nested_values(self, over):
         with pytest.raises(ConfigError):
             config_from_dict({"dataset": "x", "architecture": "y", **over})
+
+    @pytest.mark.parametrize("over, key", [
+        ({"train_attack": {"epsilon": 0.1, "clamp": [0.0, 1.0]}},
+         "train_attack.clamp"),
+        ({"eval_attacks": {"w": {"epsilon": 0.1, "clamp": [0.0, 1.0]}}},
+         "eval_attacks[w].clamp"),
+    ], ids=["train_attack", "eval_attacks"])
+    def test_clamp_is_an_unknown_key(self, over, key):
+        # attacks clip to the data's fixed range, so no attack spec sets one
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({"dataset": "x", "architecture": "y", **over})
+        assert str(info.value) == f"unknown config keys: ['{key}']"
 
     def test_trades_beta_reserved(self):
         # the smoothness-regularized objective is not implemented, so its
