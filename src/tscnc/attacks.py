@@ -56,17 +56,37 @@ def pgd(net: Network, x, y, spec: AttackSpec, rng=None) -> np.ndarray:
     """
     spec.validate()
     x0 = as_tensor(x)
-    eps = spec.epsilon
+    return _ascend(net, x0, y, spec, _start(x0, spec, rng))
+
+
+def _starts_clean(spec: AttackSpec) -> bool:
+    """Whether pgd starts spec's attack at clip(x), drawing nothing."""
+    return not (spec.random_start and spec.epsilon > 0.0)
+
+
+def _start(x0, spec: AttackSpec, rng) -> np.ndarray:
+    """pgd's first iterate: clip(x0), or a uniform draw from the epsilon-ball
+    around it when the attack does not start clean.  The draw has x0's shape
+    and is taken from rng, default_rng(0) when rng is None."""
     adv = np.clip(x0, *FEATURE_RANGE)
-    if spec.random_start and eps > 0.0:
+    if not _starts_clean(spec):
+        eps = spec.epsilon
         if rng is None:
             rng = np.random.default_rng(0)
         adv = adv + rng.uniform(-eps, eps, size=adv.shape)
         adv = np.clip(adv, *FEATURE_RANGE)
         adv = x0 + np.clip(adv - x0, -eps, eps)
-    for _ in range(spec.steps):
-        g = loss_gradients(net, adv, y, weights=False)[1].input
-        adv = adv + spec.step_size * np.sign(g)
+    return adv
+
+
+def _ascend(net: Network, x0, y, spec: AttackSpec, adv, grad=None) -> np.ndarray:
+    """pgd's spec.steps iterations from adv around x0.  grad, when given, is
+    the input gradient at adv; the first step takes it in place of a pass."""
+    eps = spec.epsilon
+    for step in range(spec.steps):
+        if step or grad is None:
+            grad = loss_gradients(net, adv, y, weights=False)[1].input
+        adv = adv + spec.step_size * np.sign(grad)
         adv = np.clip(adv, *FEATURE_RANGE)
         adv = x0 + np.clip(adv - x0, -eps, eps)
     return adv

@@ -14,7 +14,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .attacks import AttackSpec, pgd
+from .attacks import AttackSpec, _ascend, _start, _starts_clean, pgd
 from .data import Dataset, load_dataset
 from .errors import ConfigError, DimensionError, DivergenceError, ValidationError
 from .metrics import LayerCondition, condition_constraint, condition_report
@@ -28,6 +28,7 @@ from .pruning import (
     saliency,
     select_mask,
 )
+from .tensor_ops import as_tensor
 
 
 @dataclass
@@ -88,7 +89,13 @@ class TrainConfig:
         if not self.architecture:
             raise ValidationError("config needs an architecture id")
         self.train_attack.validate()
-        for spec in self.eval_attacks.values():
+        for name, spec in self.eval_attacks.items():
+            # each name heads a <name>_acc column of metrics.csv
+            if not name or name == "clean" or any(c in name for c in ',"\r\n'):
+                raise ValidationError(
+                    f"eval_attacks name {name!r} is not a metrics.csv column name: "
+                    "it must be non-empty, not 'clean', and hold no comma, quote "
+                    "or line break")
             spec.validate()
         self.prune.validate()
 
@@ -257,7 +264,12 @@ def evaluate(net: Network, data: Dataset, eval_attacks: dict, rng=None) -> dict:
 
     An example counts as robust under an attack only when both its clean and
     its attacked prediction are right, so robust accuracy never exceeds clean
-    accuracy.  A label outside [0, net.class_count) is a DimensionError.
+    accuracy.  Each attack runs on the clean-correct examples of a batch
+    alone, with the adversarial example ``pgd`` gives them in the whole
+    batch: a random start is drawn over the whole batch, even when no
+    example is attacked, and cut down to the attacked ones.  The attacks
+    that start at the clean input share one input gradient there.  A label
+    outside [0, net.class_count) is a DimensionError.
     """
     n = len(data)
     if n == 0:
@@ -266,20 +278,31 @@ def evaluate(net: Network, data: Dataset, eval_attacks: dict, rng=None) -> dict:
     if lo < 0 or hi >= net.class_count:
         raise DimensionError(f"label {lo if lo < 0 else hi} does not fit a "
                              f"network with {net.class_count} classes")
+    for spec in eval_attacks.values():
+        spec.validate()
     correct = 0
     adv_correct = {name: 0 for name in eval_attacks}
     if rng is None:
         rng = np.random.default_rng(0)
     for start in range(0, n, EVAL_BATCH_SIZE):
-        xb = data.images[start : start + EVAL_BATCH_SIZE]
+        xb = as_tensor(data.images[start : start + EVAL_BATCH_SIZE])
         yb = data.labels[start : start + EVAL_BATCH_SIZE]
         logits, _ = forward(net, xb)
-        clean_ok = np.argmax(logits, axis=1) == yb
-        correct += int(clean_ok.sum())
+        rows = np.flatnonzero(np.argmax(logits, axis=1) == yb)
+        correct += len(rows)
+        x0, y0 = xb[rows], yb[rows]
+        clean_grad = None  # the input gradient at clip(x0)
         for name, spec in eval_attacks.items():
-            adv = pgd(net, xb, yb, spec, rng=rng)
-            alog, _ = forward(net, adv)
-            adv_correct[name] += int((clean_ok & (np.argmax(alog, axis=1) == yb)).sum())
+            adv = _start(xb, spec, rng)[rows]
+            if not len(rows):
+                continue
+            grad = None
+            if spec.steps and _starts_clean(spec):
+                if clean_grad is None:
+                    clean_grad = loss_gradients(net, adv, y0, weights=False)[1].input
+                grad = clean_grad
+            alog, _ = forward(net, _ascend(net, x0, y0, spec, adv, grad))
+            adv_correct[name] += int((np.argmax(alog, axis=1) == y0).sum())
     return {
         "clean_acc": correct / n,
         "robust_acc": {name: c / n for name, c in adv_correct.items()},

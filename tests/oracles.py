@@ -20,6 +20,12 @@ conv layer came to build its whole chunk index in one step
 that the chunk index is checked against, row by row, and that the
 single-image ``im2col`` gathers with.
 
+``evaluate_every_row`` was ``tscnc.trainer.evaluate`` until that came to
+attack only the clean-correct examples and to share the first gradient of
+the attacks that start at the clean input; it attacks every example with
+``pgd`` and stays here, unchanged but for its batch size argument, as the
+reference that the accuracies are checked against.
+
 The rest has no caller in the package: a checked matrix product, the
 single-image ``im2col``, the function-preserving layer
 rescaling behind the scale-invariance tests, the random Bernoulli masks
@@ -36,8 +42,10 @@ import numpy as np
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from tscnc.attacks import pgd
+from tscnc.data import Dataset
 from tscnc.errors import DimensionError, NumericError, ValidationError
-from tscnc.network import Network
+from tscnc.network import Network, forward
 from tscnc.tensor_ops import (
     _as_matrix,
     as_tensor,
@@ -332,6 +340,37 @@ def random_bernoulli_masks(net: Network, alphas, seed: int) -> dict:
         shape = net.layers[li].Z.shape
         masks[li] = rng.uniform(size=shape) >= a
     return masks
+
+
+def evaluate_every_row(net: Network, data: Dataset, eval_attacks: dict, rng=None,
+                       batch_size: int = 256) -> dict:
+    """Clean and per-attack accuracy, attacking every example of each batch
+    of batch_size, the clean-misclassified ones too."""
+    n = len(data)
+    if n == 0:
+        raise ValidationError("cannot evaluate on an empty dataset")
+    lo, hi = int(data.labels.min()), int(data.labels.max())
+    if lo < 0 or hi >= net.class_count:
+        raise DimensionError(f"label {lo if lo < 0 else hi} does not fit a "
+                             f"network with {net.class_count} classes")
+    correct = 0
+    adv_correct = {name: 0 for name in eval_attacks}
+    if rng is None:
+        rng = np.random.default_rng(0)
+    for start in range(0, n, batch_size):
+        xb = data.images[start : start + batch_size]
+        yb = data.labels[start : start + batch_size]
+        logits, _ = forward(net, xb)
+        clean_ok = np.argmax(logits, axis=1) == yb
+        correct += int(clean_ok.sum())
+        for name, spec in eval_attacks.items():
+            adv = pgd(net, xb, yb, spec, rng=rng)
+            alog, _ = forward(net, adv)
+            adv_correct[name] += int((clean_ok & (np.argmax(alog, axis=1) == yb)).sum())
+    return {
+        "clean_acc": correct / n,
+        "robust_acc": {name: c / n for name, c in adv_correct.items()},
+    }
 
 
 @st.composite

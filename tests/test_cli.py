@@ -180,6 +180,17 @@ class TestTrain:
             "configuration error: unknown config keys: ['train_attack.clamp']\n")
         assert not (tmp_path / "o").exists()
 
+    def test_eval_attack_name_with_a_comma_exits_2(self, tmp_path, config_path,
+                                                  capsys):
+        # "a,b_acc" would split one metrics.csv column in two
+        doc = json.loads(config_path.read_text())
+        doc["eval_attacks"] = {"a,b": {"epsilon": 0.05}}
+        config_path.write_text(json.dumps(doc))
+        assert main(["--quiet", "train", "--config", str(config_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "eval_attacks name 'a,b'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("over", ['"lr": NaN', '"weight_decay": Infinity',
                                       '"epochs": 2.7'])
     def test_non_finite_or_fractional_value_exits_2(self, tmp_path, config_path,

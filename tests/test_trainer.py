@@ -7,11 +7,19 @@ import json
 import numpy as np
 import pytest
 
-from tscnc import trainer
-from tscnc.attacks import AttackSpec, pgd
+from oracles import evaluate_every_row
+from tscnc import network, trainer
+from tscnc.attacks import AttackSpec, fgsm_spec, pgd
 from tscnc.data import Dataset, load_dataset
 from tscnc.errors import ConfigError, DimensionError, DivergenceError, ValidationError
-from tscnc.network import Gradients, build_mlp, build_network, forward
+from tscnc.network import (
+    Gradients,
+    build_cnn,
+    build_mlp,
+    build_network,
+    cross_entropy,
+    forward,
+)
 from tscnc.pruning import PruneSpec, apply_masks, prune_report
 from tscnc.tensor_ops import layer_spectrum
 from tscnc.trainer import (
@@ -343,6 +351,17 @@ class TestConfigFromDict:
             cfg.validate()
         small_config(seed=0).validate()
 
+    @pytest.mark.parametrize("name", ["", "a,b", 'a"b', "a\rb", "a\nb", "clean"],
+                             ids=["empty", "comma", "quote", "cr", "lf", "clean"])
+    def test_eval_attack_name_must_be_a_csv_column(self, name):
+        # each name heads a <name>_acc column; these would split a column,
+        # break a row or repeat clean_acc
+        cfg = small_config(eval_attacks={name: AttackSpec(epsilon=0.05)})
+        with pytest.raises(ValidationError, match="metrics.csv column"):
+            cfg.validate()
+        small_config(eval_attacks={"a b": AttackSpec(epsilon=0.05),
+                                   "clean2": AttackSpec(epsilon=0.05)}).validate()
+
 
 class TestEvaluate:
     def test_handmade_perfect_classifier(self):
@@ -395,13 +414,111 @@ class TestEvaluate:
         assert res["clean_acc"] == 0.0
         assert res["robust_acc"]["fgsm"] == 0.0
 
-    def test_batch_size_leaves_the_accuracies_alone(self, monkeypatch):
+    @pytest.mark.parametrize("attacks", [
+        {"rs": AttackSpec(epsilon=0.1, step_size=0.025, steps=3, random_start=True)},
+        {"pgd": AttackSpec(epsilon=0.1, step_size=0.025, steps=3),
+         "fgsm": fgsm_spec(0.1)},
+    ], ids=["one-random-start", "pgd-fgsm"])
+    def test_batch_size_leaves_the_accuracies_alone(self, monkeypatch, attacks):
+        # two random-start attacks interleave their draws batch by batch, so
+        # only these cases hold whatever the batch size
         data = load_dataset("blobs-c3-d12-n30-s0.1", seed=2)
         net = build_mlp(12, [6], 3, seed=2)
-        attacks = {"pgd": AttackSpec(epsilon=0.1, step_size=0.025, steps=3)}
         whole = evaluate(net, data, attacks, np.random.default_rng(4))
         monkeypatch.setattr(trainer, "EVAL_BATCH_SIZE", 7)
         assert evaluate(net, data, attacks, np.random.default_rng(4)) == whole
+
+    @pytest.mark.parametrize("case", [
+        "mlp-pgd-fgsm", "cnn-pgd-fgsm", "one-random-start", "two-random-starts",
+        "zero-eps-random-start", "outside-feature-range", "batch-7",
+    ])
+    def test_matches_attacking_every_row(self, monkeypatch, case):
+        data = load_dataset("blobs-c3-d12-n30-s0.3", seed=0)
+        net = build_mlp(12, [6], 3, seed=2)
+        rs = AttackSpec(epsilon=0.1, step_size=0.025, steps=3, random_start=True)
+        attacks = {"pgd": AttackSpec(epsilon=0.1, step_size=0.025, steps=10),
+                   "fgsm": fgsm_spec(0.1)}
+        batch = trainer.EVAL_BATCH_SIZE
+        if case == "cnn-pgd-fgsm":
+            data = load_dataset("blobs-c3-d16-n30-s0.3-i1x4x4", seed=0)
+            net = build_cnn((1, 4, 4), [2], 8, 3, seed=1)
+        elif case == "one-random-start":
+            attacks = {"rs": rs}
+        elif case == "two-random-starts":
+            attacks = {"rs": rs, "pgd": attacks["pgd"],
+                       "rs2": AttackSpec(epsilon=0.05, step_size=0.02, steps=2,
+                                         random_start=True)}
+        elif case == "zero-eps-random-start":
+            attacks = {"zero": AttackSpec(epsilon=0.0, step_size=0.025, steps=2,
+                                          random_start=True), "rs": rs}
+        elif case == "outside-feature-range":
+            data = Dataset(data.images * 1.6 - 0.3, data.labels, data.classes)
+            attacks["rs"] = rs
+        elif case == "batch-7":
+            batch = 7
+            monkeypatch.setattr(trainer, "EVAL_BATCH_SIZE", batch)
+            attacks["rs"], attacks["rs2"] = rs, rs
+        ours, ref = np.random.default_rng(6), np.random.default_rng(6)
+        res = evaluate(net, data, attacks, ours)
+        assert 0.0 < res["clean_acc"] < 1.0
+        assert res == evaluate_every_row(net, data, attacks, ref, batch_size=batch)
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_batch_without_a_clean_correct_row(self, monkeypatch):
+        # every prediction is class 0 and no label is; the random start is
+        # still drawn, and no loss is taken over zero rows
+        data = load_dataset("blobs-c3-d12-n30-s0.3", seed=0)
+        keep = data.labels > 0
+        data = Dataset(data.images[keep], data.labels[keep], data.classes)
+        net = build_mlp(12, [], 3, seed=0)
+        net.layers[0].W = np.zeros((12, 3))
+        net.layers[0].b = np.array([1.0, 0.0, 0.0])
+        attacks = {"pgd": AttackSpec(epsilon=0.1, step_size=0.025, steps=3),
+                   "rs": AttackSpec(epsilon=0.1, step_size=0.025, steps=3,
+                                    random_start=True)}
+        rows = []
+
+        def counted(logits, labels):
+            rows.append(len(labels))
+            return cross_entropy(logits, labels)
+
+        monkeypatch.setattr(network, "cross_entropy", counted)
+        ours, ref = np.random.default_rng(6), np.random.default_rng(6)
+        res = evaluate(net, data, attacks, ours)
+        assert rows == []
+        assert res == evaluate_every_row(net, data, attacks, ref) == {
+            "clean_acc": 0.0, "robust_acc": {"pgd": 0.0, "rs": 0.0}}
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_one_shared_first_gradient_over_the_clean_correct_rows(self, monkeypatch):
+        # the residue-class classifier gets every example right; relabelling
+        # every fourth one makes it wrong there.  pgd-3 and fgsm share their
+        # first gradient: 3 + 1 - 1 passes a batch, over the correct rows
+        data = load_dataset("blobs-c3-d12-n30-s0.02", seed=5)
+        labels = data.labels.copy()
+        labels[::4] = (labels[::4] + 1) % 3
+        data = Dataset(data.images, labels, data.classes)
+        net = build_mlp(12, [], 3, seed=0)
+        net.layers[0].W = np.array(
+            [[1.0 if j % 3 == k else 0.0 for k in range(3)] for j in range(12)])
+        net.layers[0].b = np.zeros(3)
+        passes = []
+
+        def counted(net, x, y, *, weights=True):
+            passes.append((len(x), tuple(y), weights))
+            return network.loss_gradients(net, x, y, weights=weights)
+
+        monkeypatch.setattr("tscnc.attacks.loss_gradients", counted)
+        monkeypatch.setattr(trainer, "loss_gradients", counted)
+        monkeypatch.setattr(trainer, "EVAL_BATCH_SIZE", 40)
+        evaluate(net, data, {"pgd": AttackSpec(epsilon=0.01, step_size=0.005,
+                                               steps=3),
+                             "fgsm": fgsm_spec(0.01)})
+        expected = []
+        for start in range(0, len(data), 40):
+            right = [i for i in range(start, min(start + 40, len(data))) if i % 4]
+            expected += [(len(right), tuple(labels[right]), False)] * 3
+        assert passes == expected
 
     def test_empty_dataset_rejected(self):
         net = build_mlp(3, [], 2, seed=0)
@@ -414,7 +531,7 @@ class TestEvaluate:
         net = build_mlp(3, [], 2, seed=0)
         data = Dataset(images=np.zeros((2, 3)), labels=np.array([0, 2]), classes=3)
         attacked = []
-        monkeypatch.setattr(trainer, "pgd", lambda *a, **k: attacked.append(a))
+        monkeypatch.setattr(trainer, "_start", lambda *a, **k: attacked.append(a))
         with pytest.raises(DimensionError, match="2 classes"):
             evaluate(net, data, {"fgsm": AttackSpec(epsilon=0.0, step_size=0.0,
                                                     steps=0)})
