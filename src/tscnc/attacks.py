@@ -11,7 +11,7 @@ import numpy as np
 
 from .data import FEATURE_RANGE
 from .errors import ValidationError
-from .network import Network, loss_gradients
+from .network import Network, _input_gradient, _labels
 from .tensor_ops import as_tensor
 
 
@@ -52,10 +52,13 @@ def pgd(net: Network, x, y, spec: AttackSpec, rng=None) -> np.ndarray:
     Each iteration takes a signed-gradient step of spec.step_size, clips to
     FEATURE_RANGE, then projects back onto the epsilon-ball around the
     original input.  sign(0) contributes no perturbation.  On fgsm_spec(eps)
-    this is FGSM: clip(x + eps * sign(grad_x loss)).
+    this is FGSM: clip(x + eps * sign(grad_x loss)).  The labels are checked
+    once, as cross_entropy checks them, when there is a step to take.
     """
     spec.validate()
     x0 = as_tensor(x)
+    if spec.steps:
+        y = _labels(y, (len(x0) if x0.ndim else 0, net.class_count))
     return _ascend(net, x0, y, spec, _start(x0, spec, rng))
 
 
@@ -65,30 +68,42 @@ def _starts_clean(spec: AttackSpec) -> bool:
 
 
 def _start(x0, spec: AttackSpec, rng) -> np.ndarray:
-    """pgd's first iterate: clip(x0), or a uniform draw from the epsilon-ball
-    around it when the attack does not start clean.  The draw has x0's shape
-    and is taken from rng, default_rng(0) when rng is None."""
+    """pgd's first iterate, in a fresh buffer: clip(x0), or a uniform draw
+    from the epsilon-ball around it when the attack does not start clean.
+    The draw has x0's shape and is taken from rng, default_rng(0) when rng
+    is None."""
     adv = np.clip(x0, *FEATURE_RANGE)
     if not _starts_clean(spec):
         eps = spec.epsilon
         if rng is None:
             rng = np.random.default_rng(0)
-        adv = adv + rng.uniform(-eps, eps, size=adv.shape)
-        adv = np.clip(adv, *FEATURE_RANGE)
-        adv = x0 + np.clip(adv - x0, -eps, eps)
+        adv += rng.uniform(-eps, eps, size=adv.shape)
+        _project(adv, x0, eps)
     return adv
 
 
+def _project(adv, x0, eps) -> None:
+    """adv <- x0 + clip(clip(adv, FEATURE_RANGE) - x0, -eps, eps), in place,
+    in that operation order.  Clipping keeps a -0.0 that np.maximum would
+    turn to 0.0; ndarray.clip is what np.clip calls, without its dispatch."""
+    adv.clip(*FEATURE_RANGE, out=adv)
+    adv -= x0
+    adv.clip(-eps, eps, out=adv)
+    adv += x0
+
+
 def _ascend(net: Network, x0, y, spec: AttackSpec, adv, grad=None) -> np.ndarray:
-    """pgd's spec.steps iterations from adv around x0.  grad, when given, is
-    the input gradient at adv; the first step takes it in place of a pass."""
-    eps = spec.epsilon
-    for step in range(spec.steps):
-        if step or grad is None:
-            grad = loss_gradients(net, adv, y, weights=False)[1].input
-        adv = adv + spec.step_size * np.sign(grad)
-        adv = np.clip(adv, *FEATURE_RANGE)
-        adv = x0 + np.clip(adv - x0, -eps, eps)
+    """pgd's spec.steps iterations from adv around x0, written into adv.  y
+    holds labels that _labels passed.  grad, when given, is the input
+    gradient at adv; the first step takes it in place of a pass."""
+    step = np.empty_like(adv)
+    for k in range(spec.steps):
+        if k or grad is None:
+            grad = _input_gradient(net, adv, y)
+        np.sign(grad, out=step)
+        step *= spec.step_size
+        adv += step
+        _project(adv, x0, spec.epsilon)
     return adv
 
 

@@ -8,9 +8,12 @@ condition-number and saliency paths is the storage layout itself.
 
 ``backward`` returns the input gradient and each parameterized layer's dW
 and db; ``backward(..., weights=False)`` computes the input gradient only,
-for attacks and Lipschitz estimates.  ``loss_gradients`` is the one
-cross-entropy pass (forward, loss, backward) that attacks, saliency and
-training run.  A conv layer works in row chunks, as many examples as fit
+for attacks and Lipschitz estimates.  ``loss_gradients`` is the
+cross-entropy pass (forward, loss, backward) that saliency and training
+run.  Each attack step runs ``_input_gradient`` instead: the same pass with
+no label check and no loss value, since ``_labels`` checked the labels once
+per attack, and the same input-gradient bits, since both take the softmax
+arithmetic from ``_softmax_terms``.  A conv layer works in row chunks, as many examples as fit
 their patch columns in _CHUNK_BYTES (256 KiB, about an L2 cache), so it
 builds no batch-sized column matrix or scatter index.  Its memoized chunk
 index (``MaskedLayer.conv_plan``) is the flat position of every patch tap in
@@ -239,32 +242,53 @@ def _padded(a) -> np.ndarray:
                            np.zeros((batch, 1))], axis=1)
 
 
-def cross_entropy(logits, labels) -> tuple:
-    """Mean softmax cross-entropy and its gradient w.r.t. the logits.
+def _labels(labels, shape) -> np.ndarray:
+    """labels as the int64 targets of logits of shape (rows, c), checked.
 
-    Stabilized by row-max subtraction.  Labels must lie in [0, c), and an
-    empty batch, whose mean is undefined, is a DimensionError.
+    rows must be at least 1, and labels a (rows,) vector of whole numbers,
+    floats such as 1.0 included, each in [0, c); c None leaves the range
+    to the caller.  cross_entropy runs this check on every call, pgd and
+    evaluate once for all their steps.
     """
-    logits = as_tensor(logits)
-    labels = np.asarray(labels, dtype=np.int64)
-    if logits.ndim != 2 or logits.shape[0] == 0:
-        raise DimensionError(f"logits must be (rows >= 1, c), got {logits.shape}")
-    if labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
-        raise DimensionError(
-            f"labels shape {labels.shape} does not match batch {logits.shape[0]}"
-        )
-    c = logits.shape[1]
-    if labels.min() < 0 or labels.max() >= c:
+    if len(shape) != 2 or shape[0] == 0:
+        raise DimensionError(f"logits must be (rows >= 1, c), got {shape}")
+    y = np.asarray(labels)
+    if y.ndim != 1 or y.shape[0] != shape[0]:
+        raise DimensionError(f"labels shape {y.shape} does not match batch {shape[0]}")
+    if y.dtype.kind not in "biu":
+        y = as_tensor(y)
+        whole = np.isfinite(y) & (np.floor(y) == y)
+        if not whole.all():
+            raise ValidationError(f"labels must be whole numbers, got {y[~whole][0]}")
+    c = shape[1]
+    if c is not None and (y.min() < 0 or y.max() >= c):
         raise ValidationError(f"labels must lie in [0, {c})")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - logz
+    return y.astype(np.int64, copy=False)
+
+
+def _softmax_terms(logits, labels) -> tuple:
+    """(log-softmax of logits, the mean cross-entropy's gradient w.r.t. the
+    logits) for labels that _labels passed; stabilized by row-max
+    subtraction.  cross_entropy and _input_gradient share these bits."""
+    logp = logits - logits.max(axis=1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
     n = logits.shape[0]
-    loss = -float(logp[np.arange(n), labels].mean())
     grad = np.exp(logp)
     grad[np.arange(n), labels] -= 1.0
     grad /= n
-    return loss, grad
+    return logp, grad
+
+
+def cross_entropy(logits, labels) -> tuple:
+    """Mean softmax cross-entropy and its gradient w.r.t. the logits.
+
+    Labels must be whole numbers in [0, c), and an empty batch, whose mean
+    is undefined, is a DimensionError.
+    """
+    logits = as_tensor(logits)
+    labels = _labels(labels, logits.shape)
+    logp, grad = _softmax_terms(logits, labels)
+    return -float(logp[np.arange(logits.shape[0]), labels].mean()), grad
 
 
 def backward(
@@ -323,6 +347,15 @@ def loss_gradients(net: Network, x, y, *, weights: bool = True) -> tuple:
     logits, cache = forward(net, x)
     loss, grad_logits = cross_entropy(logits, y)
     return loss, backward(net, cache, grad_logits, weights=weights)
+
+
+def _input_gradient(net: Network, x, labels) -> np.ndarray:
+    """The input gradient of loss_gradients(net, x, labels, weights=False),
+    bit for bit, for labels that _labels passed: one forward, the softmax
+    gradient and an input-only backward, with no label check and no loss."""
+    logits, cache = forward(net, x)
+    grad_logits = _softmax_terms(logits, labels)[1]
+    return backward(net, cache, grad_logits, weights=False).input
 
 
 def _kaiming_uniform(rng, shape, fan_in):

@@ -18,7 +18,8 @@ from .attacks import AttackSpec, _ascend, _start, _starts_clean, pgd
 from .data import Dataset, load_dataset
 from .errors import ConfigError, DimensionError, DivergenceError, ValidationError
 from .metrics import LayerCondition, condition_constraint, condition_report
-from .network import Gradients, Network, build_network, forward, loss_gradients
+from .network import (Gradients, Network, _input_gradient, _labels, build_network,
+                      forward, loss_gradients)
 from .pruning import (
     PruneSpec,
     apply_masks,
@@ -268,13 +269,15 @@ def evaluate(net: Network, data: Dataset, eval_attacks: dict, rng=None) -> dict:
     alone, with the adversarial example ``pgd`` gives them in the whole
     batch: a random start is drawn over the whole batch, even when no
     example is attacked, and cut down to the attacked ones.  The attacks
-    that start at the clean input share one input gradient there.  A label
-    outside [0, net.class_count) is a DimensionError.
+    that start at the clean input share one input gradient there.  The
+    labels are checked once: one that is not a whole number is a
+    ValidationError, one outside [0, net.class_count) a DimensionError.
     """
     n = len(data)
     if n == 0:
         raise ValidationError("cannot evaluate on an empty dataset")
-    lo, hi = int(data.labels.min()), int(data.labels.max())
+    labels = _labels(data.labels, (n, None))
+    lo, hi = int(labels.min()), int(labels.max())
     if lo < 0 or hi >= net.class_count:
         raise DimensionError(f"label {lo if lo < 0 else hi} does not fit a "
                              f"network with {net.class_count} classes")
@@ -286,7 +289,7 @@ def evaluate(net: Network, data: Dataset, eval_attacks: dict, rng=None) -> dict:
         rng = np.random.default_rng(0)
     for start in range(0, n, EVAL_BATCH_SIZE):
         xb = as_tensor(data.images[start : start + EVAL_BATCH_SIZE])
-        yb = data.labels[start : start + EVAL_BATCH_SIZE]
+        yb = labels[start : start + EVAL_BATCH_SIZE]
         logits, _ = forward(net, xb)
         rows = np.flatnonzero(np.argmax(logits, axis=1) == yb)
         correct += len(rows)
@@ -299,7 +302,7 @@ def evaluate(net: Network, data: Dataset, eval_attacks: dict, rng=None) -> dict:
             grad = None
             if spec.steps and _starts_clean(spec):
                 if clean_grad is None:
-                    clean_grad = loss_gradients(net, adv, y0, weights=False)[1].input
+                    clean_grad = _input_gradient(net, adv, y0)
                 grad = clean_grad
             alog, _ = forward(net, _ascend(net, x0, y0, spec, adv, grad))
             adv_correct[name] += int((np.argmax(alog, axis=1) == y0).sum())

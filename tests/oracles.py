@@ -26,6 +26,13 @@ the attacks that start at the clean input; it attacks every example with
 ``pgd`` and stays here, unchanged but for its batch size argument, as the
 reference that the accuracies are checked against.
 
+``start_out_of_place`` and ``ascend_out_of_place`` were ``pgd``'s first
+iterate and its steps (``tscnc.attacks._start`` and ``_ascend``) until
+those came to update one buffer in place, each step's gradient from an
+input-only pass with no label check and no loss value; they make a new
+array at every operation, take each gradient from ``loss_gradients``, and
+stay here, unchanged, as the bitwise reference for the attack loop.
+
 The rest has no caller in the package: a checked matrix product, the
 single-image ``im2col``, the function-preserving layer
 rescaling behind the scale-invariance tests, the random Bernoulli masks
@@ -42,10 +49,10 @@ import numpy as np
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from tscnc.attacks import pgd
-from tscnc.data import Dataset
+from tscnc.attacks import AttackSpec, pgd
+from tscnc.data import FEATURE_RANGE, Dataset
 from tscnc.errors import DimensionError, NumericError, ValidationError
-from tscnc.network import Network, forward
+from tscnc.network import Network, forward, loss_gradients
 from tscnc.tensor_ops import (
     _as_matrix,
     as_tensor,
@@ -340,6 +347,41 @@ def random_bernoulli_masks(net: Network, alphas, seed: int) -> dict:
         shape = net.layers[li].Z.shape
         masks[li] = rng.uniform(size=shape) >= a
     return masks
+
+
+def start_out_of_place(x0, spec: AttackSpec, rng) -> np.ndarray:
+    """pgd's first iterate: clip(x0), or a uniform draw from the epsilon-ball
+    around it when spec has a random start and a positive epsilon."""
+    adv = np.clip(x0, *FEATURE_RANGE)
+    if spec.random_start and spec.epsilon > 0.0:
+        eps = spec.epsilon
+        if rng is None:
+            rng = np.random.default_rng(0)
+        adv = adv + rng.uniform(-eps, eps, size=adv.shape)
+        adv = np.clip(adv, *FEATURE_RANGE)
+        adv = x0 + np.clip(adv - x0, -eps, eps)
+    return adv
+
+
+def ascend_out_of_place(net: Network, x0, y, spec: AttackSpec, adv,
+                        grad=None) -> np.ndarray:
+    """pgd's spec.steps iterations from adv around x0.  grad, when given, is
+    the input gradient at adv; the first step takes it in place of a pass."""
+    eps = spec.epsilon
+    for step in range(spec.steps):
+        if step or grad is None:
+            grad = loss_gradients(net, adv, y, weights=False)[1].input
+        adv = adv + spec.step_size * np.sign(grad)
+        adv = np.clip(adv, *FEATURE_RANGE)
+        adv = x0 + np.clip(adv - x0, -eps, eps)
+    return adv
+
+
+def pgd_out_of_place(net: Network, x, y, spec: AttackSpec, rng=None) -> np.ndarray:
+    """pgd from start_out_of_place and ascend_out_of_place."""
+    spec.validate()
+    x0 = as_tensor(x)
+    return ascend_out_of_place(net, x0, y, spec, start_out_of_place(x0, spec, rng))
 
 
 def evaluate_every_row(net: Network, data: Dataset, eval_attacks: dict, rng=None,

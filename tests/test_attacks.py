@@ -4,6 +4,8 @@ containment, oracle agreement."""
 import numpy as np
 import pytest
 
+from oracles import pgd_out_of_place
+import tscnc.attacks
 from tscnc.attacks import AttackSpec, fgsm_spec, pgd
 from tscnc.errors import DimensionError, ValidationError
 import tscnc.network
@@ -279,3 +281,100 @@ class TestInputGradientOnly:
         assert passes
         for grads in passes:
             assert grads.weight == {} and grads.bias == {}
+
+
+class TestInPlaceAttackLoop:
+    """pgd updates one buffer in place, each step's gradient from an
+    input-only pass; the out-of-place loop through loss_gradients is its
+    bitwise oracle."""
+
+    _SPEC = AttackSpec(0.1, 0.03, 10)
+    _RANDOM = AttackSpec(0.1, 0.03, 10, random_start=True)
+    CASES = {
+        "mlp": ("mlp", "inside", _SPEC),
+        "mlp-random-start": ("mlp", "inside", _RANDOM),
+        "cnn": ("cnn", "inside", _SPEC),
+        "cnn-random-start": ("cnn", "inside", _RANDOM),
+        "epsilon-0": ("mlp", "inside", AttackSpec(0.0, 0.03, 3)),
+        "epsilon-0-random-start": ("mlp", "inside",
+                                   AttackSpec(0.0, 0.03, 3, random_start=True)),
+        "steps-0": ("mlp", "inside", AttackSpec(0.1)),
+        "steps-0-random-start": ("mlp", "inside", AttackSpec(0.1, random_start=True)),
+        "steps-1": ("mlp", "inside", fgsm_spec(0.1)),
+        "outside-range": ("mlp", "outside", _RANDOM),
+        "outside-range-steps-0": ("mlp", "outside", AttackSpec(0.1, random_start=True)),
+        "cnn-outside-range": ("cnn", "outside", _SPEC),
+        "negative-zero": ("mlp", "negative-zero", _SPEC),
+        "negative-zero-steps-0": ("mlp", "negative-zero", AttackSpec(0.1)),
+        "one-row": ("mlp", "one-row", _RANDOM),
+        "zero-gradient": ("zero-gradient", "inside", _SPEC),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_pgd_equals_the_out_of_place_oracle_bitwise(self, case):
+        kind, inputs, spec = self.CASES[case]
+        rng = np.random.default_rng(3)
+        if kind == "cnn":
+            net, x = build_cnn((2, 4, 4), [3], 6, 3, seed=1), rng.random((5, 2, 4, 4))
+        else:
+            net, x = build_mlp(6, [5], 3, seed=1), rng.random((5, 6))
+        if kind == "zero-gradient":
+            # no hidden unit is live, so every input gradient is exactly 0
+            net.layers[0].W = np.zeros_like(net.layers[0].W)
+        if inputs == "outside":
+            x = x * 1.6 - 0.3
+        elif inputs == "negative-zero":
+            x[:, :2] = -0.0
+        elif inputs == "one-row":
+            x = x[:1]
+        y = rng.integers(0, 3, size=len(x))
+        before = x.tobytes()
+        ours, ref = np.random.default_rng(8), np.random.default_rng(8)
+        adv = pgd(net, x, y, spec, rng=ours)
+        want = pgd_out_of_place(net, x, y, spec, rng=ref)
+        assert adv.shape == want.shape and adv.dtype == want.dtype
+        assert adv.tobytes() == want.tobytes()
+        assert ours.bit_generator.state == ref.bit_generator.state
+        assert x.tobytes() == before
+        if inputs == "negative-zero" and not spec.steps:
+            assert np.signbit(adv[:, :2]).all()
+
+    @pytest.mark.parametrize("steps", [0, 1, 10])
+    def test_labels_checked_once_and_no_loss_taken(self, monkeypatch, steps):
+        net = build_mlp(6, [5], 3, seed=1)
+        rng = np.random.default_rng(2)
+        x, y = rng.random((4, 6)), rng.integers(0, 3, size=4)
+        checks, losses = [], []
+        real_labels, real_loss = tscnc.network._labels, tscnc.network.cross_entropy
+
+        def counted_labels(*args):
+            checks.append(args)
+            return real_labels(*args)
+
+        def counted_loss(*args):
+            losses.append(args)
+            return real_loss(*args)
+
+        monkeypatch.setattr(tscnc.attacks, "_labels", counted_labels)
+        monkeypatch.setattr(tscnc.network, "_labels", counted_labels)
+        monkeypatch.setattr(tscnc.network, "cross_entropy", counted_loss)
+        pgd(net, x, y, AttackSpec(0.1, 0.03, steps, random_start=True),
+            rng=np.random.default_rng(0))
+        assert len(checks) == min(steps, 1)
+        assert losses == []
+
+
+class TestAttackLabels:
+    @pytest.mark.parametrize("label", [2.9, 0.5, -0.5, np.nan, np.inf])
+    def test_label_that_is_not_a_whole_number_rejected(self, label):
+        net = build_mlp(4, [], 3, seed=0)
+        x = np.full((2, 4), 0.5)
+        with pytest.raises(ValidationError, match="whole numbers"):
+            pgd(net, x, [0, label], AttackSpec(0.1, 0.05, 2))
+
+    def test_whole_number_float_labels_attack_their_class(self):
+        net = build_mlp(4, [5], 3, seed=0)
+        x = np.random.default_rng(1).random((3, 4))
+        spec = AttackSpec(0.1, 0.05, 3)
+        assert np.array_equal(pgd(net, x, [2.0, 0.0, 1.0], spec),
+                              pgd(net, x, np.array([2, 0, 1]), spec))

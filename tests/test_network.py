@@ -247,6 +247,17 @@ class TestCrossEntropy:
         with pytest.raises(ValidationError):
             cross_entropy(np.zeros((1, 3)), np.array([-1]))
 
+    @pytest.mark.parametrize("label", [1.7, 0.5, -0.5, np.nan, np.inf, -np.inf])
+    def test_label_that_is_not_a_whole_number_rejected(self, label):
+        with pytest.raises(ValidationError, match="whole numbers"):
+            cross_entropy(np.zeros((6, 3)), [label] * 6)
+
+    def test_whole_number_float_labels_accepted(self):
+        logits = np.random.default_rng(4).normal(size=(6, 3))
+        loss, grad = cross_entropy(logits, [1.0, 0.0, 2.0] * 2)
+        want_loss, want_grad = cross_entropy(logits, np.array([1, 0, 2] * 2))
+        assert loss == want_loss and np.array_equal(grad, want_grad)
+
     def test_grad_rows_sum_to_zero(self):
         rng = np.random.default_rng(9)
         logits = rng.normal(size=(8, 5))

@@ -7,9 +7,10 @@ import json
 import numpy as np
 import pytest
 
-from oracles import evaluate_every_row
+from oracles import ascend_out_of_place, evaluate_every_row
 from tscnc import network, trainer
 from tscnc.attacks import AttackSpec, fgsm_spec, pgd
+from tscnc.cli import main
 from tscnc.data import Dataset, load_dataset
 from tscnc.errors import ConfigError, DimensionError, DivergenceError, ValidationError
 from tscnc.network import (
@@ -482,7 +483,13 @@ class TestEvaluate:
             rows.append(len(labels))
             return cross_entropy(logits, labels)
 
+        def counted_pass(net, x, labels):
+            rows.append(len(labels))
+            return network._input_gradient(net, x, labels)
+
         monkeypatch.setattr(network, "cross_entropy", counted)
+        monkeypatch.setattr("tscnc.attacks._input_gradient", counted_pass)
+        monkeypatch.setattr(trainer, "_input_gradient", counted_pass)
         ours, ref = np.random.default_rng(6), np.random.default_rng(6)
         res = evaluate(net, data, attacks, ours)
         assert rows == []
@@ -504,12 +511,12 @@ class TestEvaluate:
         net.layers[0].b = np.zeros(3)
         passes = []
 
-        def counted(net, x, y, *, weights=True):
-            passes.append((len(x), tuple(y), weights))
-            return network.loss_gradients(net, x, y, weights=weights)
+        def counted(net, x, y):
+            passes.append((len(x), tuple(y)))
+            return network._input_gradient(net, x, y)
 
-        monkeypatch.setattr("tscnc.attacks.loss_gradients", counted)
-        monkeypatch.setattr(trainer, "loss_gradients", counted)
+        monkeypatch.setattr("tscnc.attacks._input_gradient", counted)
+        monkeypatch.setattr(trainer, "_input_gradient", counted)
         monkeypatch.setattr(trainer, "EVAL_BATCH_SIZE", 40)
         evaluate(net, data, {"pgd": AttackSpec(epsilon=0.01, step_size=0.005,
                                                steps=3),
@@ -517,7 +524,7 @@ class TestEvaluate:
         expected = []
         for start in range(0, len(data), 40):
             right = [i for i in range(start, min(start + 40, len(data))) if i % 4]
-            expected += [(len(right), tuple(labels[right]), False)] * 3
+            expected += [(len(right), tuple(labels[right]))] * 3
         assert passes == expected
 
     def test_empty_dataset_rejected(self):
@@ -544,6 +551,78 @@ class TestEvaluate:
         with pytest.raises(DimensionError,
                            match="^label -1 does not fit a network with 2 classes$"):
             evaluate(net, data, {})
+
+    @pytest.mark.parametrize("case", ["half", "nan", "inf"])
+    def test_label_that_is_not_a_whole_number_rejected(self, case):
+        data = load_dataset("blobs-c3-d12-n30-s0.3", seed=0)
+        net = build_mlp(12, [6], 3, seed=2)
+        labels = np.argmax(forward(net, data.images)[0], axis=1).astype(float)
+        if case == "half":
+            labels += 0.5
+        else:
+            labels[3] = {"nan": np.nan, "inf": np.inf}[case]
+        data = Dataset(data.images, labels, data.classes)
+        with pytest.raises(ValidationError, match="whole numbers"):
+            evaluate(net, data, {"pgd": AttackSpec(epsilon=0.1, step_size=0.025,
+                                                   steps=2)})
+
+    def test_whole_number_float_labels_accepted(self):
+        data = load_dataset("blobs-c3-d12-n30-s0.3", seed=0)
+        net = build_mlp(12, [6], 3, seed=2)
+        attacks = {"pgd": AttackSpec(epsilon=0.1, step_size=0.025, steps=3),
+                   "rs": AttackSpec(epsilon=0.1, step_size=0.025, steps=2,
+                                    random_start=True)}
+        floats = Dataset(data.images, data.labels.astype(float), data.classes)
+        assert evaluate(net, floats, attacks) == evaluate(net, data, attacks)
+
+
+class TestInPlaceAttackBytes:
+    """Training and per-epoch evaluation write the same bytes with the
+    out-of-place attack loop of tests/oracles.py in place of _ascend."""
+
+    CONFIGS = {
+        "mlp-quickstart": {
+            "dataset": "blobs-c6-d64-n60-s0.35", "architecture": "mlp-32x16",
+            "epochs": 3, "batch_size": 32, "lr": 0.1, "lr_milestones": [2],
+            "warmup_epochs": 1, "lam": 0.001,
+            "train_attack": {"epsilon": 0.1, "step_size": 0.025, "steps": 5,
+                             "random_start": True},
+            "prune": {"sparsity": 0.95}, "seed": 0},
+        "cnn-4-32": {
+            "dataset": "blobs-c6-d64-n60-s0.6-i1x8x8", "architecture": "cnn-4-32",
+            "epochs": 2, "batch_size": 32, "lr": 0.1, "warmup_epochs": 1,
+            "lam": 0.001,
+            "train_attack": {"epsilon": 0.1, "step_size": 0.025, "steps": 3,
+                             "random_start": True},
+            "eval_attacks": {
+                "pgd": {"epsilon": 0.1, "step_size": 0.025, "steps": 3},
+                "rs": {"epsilon": 0.1, "step_size": 0.025, "steps": 3,
+                       "random_start": True}},
+            "prune": {"sparsity": 0.9, "protected": [0, 3]}, "seed": 1},
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_same_bytes_as_the_out_of_place_loop(self, tmp_path, monkeypatch, name):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(self.CONFIGS[name]))
+
+        def train(out):
+            assert main(["--quiet", "train", "--config", str(config),
+                         "--out", str(out)]) == 0
+            return {f: (out / f).read_bytes()
+                    for f in ("model.tscn", "metrics.csv", "metrics.json")}
+
+        ours = train(tmp_path / "in-place")
+        calls = []
+
+        def oracle(*args, **kwargs):
+            calls.append(None)
+            return ascend_out_of_place(*args, **kwargs)
+
+        monkeypatch.setattr("tscnc.attacks._ascend", oracle)
+        monkeypatch.setattr(trainer, "_ascend", oracle)
+        assert train(tmp_path / "out-of-place") == ours
+        assert calls
 
 
 class TestRunTscnc:
