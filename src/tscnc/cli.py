@@ -173,10 +173,10 @@ def _bound_check(args, net) -> str:
                           f" does not fit in memory: {exc}", offset=12) from exc
     except ValidationError as exc:
         return f"bound check skipped: {exc}"
-    return (f"bound check against class {k}: "
-            f"{'holds' if eq7['holds'] else 'violated'} "
-            f"(lipschitz {eq7['lipschitz']:.6g} from {eq7['lipschitz_source']}, "
-            f"c1 {eq7['c1']:.6g}, c2 {eq7['c2']:.6g})")
+    verdict, sign = ("holds", "<=") if eq7["holds"] else ("violated", ">")
+    return (f"bound check against class {k}: {verdict} "
+            f"(lipschitz {eq7['lipschitz']:.6g} from {eq7['lipschitz_source']} "
+            f"{sign} upper {eq7['upper']:.6g})")
 
 
 def _cmd_inspect(args):

@@ -341,18 +341,18 @@ def backward(
     return Gradients(input=grad, weight=dW, bias=db)
 
 
-def loss_gradients(net: Network, x, y, *, weights: bool = True) -> tuple:
+def loss_gradients(net: Network, x, y) -> tuple:
     """(mean cross-entropy loss, Gradients) of net on the batch (x, y): one
-    forward, cross_entropy and backward, passing weights to backward."""
+    forward, cross_entropy and full backward."""
     logits, cache = forward(net, x)
     loss, grad_logits = cross_entropy(logits, y)
-    return loss, backward(net, cache, grad_logits, weights=weights)
+    return loss, backward(net, cache, grad_logits)
 
 
 def _input_gradient(net: Network, x, labels) -> np.ndarray:
-    """The input gradient of loss_gradients(net, x, labels, weights=False),
-    bit for bit, for labels that _labels passed: one forward, the softmax
-    gradient and an input-only backward, with no label check and no loss."""
+    """The input gradient of loss_gradients(net, x, labels), bit for bit,
+    for labels that _labels passed: one forward, the softmax gradient and
+    an input-only backward, with no label check and no loss."""
     logits, cache = forward(net, x)
     grad_logits = _softmax_terms(logits, labels)[1]
     return backward(net, cache, grad_logits, weights=False).input

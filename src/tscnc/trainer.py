@@ -200,9 +200,9 @@ def sgd_step(net: Network, grads: Gradients, velocity: dict, lr: float,
         layer, db = net.layers[li], grads.bias[li]
         if dW.shape != layer.W.shape or db.shape != layer.b.shape:
             raise ValidationError(f"gradient shape mismatch on layer {li}")
-        v = velocity.setdefault(
-            li, {"W": np.zeros_like(layer.W), "b": np.zeros_like(layer.b)}
-        )
+        if li not in velocity:
+            velocity[li] = {"W": np.zeros_like(layer.W), "b": np.zeros_like(layer.b)}
+        v = velocity[li]
         v["W"] = momentum * v["W"] + dW + weight_decay * layer.W
         v["b"] = momentum * v["b"] + db
         layer.W = layer.W - lr * v["W"]

@@ -36,14 +36,15 @@ stay here, unchanged, as the bitwise reference for the attack loop.
 The rest has no caller in the package: a checked matrix product, the
 single-image ``im2col``, the function-preserving layer
 rescaling behind the scale-invariance tests, the random Bernoulli masks
-of the Lipschitz monotonicity experiment, and the Hypothesis strategy of
-byte edits behind the property tests of the two binary loaders.
+of the Lipschitz monotonicity experiment, the under-reported spectrum that
+the bound check must flag, and the Hypothesis strategy of byte edits
+behind the property tests of the two binary loaders.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from hypothesis import strategies as st
@@ -58,6 +59,7 @@ from tscnc.tensor_ops import (
     as_tensor,
     conv_output_size,
     frobenius_norm_sq,
+    layer_spectrum,
 )
 
 
@@ -349,6 +351,13 @@ def random_bernoulli_masks(net: Network, alphas, seed: int) -> dict:
     return masks
 
 
+def under_reported_spectrum(m):
+    """layer_spectrum(m) with sigma_max a tenth of the truth: a planted
+    fault that the bound check, which reads it, must flag."""
+    spec = layer_spectrum(m)
+    return replace(spec, sigma_max=0.1 * spec.sigma_max)
+
+
 def start_out_of_place(x0, spec: AttackSpec, rng) -> np.ndarray:
     """pgd's first iterate: clip(x0), or a uniform draw from the epsilon-ball
     around it when spec has a random start and a positive epsilon."""
@@ -370,7 +379,7 @@ def ascend_out_of_place(net: Network, x0, y, spec: AttackSpec, adv,
     eps = spec.epsilon
     for step in range(spec.steps):
         if step or grad is None:
-            grad = loss_gradients(net, adv, y, weights=False)[1].input
+            grad = loss_gradients(net, adv, y)[1].input
         adv = adv + spec.step_size * np.sign(grad)
         adv = np.clip(adv, *FEATURE_RANGE)
         adv = x0 + np.clip(adv - x0, -eps, eps)

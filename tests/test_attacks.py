@@ -129,7 +129,7 @@ class TestPgd:
         # one full-budget step is the textbook fast gradient sign step
         net, x, y = toy_net
         eps = 8.0 / 255.0
-        g = loss_gradients(net, x, y, weights=False)[1].input
+        g = loss_gradients(net, x, y)[1].input
         want = np.clip(x + eps * np.sign(g), 0.0, 1.0)
         assert np.array_equal(pgd(net, x, y, AttackSpec(eps, eps, 1)), want)
         assert np.array_equal(pgd(net, x, y, fgsm_spec(eps)), want)

@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from oracles import under_reported_spectrum
 from test_checkpoint import rewrite_header
 
 import tscnc
@@ -376,8 +377,15 @@ class TestInspect:
         assert "kappa_max" in out
         assert "global sparsity" in out
         assert "bound check" in out
-        assert re.search(r"\(lipschitz \S+ from (sampled quotient|gradient norm), ",
-                         out)
+        assert re.search(r": holds \(lipschitz \S+ from (sampled quotient|gradient "
+                         r"norm) <= upper \S+\)\n", out)
+
+    def test_bound_check_prints_a_violation(self, trained, monkeypatch, capsys):
+        # a sigma_max reported 10x too small puts the bound below the estimate
+        monkeypatch.setattr(tscnc.metrics, "layer_spectrum", under_reported_spectrum)
+        assert main(["inspect", "--checkpoint", str(trained / "model.tscn")]) == 0
+        assert re.search(r": violated \(lipschitz \S+ from (sampled quotient|gradient "
+                         r"norm) > upper \S+\)\n", capsys.readouterr().out)
 
     def test_seed_is_the_bound_check_sampling_seed(self, trained, monkeypatch,
                                                    capsys):

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tscnc.metrics
-from oracles import apply_scaling
+from oracles import apply_scaling, under_reported_spectrum
 from tscnc.attacks import AttackSpec, pgd
 from tscnc.errors import ValidationError
 from tscnc.metrics import (
@@ -30,7 +30,7 @@ from tscnc.network import (
     forward,
 )
 from tscnc.pruning import apply_masks
-from tscnc.tensor_ops import INFINITE
+from tscnc.tensor_ops import INFINITE, layer_spectrum
 
 
 def linear_net(W, b=None):
@@ -380,15 +380,16 @@ class TestRobustnessRadius:
 
 class TestCheckEq7:
     def test_identity_layer(self):
-        # margin function x_yhat - x_k has gradient e_yhat - e_k, so the
-        # Euclidean estimate is sqrt(2) and lhs = sqrt(2)/2 <= kappa = 1
+        # margin function x_yhat - x_k has gradient e_yhat - e_k: the
+        # estimate and the bound are both its l1 norm 2 at q=1 and its l2
+        # norm sqrt(2) at q=2
         net = linear_net(np.eye(3))
         x = np.array([0.9, 0.2, 0.1])
-        rep = check_eq7(net, x, k=1, r=0.1, q=2, n=50, seed=0)
-        row = rep["layers"][0]
-        assert abs(row["lhs"] - np.sqrt(2.0) / 2.0) <= 1e-6
-        assert row["kappa"] == pytest.approx(1.0, abs=1e-8)
-        assert rep["holds"]
+        for q, want in [(1, 2.0), (2, math.sqrt(2.0))]:
+            rep = check_eq7(net, x, k=1, r=0.1, q=q, n=50, seed=0)
+            assert rep["upper"] == want
+            assert abs(rep["lipschitz"] - want) <= 1e-12
+            assert rep["holds"]
 
     def test_random_single_layer_nets_hold(self):
         rng = np.random.default_rng(3)
@@ -399,8 +400,9 @@ class TestCheckEq7:
             logits, _ = forward(net, x[None])
             yhat = int(np.argmax(logits[0]))
             k = (yhat + 1) % W.shape[1]
-            rep = check_eq7(net, x, k, r=0.2, q=2, n=100, seed=trial)
-            assert rep["holds"]
+            for q in (1, 2):
+                rep = check_eq7(net, x, k, r=0.2, q=q, n=100, seed=trial)
+                assert rep["holds"]
 
     def test_multilayer_report_structure(self):
         rng = np.random.default_rng(5)
@@ -409,41 +411,41 @@ class TestCheckEq7:
         logits, _ = forward(net, x[None])
         yhat = int(np.argmax(logits[0]))
         rep = check_eq7(net, x, (yhat + 1) % 3, r=0.1, q=1, n=80, seed=1)
-        assert len(rep["layers"]) == 3
-        assert rep["c1"] > 0.0 and rep["c2"] > 0.0
-        assert rep["lipschitz"] >= 0.0
-        for row in rep["layers"]:
-            assert row["holds"] == (row["lhs"] <= row["kappa"])
+        assert list(rep) == ["lipschitz", "lipschitz_source", "yhat", "k",
+                             "upper", "holds"]
+        assert rep["upper"] > 0.0 and rep["lipschitz"] >= 0.0
+        assert rep["holds"] == (rep["lipschitz"] <= rep["upper"] * (1 + 1e-9))
 
     def test_conv_classifier_has_infinite_constants(self):
-        # the products are only defined for a linear last layer
+        # the product is only defined for a linear last layer
         conv = MaskedLayer(kind="conv2d", W=np.eye(3), b=np.zeros(3),
                            kernel_size=1, in_channels=3, out_channels=3)
         net = Network([conv, MaskedLayer(kind="flatten")], (3, 1, 1), 3)
         x = np.array([0.9, 0.2, 0.1]).reshape(3, 1, 1)
-        rep = check_eq7(net, x, k=1, r=0.1, q=2, n=20, seed=0)
-        assert rep["c1"] == rep["c2"] == INFINITE
+        for q in (1, 2):
+            rep = check_eq7(net, x, k=1, r=0.1, q=q, n=20, seed=0)
+            assert rep["upper"] == INFINITE and rep["holds"]
 
     def test_constant_products_scale_with_final_layer(self):
-        # doubling the last layer doubles both logged constants
+        # doubling the last layer doubles the bound at either q
         rng = np.random.default_rng(6)
         net = build_mlp(3, [4], 3, seed=6)
         x = rng.uniform(0.2, 0.8, size=3)
         logits, _ = forward(net, x[None])
         k = (int(np.argmax(logits[0])) + 1) % 3
-        rep1 = check_eq7(net, x, k, r=0.1, q=2, n=40, seed=2)
         doubled = copy.deepcopy(net)
         doubled.layers[-1].W *= 2.0
         doubled.layers[-1].b *= 2.0
-        rep2 = check_eq7(doubled, x, k, r=0.1, q=2, n=40, seed=2)
-        assert rep2["c1"] == pytest.approx(2.0 * rep1["c1"], rel=1e-9)
-        assert rep2["c2"] == pytest.approx(2.0 * rep1["c2"], rel=1e-9)
+        for q in (1, 2):
+            rep1 = check_eq7(net, x, k, r=0.1, q=q, n=40, seed=2)
+            rep2 = check_eq7(doubled, x, k, r=0.1, q=q, n=40, seed=2)
+            assert rep2["upper"] == pytest.approx(2.0 * rep1["upper"], rel=1e-9)
 
-    def test_c2_bounds_a_conv_that_feeds_each_entry_to_nine_patches(self):
+    def test_upper_bounds_a_conv_that_feeds_each_entry_to_nine_patches(self):
         # margin = sum of an all-ones 3x3 pad-1 conv over 1x8x8, over 8: its
         # gradient is each entry's patch count over 8 (9 inside, 6 on an edge,
         # 4 in a corner), of norm sqrt(36*81 + 24*36 + 4*16) / 8 = 7.75,
-        # above the bare Frobenius product 3 * 1
+        # above the bare spectral product 3 * 1; kernel_size makes it 9
         conv = MaskedLayer(kind="conv2d", W=np.ones((1, 9)), b=np.zeros(1),
                            kernel_size=3, pad=1, in_channels=1, out_channels=1)
         W = np.zeros((64, 2))
@@ -453,8 +455,18 @@ class TestCheckEq7:
         rep = check_eq7(net, np.full((1, 8, 8), 0.5), k=1, r=0.1, q=2, n=50,
                         seed=0)
         assert rep["lipschitz"] == pytest.approx(7.75, rel=1e-12)
-        assert rep["c2"] == 9.0
-        assert rep["lipschitz"] <= rep["c2"]
+        assert rep["upper"] == pytest.approx(9.0, rel=1e-15)
+        assert rep["holds"]
+
+    def test_under_reported_sigma_max_is_flagged(self, monkeypatch):
+        # two hidden layers at a tenth of their sigma_max put the bound a
+        # hundred times too low: the check must say so
+        net = build_mlp(4, [6, 5], 3, seed=5)
+        x = np.random.default_rng(5).uniform(0.2, 0.8, size=4)
+        k = (int(np.argmax(forward(net, x[None])[0][0])) + 1) % 3
+        assert check_eq7(net, x, k, r=0.1, q=2, n=80, seed=1)["holds"]
+        monkeypatch.setattr(tscnc.metrics, "layer_spectrum", under_reported_spectrum)
+        assert not check_eq7(net, x, k, r=0.1, q=2, n=80, seed=1)["holds"]
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150,
               suppress_health_check=[HealthCheck.too_slow])
@@ -468,7 +480,8 @@ class TestCheckEq7:
                         q=q, n=50, seed=case.draw(st.integers(0, 9)))
         # on a linear net the bound is tight, and a difference quotient over
         # a short step carries the rounding of the two logits it subtracts
-        assert rep["lipschitz"] <= rep["c1" if q == 1 else "c2"] * (1 + 1e-9)
+        assert rep["lipschitz"] <= rep["upper"] * (1 + 1e-9)
+        assert rep["holds"]
 
 
 @st.composite
@@ -634,14 +647,29 @@ class TestSharedSamplingPass:
         assert got == min(r, min(ratios))
         assert got < r  # the cap is not what decides this case
 
-    def test_eq7_rows_come_from_condition_report(self, six_class):
+    def test_eq7_upper_reads_sigma_max_from_condition_report(self, six_class,
+                                                            monkeypatch):
+        # at q=2: the l2 weight difference times each hidden layer's
+        # sigma_max, times kernel_size for a conv, one SVD per hidden layer
         net, x, _, yhat = six_class
         k = (yhat + 2) % 6
+        calls = []
+
+        def counted(m):
+            calls.append(1)
+            return layer_spectrum(m)
+
+        monkeypatch.setattr(tscnc.metrics, "layer_spectrum", counted)
         rep = check_eq7(net, x, k, r=0.1, q=2, n=80, seed=5)
+        assert len(calls) == len(net.parameterized_indices()) - 1
         crep = condition_report(net)
-        assert [(row["layer"], row["kappa"], row["sigma_max"])
-                for row in rep["layers"]] == [
-            (row.layer, row.kappa, row.sigma_max) for row in crep.layers]
+        head = net.layers[crep.layers[-1].layer].W
+        wdiff = head[:, yhat] - head[:, k]
+        want = math.sqrt(wdiff @ wdiff)
+        for row in crep.layers[:-1]:
+            want *= row.sigma_max * (net.layers[row.layer].kernel_size
+                                     if row.kind == "conv2d" else 1)
+        assert rep["upper"] == want
         want = local_lipschitz_estimate(net, x, k, r=0.1, q=2, n=80, seed=5)
         assert rep["lipschitz"] == want
 
