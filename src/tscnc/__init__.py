@@ -1,6 +1,6 @@
 """Joint sparse + condition-number-constrained adversarial training, desk scale."""
 
-from .attacks import AttackSpec, fgsm_spec, pgd
+from .attacks import AttackSpec, evaluate, fgsm_spec, pgd
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import load_dataset, load_idx, synth_blobs
 from .errors import (
@@ -24,8 +24,7 @@ from .network import (Network, backward, build_network, cross_entropy, forward,
                       loss_gradients)
 from .pruning import PruneSpec, apply_masks, prune_report, saliency, select_mask
 from .tensor_ops import INFINITE, layer_spectrum
-from .trainer import (TrainConfig, config_from_dict, evaluate, run_tscnc,
-                      score_weights)
+from .trainer import TrainConfig, config_from_dict, run_tscnc, score_weights
 
 __version__ = "0.1.0"
 

@@ -1,4 +1,5 @@
-"""First-order l-infinity attacks: PGD, with FGSM as one full-budget step.
+"""First-order l-infinity attacks: PGD, with FGSM as one full-budget step,
+and the clean and robust accuracy they give over a dataset.
 
 Attacks clip to data.FEATURE_RANGE, the range both dataset loaders produce.
 """
@@ -9,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FEATURE_RANGE
+from .data import FEATURE_RANGE, Dataset
 from .errors import ValidationError
-from .network import Network, _input_gradient, _labels
+from .network import Network, _input_gradient, _labels, forward
 from .tensor_ops import as_tensor
 
 
@@ -110,3 +111,54 @@ def _ascend(net: Network, x0, y, spec: AttackSpec, adv, grad=None) -> np.ndarray
 def fgsm_spec(epsilon: float) -> AttackSpec:
     """FGSM as a PGD spec: one step of size epsilon, none at epsilon 0."""
     return AttackSpec(epsilon, epsilon, 1 if epsilon > 0 else 0)
+
+
+# examples per forward pass and attack in evaluate
+EVAL_BATCH_SIZE = 256
+
+
+def evaluate(net: Network, data: Dataset, eval_attacks: dict, rng=None) -> dict:
+    """Clean and per-attack accuracy over the whole dataset.
+
+    An example counts as robust under an attack only when both its clean and
+    its attacked prediction are right, so robust accuracy never exceeds clean
+    accuracy.  Each attack runs on the clean-correct examples of a batch
+    alone, with the adversarial example ``pgd`` gives them in the whole
+    batch: a random start is drawn over the whole batch, even when no
+    example is attacked, and cut down to the attacked ones.  The attacks
+    that start at the clean input share one input gradient there.  The
+    labels are checked once, by the rule cross_entropy applies.
+    """
+    n = len(data)
+    if n == 0:
+        raise ValidationError("cannot evaluate on an empty dataset")
+    labels = _labels(data.labels, (n, net.class_count))
+    for spec in eval_attacks.values():
+        spec.validate()
+    correct = 0
+    adv_correct = {name: 0 for name in eval_attacks}
+    if rng is None:
+        rng = np.random.default_rng(0)
+    for start in range(0, n, EVAL_BATCH_SIZE):
+        xb = as_tensor(data.images[start : start + EVAL_BATCH_SIZE])
+        yb = labels[start : start + EVAL_BATCH_SIZE]
+        logits, _ = forward(net, xb)
+        rows = np.flatnonzero(np.argmax(logits, axis=1) == yb)
+        correct += len(rows)
+        x0, y0 = xb[rows], yb[rows]
+        clean_grad = None  # the input gradient at clip(x0)
+        for name, spec in eval_attacks.items():
+            adv = _start(xb, spec, rng)[rows]
+            if not len(rows):
+                continue
+            grad = None
+            if spec.steps and _starts_clean(spec):
+                if clean_grad is None:
+                    clean_grad = _input_gradient(net, adv, y0)
+                grad = clean_grad
+            alog, _ = forward(net, _ascend(net, x0, y0, spec, adv, grad))
+            adv_correct[name] += int((np.argmax(alog, axis=1) == y0).sum())
+    return {
+        "clean_acc": correct / n,
+        "robust_acc": {name: c / n for name, c in adv_correct.items()},
+    }

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .attacks import AttackSpec, fgsm_spec
+from .attacks import AttackSpec, evaluate, fgsm_spec
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import load_dataset
 from .errors import (ConfigError, DimensionError, DivergenceError, FormatError,
@@ -24,7 +24,7 @@ from .metrics import check_eq7, condition_report
 from .metrics_io import atomic_open, write_metrics
 from .network import forward
 from .pruning import apply_masks, prune_report, select_mask
-from .trainer import config_from_dict, evaluate, run_tscnc, score_weights
+from .trainer import config_from_dict, run_tscnc, score_weights
 
 
 def _load_config(path, seed_override):

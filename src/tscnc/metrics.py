@@ -90,9 +90,10 @@ def _margin_lipschitz(net, x, k, r, q, n, seed):
     (logits of x, yhat, {k: (Lipschitz lower bound of g_yhat - g_k, whether
     the sampled quotient rather than the gradient norm set it)}).  One draw
     from default_rng(seed) gives the n offsets: uniform on [-r, r]^d at q=1;
-    at q=2, normal (n, d+1), whose first d columns give directions and last
-    the radius r * Phi(z)^(1/d).  One (n, rivals) array holds every rival's
-    quotients; each rival's gradient is one batch-1 backward.
+    at q=2, normal (n, d+2), each row scaled to length r with its last two
+    coordinates dropped, uniform in the ball (Voelker, Gosmann & Stewart,
+    2017).  One (n, rivals) array holds every rival's quotients; each
+    rival's gradient is one batch-1 backward.
     """
     if n < 1:
         raise ValidationError(f"sample count must be at least 1, got {n}")
@@ -119,13 +120,9 @@ def _margin_lipschitz(net, x, k, r, q, n, seed):
         deltas = np.random.default_rng(seed).uniform(-r, r, size=(n, d))
         norms = np.abs(deltas).max(axis=1)
     else:
-        raw = np.random.default_rng(seed).standard_normal((n, d + 1))
-        dirs = raw[:, :d]
-        lens = np.linalg.norm(dirs, axis=1)
-        lens[lens == 0.0] = 1.0
-        erf = [math.erf(v) for v in (raw[:, d] / np.sqrt(2.0)).tolist()]
-        norms = r * (0.5 * (1.0 + np.array(erf))) ** (1.0 / d)
-        deltas = (dirs / lens[:, None]) * norms[:, None]
+        raw = np.random.default_rng(seed).standard_normal((n, d + 2))
+        deltas = r * raw[:, :d] / np.linalg.norm(raw, axis=1)[:, None]
+        norms = np.linalg.norm(deltas, axis=1)
     pts = (x.reshape(1, -1) + deltas).reshape((n,) + tuple(net.input_shape))
     plog, _ = forward(net, pts)
     safe = norms > 0.0
@@ -163,7 +160,7 @@ def local_lipschitz_estimate(
     the sup-norm ball, q=2 with the Euclidean ball), takes the largest
     difference quotient, and adds ||grad h(x)||_q as a candidate.  q=1
     makes one uniform draw of shape (n, d) and q=2 one normal draw of shape
-    (n, d+1), so with a fixed seed the sample sets nest as n grows.
+    (n, d+2), so with a fixed seed the sample sets nest as n grows.
     """
     return _margin_lipschitz(net, x, _rival(net, k), r, q, n, seed)[2][k][0]
 

@@ -13,21 +13,23 @@ cross-entropy pass (forward, loss, backward) that saliency and training
 run.  Each attack step runs ``_input_gradient`` instead: the same pass with
 no label check and no loss value, since ``_labels`` checked the labels once
 per attack, and the same input-gradient bits, since both take the softmax
-arithmetic from ``_softmax_terms``.  A conv layer works in row chunks, as many examples as fit
-their patch columns in _CHUNK_BYTES (256 KiB, about an L2 cache), so it
-builds no batch-sized column matrix or scatter index.  Its memoized chunk
-index (``MaskedLayer.conv_plan``) is the flat position of every patch tap in
-a chunk's flattened input, each example with one zero sentinel column
-appended where every padding tap points; it is cut in one step from a grid
-of those positions by ``sliding_window_view``.  forward gathers a chunk by
-``np.take`` and runs each example's ``np.matmul`` into one preallocated
-output; the input gradient scatters each chunk's ``W.T @ dz`` back through
-the same index by one ``np.bincount``, which adds in the same order as an
-element-wise ``np.add.at``, and drops the sentinel bins.  Each example's
-product and bins are its own, so the chunking changes no bit.  The dW
-``einsum`` sums in an order set by operand strides, so backward gathers the
-whole batch's columns once, batch-innermost: the layout of the fancy-index
-gather ``flat[:, idx]`` that the trained bytes depend on.
+arithmetic from ``_softmax_terms``.  A conv layer works in row chunks, as
+many examples as fit their patch columns in _CHUNK_BYTES (256 KiB, about an
+L2 cache), so forward and the input gradient build no batch-sized column
+matrix or scatter index; the weight pass builds one, as said below.  Its
+memoized chunk index (``MaskedLayer.conv_plan``) is the flat position of
+every patch tap in a chunk's flattened input, each example with one zero
+sentinel column appended where every padding tap points; it is cut in one
+step from a grid of those positions by ``sliding_window_view``.  forward
+gathers a chunk by ``np.take`` and runs each example's ``np.matmul`` into
+one preallocated output; the input gradient scatters each chunk's
+``W.T @ dz`` back through the same index by one ``np.bincount``, which adds
+in the same order as an element-wise ``np.add.at``, and drops the sentinel
+bins.  Each example's product and bins are its own, so the chunking changes
+no bit.  The dW ``einsum`` sums in an order set by operand strides, so
+backward gathers the whole batch's columns once, batch-innermost: the
+layout of the fancy-index gather ``flat[:, idx]`` that the trained bytes
+depend on.
 
 Each bias is added in place to the fresh product of its layer, and a ReLU
 right after a parameterized layer rectifies that fresh output in place, so
@@ -246,9 +248,10 @@ def _labels(labels, shape) -> np.ndarray:
     """labels as the int64 targets of logits of shape (rows, c), checked.
 
     rows must be at least 1, and labels a (rows,) vector of whole numbers,
-    floats such as 1.0 included, each in [0, c); c None leaves the range
-    to the caller.  cross_entropy runs this check on every call, pgd and
-    evaluate once for all their steps.
+    floats such as 1.0 included: any other label is a ValidationError.
+    Each must lie in [0, c): a label outside is a DimensionError, since it
+    does not fit the network.  cross_entropy runs this check on every call,
+    pgd and evaluate once for all their steps.
     """
     if len(shape) != 2 or shape[0] == 0:
         raise DimensionError(f"logits must be (rows >= 1, c), got {shape}")
@@ -260,9 +263,10 @@ def _labels(labels, shape) -> np.ndarray:
         whole = np.isfinite(y) & (np.floor(y) == y)
         if not whole.all():
             raise ValidationError(f"labels must be whole numbers, got {y[~whole][0]}")
-    c = shape[1]
-    if c is not None and (y.min() < 0 or y.max() >= c):
-        raise ValidationError(f"labels must lie in [0, {c})")
+    lo, hi, c = y.min(), y.max(), shape[1]
+    if lo < 0 or hi >= c:
+        raise DimensionError(f"label {int(lo if lo < 0 else hi)} does not fit a "
+                             f"network with {c} classes")
     return y.astype(np.int64, copy=False)
 
 

@@ -14,12 +14,11 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .attacks import AttackSpec, _ascend, _start, _starts_clean, pgd
+from .attacks import AttackSpec, evaluate, pgd
 from .data import Dataset, load_dataset
-from .errors import ConfigError, DimensionError, DivergenceError, ValidationError
+from .errors import ConfigError, DivergenceError, ValidationError
 from .metrics import LayerCondition, condition_constraint, condition_report
-from .network import (Gradients, Network, _input_gradient, _labels, build_network,
-                      forward, loss_gradients)
+from .network import Gradients, Network, build_network, loss_gradients
 from .pruning import (
     PruneSpec,
     apply_masks,
@@ -29,7 +28,6 @@ from .pruning import (
     saliency,
     select_mask,
 )
-from .tensor_ops import as_tensor
 
 
 @dataclass
@@ -254,62 +252,6 @@ def _train_epoch(net, data, config, lr, velocity, rng):
         total += loss_e
         batches += 1
     return total / max(batches, 1)
-
-
-# examples per forward pass and attack in evaluate
-EVAL_BATCH_SIZE = 256
-
-
-def evaluate(net: Network, data: Dataset, eval_attacks: dict, rng=None) -> dict:
-    """Clean and per-attack accuracy over the whole dataset.
-
-    An example counts as robust under an attack only when both its clean and
-    its attacked prediction are right, so robust accuracy never exceeds clean
-    accuracy.  Each attack runs on the clean-correct examples of a batch
-    alone, with the adversarial example ``pgd`` gives them in the whole
-    batch: a random start is drawn over the whole batch, even when no
-    example is attacked, and cut down to the attacked ones.  The attacks
-    that start at the clean input share one input gradient there.  The
-    labels are checked once: one that is not a whole number is a
-    ValidationError, one outside [0, net.class_count) a DimensionError.
-    """
-    n = len(data)
-    if n == 0:
-        raise ValidationError("cannot evaluate on an empty dataset")
-    labels = _labels(data.labels, (n, None))
-    lo, hi = int(labels.min()), int(labels.max())
-    if lo < 0 or hi >= net.class_count:
-        raise DimensionError(f"label {lo if lo < 0 else hi} does not fit a "
-                             f"network with {net.class_count} classes")
-    for spec in eval_attacks.values():
-        spec.validate()
-    correct = 0
-    adv_correct = {name: 0 for name in eval_attacks}
-    if rng is None:
-        rng = np.random.default_rng(0)
-    for start in range(0, n, EVAL_BATCH_SIZE):
-        xb = as_tensor(data.images[start : start + EVAL_BATCH_SIZE])
-        yb = labels[start : start + EVAL_BATCH_SIZE]
-        logits, _ = forward(net, xb)
-        rows = np.flatnonzero(np.argmax(logits, axis=1) == yb)
-        correct += len(rows)
-        x0, y0 = xb[rows], yb[rows]
-        clean_grad = None  # the input gradient at clip(x0)
-        for name, spec in eval_attacks.items():
-            adv = _start(xb, spec, rng)[rows]
-            if not len(rows):
-                continue
-            grad = None
-            if spec.steps and _starts_clean(spec):
-                if clean_grad is None:
-                    clean_grad = _input_gradient(net, adv, y0)
-                grad = clean_grad
-            alog, _ = forward(net, _ascend(net, x0, y0, spec, adv, grad))
-            adv_correct[name] += int((np.argmax(alog, axis=1) == y0).sum())
-    return {
-        "clean_acc": correct / n,
-        "robust_acc": {name: c / n for name, c in adv_correct.items()},
-    }
 
 
 def _record(net, config, epoch, lr, loss_e, data, rng) -> MetricsRecord:

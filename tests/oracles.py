@@ -20,11 +20,12 @@ conv layer came to build its whole chunk index in one step
 that the chunk index is checked against, row by row, and that the
 single-image ``im2col`` gathers with.
 
-``evaluate_every_row`` was ``tscnc.trainer.evaluate`` until that came to
-attack only the clean-correct examples and to share the first gradient of
-the attacks that start at the clean input; it attacks every example with
-``pgd`` and stays here, unchanged but for its batch size argument, as the
-reference that the accuracies are checked against.
+``evaluate_every_row`` was ``evaluate``, then in ``tscnc.trainer`` and now
+``tscnc.attacks.evaluate``, until that came to attack only the
+clean-correct examples and to share the first gradient of the attacks that
+start at the clean input; it attacks every example with ``pgd`` and stays
+here, unchanged but for its batch size argument, as the reference that the
+accuracies are checked against.
 
 ``start_out_of_place`` and ``ascend_out_of_place`` were ``pgd``'s first
 iterate and its steps (``tscnc.attacks._start`` and ``_ascend``) until
@@ -34,7 +35,8 @@ array at every operation, take each gradient from ``loss_gradients``, and
 stay here, unchanged, as the bitwise reference for the attack loop.
 
 The rest has no caller in the package: a checked matrix product, the
-single-image ``im2col``, the function-preserving layer
+single-image ``im2col``, a convolution by explicit loops that the gathered
+products are checked against, the function-preserving layer
 rescaling behind the scale-invariance tests, the random Bernoulli masks
 of the Lipschitz monotonicity experiment, the under-reported spectrum that
 the bound check must flag, and the Hypothesis strategy of byte edits
@@ -281,6 +283,33 @@ def im2col(x, kernel_size: int, stride: int = 1, pad: int = 0) -> np.ndarray:
     c, h, w = a.shape
     idx = im2col_indices(c, h, w, kernel_size, stride, pad)
     return np.append(a.ravel(), 0.0)[idx]
+
+
+def conv2d_sliding_window(x, w, b, k, stride, pad):
+    """Direct convolution of the batch x (batch, c_in, h, w) by explicit
+    loops, plus the bias b; w has shape (c_out, c_in*k*k)."""
+    batch, c_in, h, wd = x.shape
+    c_out = w.shape[0]
+    xp = np.zeros((batch, c_in, h + 2 * pad, wd + 2 * pad))
+    xp[:, :, pad : pad + h, pad : pad + wd] = x
+    oh = (h + 2 * pad - k) // stride + 1
+    ow = (wd + 2 * pad - k) // stride + 1
+    wk = w.reshape(c_out, c_in, k, k)
+    out = np.zeros((batch, c_out, oh, ow))
+    for n in range(batch):
+        for co in range(c_out):
+            for i in range(oh):
+                for j in range(ow):
+                    acc = 0.0
+                    for ci in range(c_in):
+                        for di in range(k):
+                            for dj in range(k):
+                                acc += (
+                                    wk[co, ci, di, dj]
+                                    * xp[n, ci, i * stride + di, j * stride + dj]
+                                )
+                    out[n, co, i, j] = acc + b[co]
+    return out
 
 
 def col2im_add_at(dcols: np.ndarray, idx: np.ndarray, in_shape) -> np.ndarray:

@@ -372,6 +372,14 @@ class TestAttackLabels:
         with pytest.raises(ValidationError, match="whole numbers"):
             pgd(net, x, [0, label], AttackSpec(0.1, 0.05, 2))
 
+    @pytest.mark.parametrize("label", [3, -1, 3.0])
+    def test_label_outside_the_classes_does_not_fit(self, label):
+        net = build_mlp(4, [], 3, seed=0)
+        x = np.full((2, 4), 0.5)
+        with pytest.raises(DimensionError, match=f"^label {int(label)} does not "
+                                                 "fit a network with 3 classes$"):
+            pgd(net, x, [0, label], AttackSpec(0.1, 0.05, 2))
+
     def test_whole_number_float_labels_attack_their_class(self):
         net = build_mlp(4, [5], 3, seed=0)
         x = np.random.default_rng(1).random((3, 4))

@@ -536,6 +536,21 @@ class TestMalformedInputs:
         assert proc.stderr.count("\n") == 1
         assert "3 classes" in proc.stderr
 
+    def test_prune_labels_beyond_checkpoint_classes_exit_3(self, tmp_path, trained,
+                                                           config_path):
+        # the checkpoint has 3 classes, the data 6; saliency attacks the data
+        doc = json.loads(config_path.read_text())
+        doc["dataset"] = "blobs-c6-d12-n20-s0.06"
+        config_path.write_text(json.dumps(doc))
+        proc = run_cli("--quiet", "prune", "--config", str(config_path),
+                       "--checkpoint", str(trained / "model.tscn"),
+                       "--out", str(tmp_path / "pruned"))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("data shape error: ")
+        assert proc.stderr.count("\n") == 1
+        assert "3 classes" in proc.stderr
+        assert not (tmp_path / "pruned").exists()
+
     def test_evaluate_seed_with_idx_data_exits_2(self, tmp_path, trained):
         # load_idx draws nothing and no --attacks string sets random_start,
         # so a seed would change nothing

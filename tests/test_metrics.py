@@ -530,20 +530,17 @@ def small_nets(draw):
 
 def documented_estimate(net, x, k, r, q, n, seed):
     """(largest quotient, gradient norm) from the draws the docstrings name:
-    uniform (n, d) on [-r, r] at q=1; at q=2, (n, d+1) normals, whose first
-    d columns give directions and last one the radius r * Phi(z_d)^(1/d)."""
+    uniform (n, d) on [-r, r] at q=1; at q=2, (n, d+2) normals, each row
+    scaled to length r and cut to its first d coordinates."""
     d = x.size
     rng = np.random.default_rng(seed)
     if q == 1:
         deltas = rng.uniform(-r, r, (n, d))
         norms = np.abs(deltas).max(axis=1)
     else:
-        raw = rng.standard_normal((n, d + 1))
-        dirs = raw[:, :d] / np.linalg.norm(raw[:, :d], axis=1)[:, None]
-        phi = np.array([0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-                        for z in raw[:, d].tolist()])
-        norms = r * phi ** (1.0 / d)
-        deltas = dirs * norms[:, None]
+        raw = rng.standard_normal((n, d + 2))
+        deltas = r * raw[:, :d] / np.linalg.norm(raw, axis=1)[:, None]
+        norms = np.linalg.norm(deltas, axis=1)
     logits, cache = forward(net, x[None])
     yhat = int(np.argmax(logits[0]))
     plog, _ = forward(net, x[None] + deltas.reshape((n,) + x.shape))

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import apply_scaling, col2im_add_at, im2col_indices
+from oracles import (apply_scaling, col2im_add_at, conv2d_sliding_window,
+                     im2col_indices)
 from tscnc import network
 from tscnc.checkpoint import load_checkpoint, save_checkpoint
 from tscnc.errors import DimensionError, StateError, ValidationError
@@ -32,32 +33,6 @@ from tscnc.trainer import sgd_step
 
 
 # ---------------------------------------------------------------- oracles
-
-
-def conv2d_sliding_window(x, w, b, k, stride, pad):
-    """Direct convolution by explicit loops. w has shape (c_out, c_in*k*k)."""
-    batch, c_in, h, wd = x.shape
-    c_out = w.shape[0]
-    xp = np.zeros((batch, c_in, h + 2 * pad, wd + 2 * pad))
-    xp[:, :, pad : pad + h, pad : pad + wd] = x
-    oh = (h + 2 * pad - k) // stride + 1
-    ow = (wd + 2 * pad - k) // stride + 1
-    wk = w.reshape(c_out, c_in, k, k)
-    out = np.zeros((batch, c_out, oh, ow))
-    for n in range(batch):
-        for co in range(c_out):
-            for i in range(oh):
-                for j in range(ow):
-                    acc = 0.0
-                    for ci in range(c_in):
-                        for di in range(k):
-                            for dj in range(k):
-                                acc += (
-                                    wk[co, ci, di, dj]
-                                    * xp[n, ci, i * stride + di, j * stride + dj]
-                                )
-                    out[n, co, i, j] = acc + b[co]
-    return out
 
 
 def loss_of(net, x, y):
@@ -242,9 +217,11 @@ class TestCrossEntropy:
         assert rel_err(grad, fd) <= 1e-5
 
     def test_label_out_of_range_raises(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(DimensionError,
+                           match="^label 3 does not fit a network with 3 classes$"):
             cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
-        with pytest.raises(ValidationError):
+        with pytest.raises(DimensionError,
+                           match="^label -1 does not fit a network with 3 classes$"):
             cross_entropy(np.zeros((1, 3)), np.array([-1]))
 
     @pytest.mark.parametrize("label", [1.7, 0.5, -0.5, np.nan, np.inf, -np.inf])

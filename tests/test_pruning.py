@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import random_bernoulli_masks
-from tscnc.errors import ValidationError
+from tscnc.errors import DimensionError, ValidationError
 from tscnc.network import (
     MaskedLayer,
     Network,
@@ -74,6 +74,13 @@ class TestSaliency:
         net = build_mlp(4, [5], 2, seed=0)
         with pytest.raises(ValidationError):
             saliency(net, [])
+
+    def test_label_outside_the_classes_does_not_fit(self):
+        net = build_mlp(4, [5], 2, seed=0)
+        x = np.full((3, 4), 0.5)
+        with pytest.raises(DimensionError, match="label 2 does not fit a network "
+                                                 "with 2 classes"):
+            saliency(net, [(x, np.array([0, 2, 1]))])
 
     def test_zero_weight_gets_zero_score(self):
         rng = np.random.default_rng(3)

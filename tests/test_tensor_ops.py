@@ -1,8 +1,8 @@
 """Tests for the dense linear-algebra kernels.
 
 Every derived expectation is computed by an independent oracle in this file
-(triple-loop products, sliding-window convolution, power iteration) or in
-``oracles.py`` (the one-sided Jacobi SVD) rather than by the code path under
+(triple-loop products, power iteration) or in ``oracles.py`` (the one-sided
+Jacobi SVD, sliding-window convolution) rather than by the code path under
 test. The ``matmul``, ``im2col`` and ``im2col_indices`` exercised here also
 live in ``oracles.py``: ``im2col_indices`` is the one-example gather plan
 that ``test_network.py`` checks each conv layer's chunk index against.
@@ -13,6 +13,7 @@ import pytest
 
 from oracles import (
     ConvergenceError,
+    conv2d_sliding_window,
     im2col,
     im2col_indices,
     matmul,
@@ -46,28 +47,6 @@ def matmul_triple_loop(a, b):
             for t in range(k):
                 acc += a[i, t] * b[t, j]
             out[i, j] = acc
-    return out
-
-
-def conv2d_sliding_window(x, w, kernel, stride=1, pad=0):
-    """Direct nested-loop convolution; w is (c_out, c_in*k*k)."""
-    c_in, h, wid = x.shape
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    out_h = (h + 2 * pad - kernel) // stride + 1
-    out_w = (wid + 2 * pad - kernel) // stride + 1
-    c_out = w.shape[0]
-    w4 = w.reshape(c_out, c_in, kernel, kernel)
-    out = np.zeros((c_out, out_h, out_w))
-    for co in range(c_out):
-        for oy in range(out_h):
-            for ox in range(out_w):
-                acc = 0.0
-                for ci in range(c_in):
-                    for ky in range(kernel):
-                        for kx in range(kernel):
-                            acc += (w4[co, ci, ky, kx]
-                                    * xp[ci, oy * stride + ky, ox * stride + kx])
-                out[co, oy, ox] = acc
     return out
 
 
@@ -139,7 +118,7 @@ class TestIm2col:
         x = rng.standard_normal((2, 5, 5))
         w = rng.standard_normal((4, 2 * 3 * 3))
         cols = im2col(x, kernel_size=3, stride=stride, pad=pad)
-        direct = conv2d_sliding_window(x, w, kernel=3, stride=stride, pad=pad)
+        direct = conv2d_sliding_window(x[None], w, np.zeros(4), 3, stride, pad)[0]
         via_matmul = matmul(w, cols).reshape(direct.shape)
         np.testing.assert_allclose(via_matmul, direct, rtol=0, atol=1e-12)
 

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from oracles import ascend_out_of_place, evaluate_every_row
+import tscnc.attacks
 from tscnc import network, trainer
-from tscnc.attacks import AttackSpec, fgsm_spec, pgd
+from tscnc.attacks import AttackSpec, evaluate, fgsm_spec, pgd
 from tscnc.cli import main
 from tscnc.data import Dataset, load_dataset
 from tscnc.errors import ConfigError, DimensionError, DivergenceError, ValidationError
@@ -26,7 +27,6 @@ from tscnc.tensor_ops import layer_spectrum
 from tscnc.trainer import (
     TrainConfig,
     config_from_dict,
-    evaluate,
     lr_at,
     run_tscnc,
     sgd_step,
@@ -426,7 +426,7 @@ class TestEvaluate:
         data = load_dataset("blobs-c3-d12-n30-s0.1", seed=2)
         net = build_mlp(12, [6], 3, seed=2)
         whole = evaluate(net, data, attacks, np.random.default_rng(4))
-        monkeypatch.setattr(trainer, "EVAL_BATCH_SIZE", 7)
+        monkeypatch.setattr(tscnc.attacks, "EVAL_BATCH_SIZE", 7)
         assert evaluate(net, data, attacks, np.random.default_rng(4)) == whole
 
     @pytest.mark.parametrize("case", [
@@ -439,7 +439,7 @@ class TestEvaluate:
         rs = AttackSpec(epsilon=0.1, step_size=0.025, steps=3, random_start=True)
         attacks = {"pgd": AttackSpec(epsilon=0.1, step_size=0.025, steps=10),
                    "fgsm": fgsm_spec(0.1)}
-        batch = trainer.EVAL_BATCH_SIZE
+        batch = tscnc.attacks.EVAL_BATCH_SIZE
         if case == "cnn-pgd-fgsm":
             data = load_dataset("blobs-c3-d16-n30-s0.3-i1x4x4", seed=0)
             net = build_cnn((1, 4, 4), [2], 8, 3, seed=1)
@@ -457,7 +457,7 @@ class TestEvaluate:
             attacks["rs"] = rs
         elif case == "batch-7":
             batch = 7
-            monkeypatch.setattr(trainer, "EVAL_BATCH_SIZE", batch)
+            monkeypatch.setattr(tscnc.attacks, "EVAL_BATCH_SIZE", batch)
             attacks["rs"], attacks["rs2"] = rs, rs
         ours, ref = np.random.default_rng(6), np.random.default_rng(6)
         res = evaluate(net, data, attacks, ours)
@@ -488,8 +488,7 @@ class TestEvaluate:
             return network._input_gradient(net, x, labels)
 
         monkeypatch.setattr(network, "cross_entropy", counted)
-        monkeypatch.setattr("tscnc.attacks._input_gradient", counted_pass)
-        monkeypatch.setattr(trainer, "_input_gradient", counted_pass)
+        monkeypatch.setattr(tscnc.attacks, "_input_gradient", counted_pass)
         ours, ref = np.random.default_rng(6), np.random.default_rng(6)
         res = evaluate(net, data, attacks, ours)
         assert rows == []
@@ -515,9 +514,8 @@ class TestEvaluate:
             passes.append((len(x), tuple(y)))
             return network._input_gradient(net, x, y)
 
-        monkeypatch.setattr("tscnc.attacks._input_gradient", counted)
-        monkeypatch.setattr(trainer, "_input_gradient", counted)
-        monkeypatch.setattr(trainer, "EVAL_BATCH_SIZE", 40)
+        monkeypatch.setattr(tscnc.attacks, "_input_gradient", counted)
+        monkeypatch.setattr(tscnc.attacks, "EVAL_BATCH_SIZE", 40)
         evaluate(net, data, {"pgd": AttackSpec(epsilon=0.01, step_size=0.005,
                                                steps=3),
                              "fgsm": fgsm_spec(0.01)})
@@ -538,7 +536,7 @@ class TestEvaluate:
         net = build_mlp(3, [], 2, seed=0)
         data = Dataset(images=np.zeros((2, 3)), labels=np.array([0, 2]), classes=3)
         attacked = []
-        monkeypatch.setattr(trainer, "_start", lambda *a, **k: attacked.append(a))
+        monkeypatch.setattr(tscnc.attacks, "_start", lambda *a, **k: attacked.append(a))
         with pytest.raises(DimensionError, match="2 classes"):
             evaluate(net, data, {"fgsm": AttackSpec(epsilon=0.0, step_size=0.0,
                                                     steps=0)})
@@ -619,8 +617,7 @@ class TestInPlaceAttackBytes:
             calls.append(None)
             return ascend_out_of_place(*args, **kwargs)
 
-        monkeypatch.setattr("tscnc.attacks._ascend", oracle)
-        monkeypatch.setattr(trainer, "_ascend", oracle)
+        monkeypatch.setattr(tscnc.attacks, "_ascend", oracle)
         assert train(tmp_path / "out-of-place") == ours
         assert calls
 
