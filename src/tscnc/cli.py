@@ -158,8 +158,9 @@ def _cmd_evaluate(args):
     return 0
 
 
-def _bound_check(args, net) -> str:
-    """inspect's last line: check_eq7 at x = 0.5 against the runner-up class."""
+def _bound_check(args, net, crep) -> str:
+    """inspect's last line: check_eq7 at x = 0.5 against the runner-up class,
+    its layer product read from crep, the condition report inspect prints."""
     if net.class_count < 2:
         return (f"bound check skipped: {net.class_count} class, no rival to "
                 "compare against")
@@ -167,7 +168,8 @@ def _bound_check(args, net) -> str:
         x = np.full(net.input_shape, 0.5)
         k = int(np.argsort(forward(net, x[None])[0][0])[-2])
         eq7 = check_eq7(net, x, k, r=0.1, q=2, n=200,
-                        seed=args.seed if args.seed is not None else 0)
+                        seed=args.seed if args.seed is not None else 0,
+                        report=crep)
     except MemoryError as exc:
         raise FormatError(f"{args.checkpoint}: input_shape {list(net.input_shape)}"
                           f" does not fit in memory: {exc}", offset=12) from exc
@@ -184,7 +186,7 @@ def _cmd_inspect(args):
     # everything that can fail runs before the first line is printed
     crep = condition_report(net)
     report = prune_report(net)
-    bound = _bound_check(args, net)
+    bound = _bound_check(args, net, crep)
     _print(args, f"{'layer':>5} {'kind':<8} {'sigma_max':>12} "
                  f"{'sigma_min':>12} {'kappa':>12} {'rank':>5}")
     for row in crep.layers:

@@ -3,6 +3,9 @@ gradient, per-layer condition numbers, empirical local Lipschitz estimates,
 robustness radii, and the bound check: the sampled Lipschitz estimate
 against the layer-product upper bound in the same norm.
 
+``condition_report`` takes the one SVD per layer; the q=2 bound reads each
+hidden layer's ``sigma_max`` from its rows.
+
 All operations are read-only on the network and take explicit seeds where
 sampling is involved.
 """
@@ -93,7 +96,9 @@ def _margin_lipschitz(net, x, k, r, q, n, seed):
     at q=2, normal (n, d+2), each row scaled to length r with its last two
     coordinates dropped, uniform in the ball (Voelker, Gosmann & Stewart,
     2017).  One (n, rivals) array holds every rival's quotients; each
-    rival's gradient is one batch-1 backward.
+    rival's gradient is one batch-1 backward.  Logits at x or a Lipschitz
+    candidate that are not finite (weights that overflow) are a
+    ValidationError.
     """
     if n < 1:
         raise ValidationError(f"sample count must be at least 1, got {n}")
@@ -109,6 +114,9 @@ def _margin_lipschitz(net, x, k, r, q, n, seed):
         )
     logits, cache = forward(net, x[None])
     logits = logits[0]
+    if not np.isfinite(logits).all():
+        raise ValidationError(f"logits at the probe point are not finite: "
+                              f"{logits.tolist()}")
     yhat = int(np.argmax(logits))
     if yhat == k:
         raise ValidationError(
@@ -138,6 +146,10 @@ def _margin_lipschitz(net, x, k, r, q, n, seed):
         gl[0, c] = -1.0
         g = backward(net, cache, gl, weights=False).input.ravel()
         gnorm = float(np.abs(g).sum()) if q == 1 else float(np.sqrt(g @ g))
+        if not (math.isfinite(quotient) and math.isfinite(gnorm)):
+            raise ValidationError(
+                f"Lipschitz estimate against class {c} is not finite: sampled "
+                f"quotient {quotient}, gradient norm {gnorm}")
         values[c] = max(quotient, gnorm), quotient > gnorm
     return logits, yhat, values
 
@@ -188,15 +200,17 @@ def robustness_radius(net: Network, x, r: float, q: int, n: int, seed: int) -> f
 _BOUND_SLACK = 1e-9
 
 
-def _lipschitz_upper(net: Network, yhat: int, k: int, q: int) -> float:
+def _lipschitz_upper(net: Network, yhat: int, k: int, q: int,
+                     report: ConditionReport | None) -> float:
     """Layer-product upper bound on the Lipschitz constant of g_yhat - g_k.
 
     The classifier's weight difference W[:, yhat] - W[:, k], in l1 at q=1
     and in l2 at q=2, times one factor per hidden layer: at q=1 its
     sup-norm gain, the largest l1 norm of a unit's incoming weights; at
-    q=2 its sigma_max, times kernel_size for a conv, since each input entry
-    feeds at most k*k patches (Tsuzuku, Sato & Sugiyama, 2018).  ReLU and
-    flatten are 1-Lipschitz.  INFINITE if the last layer is not linear.
+    q=2 its sigma_max, read from report's row for the layer, times
+    kernel_size for a conv, since each input entry feeds at most k*k
+    patches (Tsuzuku, Sato & Sugiyama, 2018).  q=1 reads no report.  ReLU
+    and flatten are 1-Lipschitz.  INFINITE if the last layer is not linear.
     """
     pis = net.parameterized_indices()
     last = net.layers[pis[-1]]
@@ -204,27 +218,40 @@ def _lipschitz_upper(net: Network, yhat: int, k: int, q: int) -> float:
         return INFINITE
     wdiff = last.W[:, yhat] - last.W[:, k]
     upper = float(np.abs(wdiff).sum()) if q == 1 else float(np.sqrt(wdiff @ wdiff))
-    for li in pis[:-1]:
-        layer = net.layers[li]
-        if q == 1:  # a unit's inputs: a column of linear W, a row of conv W
-            axis = 0 if layer.kind == "linear" else 1
-            upper *= float(np.abs(layer.W).sum(axis=axis).max())
-        else:
-            upper *= layer_spectrum(layer.W).sigma_max * (
-                layer.kernel_size if layer.kind == "conv2d" else 1)
+    if q == 1:
+        for li in pis[:-1]:  # a unit's inputs: a column of linear W, a row of conv W
+            axis = 0 if net.layers[li].kind == "linear" else 1
+            upper *= float(np.abs(net.layers[li].W).sum(axis=axis).max())
+    else:
+        for row in report.layers[:-1]:
+            upper *= row.sigma_max * (
+                net.layers[row.layer].kernel_size if row.kind == "conv2d" else 1)
     return upper
 
 
-def check_eq7(net: Network, x, k: int, r: float, q: int, n: int, seed: int) -> dict:
+def check_eq7(net: Network, x, k: int, r: float, q: int, n: int, seed: int,
+              report: ConditionReport | None = None) -> dict:
     """Check Lhat <= upper for the margin g_yhat - g_k.  Lhat is
     local_lipschitz_estimate(net, x, k, r, q, n, seed), a lower bound on its
     Lipschitz constant, and upper the layer product in the same norm, so a
     False holds is a bug.  lipschitz_source names the candidate that set
-    Lhat: the sampled quotient or the gradient norm."""
+    Lhat: the sampled quotient or the gradient norm.  At q=2 the product
+    reads each hidden layer's sigma_max from report, condition_report(net)
+    when it is None; a report whose layers are not net's parameterized
+    layers is a ValidationError."""
     k = _rival(net, k)
+    if report is not None:
+        rows = [(row.layer, row.kind) for row in report.layers]
+        want = [(li, net.layers[li].kind) for li in net.parameterized_indices()]
+        if rows != want:
+            raise ValidationError(
+                f"condition report covers layers {rows}, but the network's "
+                f"parameterized layers are {want}")
     _, yhat, values = _margin_lipschitz(net, x, k, r, q, n, seed)
     lipschitz, sampled = values[k]
-    upper = _lipschitz_upper(net, yhat, k, q)
+    if q == 2 and report is None:
+        report = condition_report(net)
+    upper = _lipschitz_upper(net, yhat, k, q, report)
     return {
         "lipschitz": lipschitz,
         "lipschitz_source": "sampled quotient" if sampled else "gradient norm",

@@ -74,12 +74,14 @@ class TrainConfig:
             if value < low:
                 need = f"at least {low}" if low else "non-negative"
                 raise ValidationError(f"{name} must be {need}, got {value}")
-        if self.lr <= 0.0:
-            raise ValidationError(f"lr must be positive, got {self.lr}")
-        if self.lam < 0.0:
-            raise ValidationError(f"lam must be non-negative, got {self.lam}")
-        if self.tau <= 0.0:
-            raise ValidationError(f"tau must be positive, got {self.tau}")
+        for name, zero_ok in (("lr", False), ("lam", True), ("tau", False),
+                              ("lr_factor", False), ("weight_decay", True)):
+            value = getattr(self, name)
+            if value < 0.0 or (value == 0.0 and not zero_ok):
+                need = "non-negative" if zero_ok else "positive"
+                raise ValidationError(f"{name} must be {need}, got {value}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValidationError(f"momentum must lie in [0, 1), got {self.momentum}")
         if any(m < 0 for m in self.lr_milestones):
             raise ValidationError(
                 f"lr_milestones must be non-negative, got {list(self.lr_milestones)}")

@@ -19,7 +19,7 @@ from tscnc.checkpoint import load_checkpoint, save_checkpoint
 from tscnc.cli import _parse_attacks, main
 from tscnc.errors import ConfigError, DivergenceError
 from tscnc.metrics_io import write_metrics
-from tscnc.network import build_cnn, build_mlp
+from tscnc.network import build_cnn, build_mlp, build_network
 from tscnc.pruning import apply_masks
 from tscnc.trainer import config_from_dict, run_tscnc
 
@@ -129,6 +129,18 @@ class TestTrain:
         assert rc == 2
         assert capsys.readouterr().err == (
             "configuration error: lr_milestones must be non-negative, got [-1]\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_lr_factor_exits_2(self, tmp_path, config_path, capsys):
+        # it would run the epochs after the milestone at lr -0.1: gradient ascent
+        doc = json.loads(config_path.read_text())
+        doc.update(lr_factor=-1, lr_milestones=[1])
+        config_path.write_text(json.dumps(doc))
+        rc = main(["--quiet", "train", "--config", str(config_path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "configuration error: lr_factor must be positive, got -1.0\n")
         assert not (tmp_path / "o").exists()
 
     def test_failed_metrics_write_exits_3(self, tmp_path, config_path, capsys):
@@ -386,6 +398,42 @@ class TestInspect:
         assert main(["inspect", "--checkpoint", str(trained / "model.tscn")]) == 0
         assert re.search(r": violated \(lipschitz \S+ from (sampled quotient|gradient "
                          r"norm) > upper \S+\)\n", capsys.readouterr().out)
+
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    def test_one_svd_per_layer(self, tmp_path, request, monkeypatch, capsys,
+                               kind):
+        # the bound reads each hidden sigma_max from the report the table prints
+        if kind == "mlp":
+            ckpt = request.getfixturevalue("trained") / "model.tscn"
+        else:
+            ckpt = tmp_path / "cnn.tscn"
+            save_checkpoint(ckpt, build_network("cnn-8x16-32", (1, 8, 8), 6,
+                                                seed=3))
+        layers = len(load_checkpoint(ckpt).net.parameterized_indices())
+        calls = []
+        real = tscnc.metrics.layer_spectrum
+
+        def counted(m):
+            calls.append(m.shape)
+            return real(m)
+
+        monkeypatch.setattr(tscnc.metrics, "layer_spectrum", counted)
+        assert main(["inspect", "--checkpoint", str(ckpt)]) == 0
+        assert ": holds (" in capsys.readouterr().out
+        assert len(calls) == layers == {"mlp": 2, "cnn": 4}[kind]
+
+    def test_overflowing_weights_skip_the_bound_check(self, tmp_path, capsys):
+        # finite weights that overflow at the probe leave no Lipschitz
+        # estimate: "violated" would claim a bug the check cannot see
+        net = build_mlp(3, [4], 2, seed=0)
+        net.layers[0].W[...] = 1e308
+        path = tmp_path / "overflow.tscn"
+        save_checkpoint(path, net)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["inspect", "--checkpoint", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "bound check skipped: logits at the probe point are not finite" in out
+        assert "violated" not in out
 
     def test_seed_is_the_bound_check_sampling_seed(self, trained, monkeypatch,
                                                    capsys):

@@ -484,6 +484,60 @@ class TestCheckEq7:
         assert rep["holds"]
 
 
+class TestReportedSpectra:
+    """check_eq7 reads sigma_max from a caller's condition report."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=st.data())
+    def test_a_given_report_changes_no_bit(self, case):
+        net, x = case.draw(small_nets())
+        rng = np.random.default_rng(case.draw(st.integers(0, 9)))
+        keep = case.draw(st.sampled_from([1.0, 0.6, 0.3]))
+        apply_masks(net, {li: rng.uniform(size=net.layers[li].W.shape) < keep
+                          for li in net.parameterized_indices()})
+        q = case.draw(st.sampled_from([1, 2]))
+        k = (int(np.argmax(forward(net, x[None])[0][0])) + 1) % net.class_count
+        seed = case.draw(st.integers(0, 9))
+        given_report = check_eq7(net, x, k, r=0.1, q=q, n=30, seed=seed,
+                                 report=condition_report(net))
+        assert given_report == check_eq7(net, x, k, r=0.1, q=q, n=30, seed=seed)
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_report_of_another_net_is_rejected(self, q):
+        net = build_mlp(4, [6, 5], 3, seed=5)
+        x = np.full(4, 0.5)
+        k = (int(np.argmax(forward(net, x[None])[0][0])) + 1) % 3
+        for other in (build_mlp(4, [6], 3, seed=5),
+                      build_cnn((1, 4, 4), [2], 8, 3, seed=5)):
+            with pytest.raises(ValidationError, match="condition report covers"):
+                check_eq7(net, x, k, r=0.1, q=q, n=20, seed=0,
+                          report=condition_report(other))
+
+
+class TestNonFiniteProbe:
+    """Weights that are finite but overflow leave no estimate to report."""
+
+    def test_overflowing_logits_are_a_validation_error(self):
+        net = linear_net([[1e308, -1e308], [1e308, -1e308]])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValidationError, match="logits .* not finite"):
+                check_eq7(net, np.array([0.9, 0.9]), k=1, r=0.1, q=2, n=20,
+                          seed=0)
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_overflowing_samples_are_a_validation_error(self, q):
+        # the logits at x = 1 are +-0.75e308, but a sample past x = 1.2
+        # overflows the hidden unit
+        hidden = MaskedLayer(kind="linear", W=np.array([[1.5e308]]), b=np.zeros(1))
+        head = MaskedLayer(kind="linear", W=np.array([[0.5, -0.5]]), b=np.zeros(2))
+        net = Network([hidden, MaskedLayer(kind="relu"), head], (1,), 2)
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(ValidationError, match="Lipschitz estimate against "
+                                                      "class 1 is not finite"):
+                check_eq7(net, np.ones(1), k=1, r=0.5, q=q, n=50, seed=0)
+
+
 @st.composite
 def small_nets(draw):
     """A random net, (conv, relu){1,2} then flatten, or none, then
@@ -658,8 +712,11 @@ class TestSharedSamplingPass:
 
         monkeypatch.setattr(tscnc.metrics, "layer_spectrum", counted)
         rep = check_eq7(net, x, k, r=0.1, q=2, n=80, seed=5)
-        assert len(calls) == len(net.parameterized_indices()) - 1
+        assert len(calls) == len(net.parameterized_indices())
         crep = condition_report(net)
+        calls.clear()
+        assert check_eq7(net, x, k, r=0.1, q=2, n=80, seed=5, report=crep) == rep
+        assert calls == []
         head = net.layers[crep.layers[-1].layer].W
         wdiff = head[:, yhat] - head[:, k]
         want = math.sqrt(wdiff @ wdiff)

@@ -340,10 +340,15 @@ class TestConfigFromDict:
     def test_validate_rejects_bad_numbers(self):
         for over in ({"epochs": 0}, {"lr": 0.0}, {"lam": -0.1},
                      {"tau": 0.0}, {"batch_size": 0}, {"warmup_epochs": -1},
-                     {"lr_milestones": (2, -1)}):
+                     {"lr_milestones": (2, -1)}, {"momentum": 1.0},
+                     {"momentum": 1.5}, {"momentum": -0.5},
+                     {"weight_decay": -0.1}, {"lr_factor": 0.0},
+                     {"lr_factor": -1.0}):
             cfg = small_config(**over)
-            with pytest.raises(ValidationError):
+            with pytest.raises(ValidationError, match=next(iter(over))):
                 cfg.validate()
+        # the edges of the optimizer ranges: plain SGD, no decay, a rising lr
+        small_config(momentum=0.0, weight_decay=0.0, lr_factor=2.0).validate()
 
     def test_negative_seed_rejected(self):
         cfg = config_from_dict({"dataset": "x", "architecture": "y",
