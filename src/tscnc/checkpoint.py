@@ -5,7 +5,8 @@ u32 CRC32 of the header, then one blob per parameterized layer (weights and
 bias as little-endian float64, the mask as a bitmap packed
 least-significant-bit first), optional momentum blobs, and a final u32
 CRC32 over all payload bytes.  A reloaded network reproduces forward
-outputs bitwise; weights stored under a 0 mask bit load as +0.0.
+outputs bitwise; weights stored under a 0 mask bit load as +0.0.  The
+derived "prunable" flag and conv channel counts are written and checked.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def _mask_bytes(mask) -> bytes:
 
 
 def _layer_descriptor(layer: MaskedLayer) -> dict:
-    d = {"kind": layer.kind, "prunable": layer.prunable}
+    d = {"kind": layer.kind, "prunable": layer.parameterized}
     if layer.parameterized:
         d["w_shape"] = list(layer.W.shape)
         d["b_len"] = int(layer.b.size)
@@ -187,17 +188,16 @@ def load_checkpoint(path) -> Checkpoint:
         wn = math.prod(shape)
         bits, pos = read_array(payload, pos, np.uint8, (wn + 7) // 8, path)
         bits = np.unpackbits(bits, bitorder="little")[:wn]
-        layer = MaskedLayer(kind=kind, W=W, Z=bits.reshape(shape), b=b,
-                            prunable=_field(desc, "prunable", bool, path))
+        _field(desc, "prunable", bool, path)
+        layer = MaskedLayer(kind=kind, W=W, Z=bits.reshape(shape), b=b)
         if kind == "conv2d":
-            for key in _CONV_KEYS:
-                low = 0 if key == "pad" else 1
-                setattr(layer, key, _field(desc, key, int, path, low=low))
-            if shape != (layer.out_channels,
-                         layer.in_channels * layer.kernel_size ** 2):
+            k, stride, pad, c_in, c_out = (
+                _field(desc, key, int, path, low=0 if key == "pad" else 1)
+                for key in _CONV_KEYS)
+            if shape != (c_out, c_in * k ** 2):
                 raise FormatError(f"{path}: conv layer {li} weight shape {shape} "
-                                  f"does not match its channels and kernel",
-                                  offset=12)
+                                  "does not match its channels and kernel", offset=12)
+            layer.kernel_size, layer.stride, layer.pad = k, stride, pad
         layers.append(layer)
         if momentum is not None:
             vW, pos = _floats(payload, pos, shape, path)

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 configuration problems (a size that does not fit in
 memory included), 3 data-format and file i/o problems (including data whose
 shape or labels do not fit the checkpoint, a non-finite checkpoint value, and
-a failed write of any output file), 4 divergence during training.
+a failed write of any output file), 4 divergence or a numeric error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .attacks import AttackSpec, evaluate, fgsm_spec
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import load_dataset
 from .errors import (ConfigError, DimensionError, DivergenceError, FormatError,
-                     ValidationError)
+                     NumericError, ValidationError)
 from .metrics import check_eq7, condition_report
 from .metrics_io import atomic_open, write_metrics
 from .network import forward
@@ -261,6 +261,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except NumericError as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -69,7 +69,6 @@ class ConditionReport:
 
 def condition_report(net: Network) -> ConditionReport:
     rows = []
-    kmax = 0.0
     for li in net.parameterized_indices():
         spec = layer_spectrum(net.layers[li].W)
         rows.append(
@@ -79,8 +78,8 @@ def condition_report(net: Network) -> ConditionReport:
                 kappa=spec.kappa, rank=spec.rank,
             )
         )
-        kmax = max(kmax, spec.kappa)
-    return ConditionReport(layers=rows, kappa_max=kmax)
+    return ConditionReport(layers=rows,
+                           kappa_max=max([0.0] + [row.kappa for row in rows]))
 
 
 # ------------------------------------------------------------ Lipschitz

@@ -62,7 +62,8 @@ class MaskedLayer:
     kind is one of "linear", "conv2d", "relu", "flatten".  Parameterized
     kinds carry W, Z, b; the others carry no state.  Linear weights are
     stored (fan_in, fan_out) so a batch forward is x @ W + b; conv weights
-    are stored (c_out, c_in*k*k).  A layer built without Z is all live.
+    are stored (c_out, c_in*k*k), the channel counts read off that shape.
+    A layer built without Z is all live.
     """
 
     kind: str
@@ -72,15 +73,20 @@ class MaskedLayer:
     kernel_size: int = 0
     stride: int = 1
     pad: int = 0
-    in_channels: int = 0
-    out_channels: int = 0
-    prunable: bool = False
     # memoized conv_plan chunk index, keyed by input (h, w)
     _plan: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def parameterized(self) -> bool:
         return self.kind in _PARAM_KINDS
+
+    @property
+    def in_channels(self) -> int:
+        return self.W.shape[1] // self.kernel_size ** 2
+
+    @property
+    def out_channels(self) -> int:
+        return self.W.shape[0]
 
     def __post_init__(self):
         if self.W is not None:
@@ -110,9 +116,9 @@ class MaskedLayer:
                 raise DimensionError(f"linear layer expects ({fan_in},), got {shape}")
             return (fan_out,)
         if kind == "conv2d":
-            if len(shape) != 3 or shape[0] != self.in_channels:
-                raise DimensionError(
-                    f"conv layer expects ({self.in_channels}, h, w), got {shape}")
+            if len(shape) != 3 or shape[0] * self.kernel_size ** 2 != self.W.shape[1]:
+                raise DimensionError(f"conv layer of weight {self.W.shape}, kernel "
+                                     f"{self.kernel_size} cannot take {shape}")
             return (self.out_channels, *conv_output_size(
                 shape[1], shape[2], self.kernel_size, self.stride, self.pad))
         if kind == "flatten":
@@ -160,7 +166,8 @@ class Network:
         return [i for i, l in enumerate(self.layers) if l.parameterized]
 
     def prunable_indices(self) -> list:
-        return [i for i, l in enumerate(self.layers) if l.parameterized and l.prunable]
+        """Alias of parameterized_indices, kept for perfbench/workloads.py."""
+        return self.parameterized_indices()
 
     def output_shape(self) -> tuple:
         """One example's logits shape: each layer's rule from input_shape."""
@@ -383,8 +390,7 @@ def _build(input_shape, channels, widths, class_count: int, seed: int) -> Networ
         fan_in = shape[0] * 3 * 3
         add(MaskedLayer(kind="conv2d",
                         W=_kaiming_uniform(rng, (c_out, fan_in), fan_in),
-                        b=np.zeros(c_out), kernel_size=3, stride=1, pad=1,
-                        in_channels=shape[0], out_channels=c_out, prunable=True))
+                        b=np.zeros(c_out), kernel_size=3, stride=1, pad=1))
         add(MaskedLayer(kind="relu"))
     if len(shape) != 1:
         add(MaskedLayer(kind="flatten"))
@@ -393,7 +399,7 @@ def _build(input_shape, channels, widths, class_count: int, seed: int) -> Networ
             add(MaskedLayer(kind="relu"))
         add(MaskedLayer(kind="linear",
                         W=_kaiming_uniform(rng, (shape[0], fan_out), shape[0]),
-                        b=np.zeros(fan_out), prunable=True))
+                        b=np.zeros(fan_out)))
     return Network(layers, tuple(input_shape), class_count)
 
 

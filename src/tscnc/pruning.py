@@ -3,7 +3,8 @@
 Scores estimate the loss change from zeroing one weight at a time,
 |dL/dw * w|, averaged over the supplied batches; they come as a plain
 {layer index: score array} for every prunable layer, and a masked weight,
-a stored 0.0, scores 0.0.  Selection reads each layer's mask Z: masked
+a stored 0.0, scores 0.0.  Every linear and conv layer is prunable unless
+PruneSpec.protected names it.  Selection reads each layer's mask Z: masked
 weights stay masked and count toward the floor(p * N) zeros, and the live
 ones are ranked globally (default) or per layer, smallest score first.
 """
@@ -53,7 +54,7 @@ def saliency(net: Network, batches) -> dict:
     batches is an iterable of (x_adv, y) pairs, normally produced by running
     an attack on clean batches.
     """
-    prunable = net.prunable_indices()
+    prunable = net.parameterized_indices()
     totals = {li: np.zeros_like(net.layers[li].W) for li in prunable}
     count = 0
     for x_adv, y in batches:
@@ -68,7 +69,7 @@ def saliency(net: Network, batches) -> dict:
 
 def magnitude_scores(net: Network) -> dict:
     """|w| per prunable layer, the magnitude-pruning baseline."""
-    return {li: np.abs(net.layers[li].W) for li in net.prunable_indices()}
+    return {li: np.abs(net.layers[li].W) for li in net.parameterized_indices()}
 
 
 def check_protected(protected, prunable) -> None:
@@ -90,7 +91,7 @@ def select_mask(net: Network, scores: dict, spec: PruneSpec) -> dict:
     flat index).
     """
     spec.validate()
-    prunable = net.prunable_indices()
+    prunable = net.parameterized_indices()
     check_protected(spec.protected, prunable)
     bad = sorted(li for li in scores if li not in prunable
                  or scores[li].shape != net.layers[li].Z.shape)
@@ -126,16 +127,13 @@ def apply_masks(net: Network, masks: dict) -> None:
 def prune_report(net: Network) -> dict:
     """Per-layer zero ratios plus the global sparsity, as a plain dict."""
     rows = []
-    zeros = 0
-    total = 0
-    for li in net.prunable_indices():
+    for li in net.parameterized_indices():
         layer = net.layers[li]
         z = int((~layer.Z).sum())
         n = layer.Z.size
         rows.append({"layer": li, "kind": layer.kind, "zeros": z, "size": n,
                      "ratio": z / n})
-        zeros += z
-        total += n
+    zeros, total = (sum(row[key] for row in rows) for key in ("zeros", "size"))
     return {
         "layers": rows,
         "global_sparsity": zeros / total if total else 0.0,

@@ -95,7 +95,7 @@ def layer_spectrum(m) -> LayerSpectrum:
     ValidationError
         If ``m`` has a non-finite entry.
     NumericError
-        If LAPACK reports that the SVD did not converge.
+        If the SVD did not converge, or sigma_max overflows (no rank then).
     """
     a = _as_matrix(m)
     try:
@@ -103,6 +103,8 @@ def layer_spectrum(m) -> LayerSpectrum:
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD of a {a.shape} matrix failed: {exc}") from exc
     smax = float(s[0])
+    if not np.isfinite(smax):
+        raise NumericError(f"sigma_max of a {a.shape} matrix overflows")
     smin = float(s[-1])
     tol = rank_tolerance(a.shape, smax)
     kappa = INFINITE if smax == 0.0 or smin <= tol else smax / smin

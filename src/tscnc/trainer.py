@@ -293,7 +293,7 @@ def run_tscnc(config: TrainConfig, data: Dataset | None = None,
             config.architecture, data.images.shape[1:], data.classes,
             seed=config.seed,
         )
-    check_protected(config.prune.protected, net.prunable_indices())
+    check_protected(config.prune.protected, net.parameterized_indices())
     velocity = {}
     records = []
     # epochs below 0 are the dense warmup, at config.lr and without records

@@ -97,7 +97,7 @@ class TestFgsm:
         rng = np.random.default_rng(3)
         W = rng.normal(size=(4, 2))
         layer = MaskedLayer(
-            kind="linear", W=W, Z=np.ones_like(W), b=np.zeros(2), prunable=True
+            kind="linear", W=W, Z=np.ones_like(W), b=np.zeros(2)
         )
         net = Network(layers=[layer], input_shape=(4,), class_count=2)
         x = rng.uniform(0.2, 0.8, size=(6, 4))
@@ -162,14 +162,12 @@ class TestPgd:
             W=np.array([[1.0, -1.0]]),
             Z=np.ones((1, 2)),
             b=np.array([-c, c]),
-            prunable=True,
         )
         l2 = MaskedLayer(
             kind="linear",
             W=np.array([[s, 0.0], [s, 0.0]]),
             Z=np.ones((2, 2)),
             b=np.zeros(2),
-            prunable=True,
         )
         net = Network(
             layers=[l1, MaskedLayer(kind="relu"), l2],
@@ -234,7 +232,7 @@ class TestPgd:
         # dead input dimension: sign(0) = 0 so the attack leaves it alone
         W = np.array([[1.0, -1.0], [0.0, 0.0]])
         layer = MaskedLayer(
-            kind="linear", W=W, Z=np.ones_like(W), b=np.zeros(2), prunable=True
+            kind="linear", W=W, Z=np.ones_like(W), b=np.zeros(2)
         )
         net = Network(layers=[layer], input_shape=(2,), class_count=2)
         x = np.array([[0.5, 0.5]])

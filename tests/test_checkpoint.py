@@ -14,7 +14,7 @@ from tscnc.checkpoint import load_checkpoint, save_checkpoint
 from tscnc.cli import main
 from tscnc.errors import FormatError, ValidationError
 from tscnc.network import build_cnn, build_mlp, forward
-from tscnc.pruning import apply_masks
+from tscnc.pruning import PruneSpec, apply_masks, magnitude_scores, select_mask
 
 
 def nets_equal(a, b):
@@ -449,6 +449,27 @@ class TestHeaderSchema:
         assert len(convs) == 2 and all(not l._plan for l in convs)
         forward(net, np.zeros((1, 1, 6, 6)))
         assert all(list(l._plan) == [(6, 6)] for l in convs)
+
+
+class TestPrunableFlag:
+    """Every linear and conv layer is prunable: the loader checks that the
+    header's "prunable" is a bool and reads nothing more from it."""
+
+    def test_false_flag_loads_prunable(self, tmp_path):
+        path = tmp_path / "m.tscn"
+        save_checkpoint(path, build_mlp(4, [3], 2, seed=0))
+        rewrite_header(path, _with("layers", 2, "prunable", value=False))
+        net = load_checkpoint(path).net
+        masks = select_mask(net, magnitude_scores(net),
+                            PruneSpec(0.5, scope="per_layer"))
+        assert sorted(masks) == [0, 2]
+        assert int((~masks[2]).sum()) == 3
+        # written again, the flag is true exactly for linear and conv layers
+        save_checkpoint(path, net)
+        raw = path.read_bytes()
+        hlen = struct.unpack("<I", raw[8:12])[0]
+        layers = json.loads(raw[12 : 12 + hlen])["layers"]
+        assert [l["prunable"] for l in layers] == [True, False, True]
 
 
 class TestOffsets:

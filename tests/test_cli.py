@@ -424,9 +424,11 @@ class TestInspect:
 
     def test_overflowing_weights_skip_the_bound_check(self, tmp_path, capsys):
         # finite weights that overflow at the probe leave no Lipschitz
-        # estimate: "violated" would claim a bug the check cannot see
+        # estimate: "violated" would claim a bug the check cannot see.  Each
+        # layer's spectrum is finite; the logits, +-6e400, are not
         net = build_mlp(3, [4], 2, seed=0)
-        net.layers[0].W[...] = 1e308
+        net.layers[0].W[...] = 1e200
+        net.layers[2].W[...] = [1e200, -1e200]
         path = tmp_path / "overflow.tscn"
         save_checkpoint(path, net)
         with pytest.warns(RuntimeWarning, match="overflow"):
@@ -434,6 +436,18 @@ class TestInspect:
         out = capsys.readouterr().out
         assert "bound check skipped: logits at the probe point are not finite" in out
         assert "violated" not in out
+
+    def test_overflowing_spectrum_is_a_numeric_error(self, tmp_path, capsys):
+        # every weight is finite, but layer 0's sigma_max, sqrt(12) * 1e308,
+        # is not: rank 0 and kappa inf would misreport a full-rank layer
+        net = build_mlp(3, [4], 2, seed=0)
+        net.layers[0].W[...] = 1e308
+        path = tmp_path / "overflow.tscn"
+        save_checkpoint(path, net)
+        assert main(["inspect", "--checkpoint", str(path)]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numeric error: ") and err.count("\n") == 1
 
     def test_seed_is_the_bound_check_sampling_seed(self, trained, monkeypatch,
                                                    capsys):

@@ -39,7 +39,6 @@ def linear_net(W, b=None):
     layer = MaskedLayer(
         kind="linear", W=W, Z=np.ones_like(W),
         b=np.zeros(fan_out) if b is None else np.asarray(b, dtype=float),
-        prunable=True,
     )
     return Network(layers=[layer], input_shape=(fan_in,), class_count=fan_out)
 
@@ -419,7 +418,7 @@ class TestCheckEq7:
     def test_conv_classifier_has_infinite_constants(self):
         # the product is only defined for a linear last layer
         conv = MaskedLayer(kind="conv2d", W=np.eye(3), b=np.zeros(3),
-                           kernel_size=1, in_channels=3, out_channels=3)
+                           kernel_size=1)
         net = Network([conv, MaskedLayer(kind="flatten")], (3, 1, 1), 3)
         x = np.array([0.9, 0.2, 0.1]).reshape(3, 1, 1)
         for q in (1, 2):
@@ -447,7 +446,7 @@ class TestCheckEq7:
         # 4 in a corner), of norm sqrt(36*81 + 24*36 + 4*16) / 8 = 7.75,
         # above the bare spectral product 3 * 1; kernel_size makes it 9
         conv = MaskedLayer(kind="conv2d", W=np.ones((1, 9)), b=np.zeros(1),
-                           kernel_size=3, pad=1, in_channels=1, out_channels=1)
+                           kernel_size=3, pad=1)
         W = np.zeros((64, 2))
         W[:, 0] = 1.0 / 8.0
         head = MaskedLayer(kind="linear", W=W, b=np.zeros(2))
@@ -562,8 +561,7 @@ def small_nets(draw):
         c_out = draw(st.integers(1, 3))
         layer = MaskedLayer(kind="conv2d", W=draw_array((c_out, shape[0] * k * k)),
                             b=draw_array(c_out), kernel_size=k,
-                            stride=draw(st.integers(1, 2)), pad=p,
-                            in_channels=shape[0], out_channels=c_out)
+                            stride=draw(st.integers(1, 2)), pad=p)
         shape = layer.output_shape(shape)
         layers += [layer, MaskedLayer(kind="relu")]
     if conv:

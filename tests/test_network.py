@@ -84,7 +84,7 @@ def single_linear_net(W, b=None):
         b = np.zeros(fan_out)
     layer = MaskedLayer(
         kind="linear", W=W.astype(float), Z=np.ones_like(W, dtype=float),
-        b=np.asarray(b, dtype=float), prunable=True,
+        b=np.asarray(b, dtype=float),
     )
     return Network(layers=[layer], input_shape=(fan_in,), class_count=fan_out)
 
@@ -138,7 +138,6 @@ class TestForward:
             Z=np.ones((c_out, c_in * k * k)),
             b=rng.normal(size=c_out),
             kernel_size=k, stride=stride, pad=pad,
-            in_channels=c_in, out_channels=c_out, prunable=True,
         )
         x = rng.normal(size=(3, c_in, 6, 5))
         oh = (6 + 2 * pad - k) // stride + 1
@@ -363,7 +362,6 @@ class TestBackward:
             Z=(rng.random((c_out, c_in * k * k)) > 0.3).astype(float),
             b=rng.normal(size=c_out),
             kernel_size=k, stride=stride, pad=pad,
-            in_channels=c_in, out_channels=c_out, prunable=True,
         )
         oh = (h + 2 * pad - k) // stride + 1
         ow = (w + 2 * pad - k) // stride + 1
@@ -433,7 +431,7 @@ def check_conv_bits(c_in, c_out, h, w, k, stride, pad, batch, lead, seed,
     conv = MaskedLayer(kind="conv2d", W=rng.normal(size=(c_out, c_in * k * k)),
                        Z=rng.random((c_out, c_in * k * k)) > 0.3,
                        b=rng.normal(size=c_out), kernel_size=k, stride=stride,
-                       pad=pad, in_channels=c_in, out_channels=c_out)
+                       pad=pad)
     fc = MaskedLayer(kind="linear", W=rng.normal(size=(c_out * oh * ow, 3)),
                      Z=rng.random((c_out * oh * ow, 3)) > 0.3,
                      b=rng.normal(size=3))
@@ -534,7 +532,7 @@ class TestConvPlan:
             budget = network._CHUNK_BYTES if rows is None else rows * 8 * idx.size
             layer = MaskedLayer(kind="conv2d", W=np.zeros((1, c_in * k * k)),
                                 b=np.zeros(1), kernel_size=k, stride=stride,
-                                pad=pad, in_channels=c_in, out_channels=1)
+                                pad=pad)
             with mock.patch.object(network, "_CHUNK_BYTES", budget):
                 plan = layer.conv_plan(h, w)
             n = max(1, budget // (8 * idx.size))
@@ -768,7 +766,7 @@ class TestShapeRule:
         rng = np.random.default_rng(k + 10 * stride + 100 * pad)
         conv = MaskedLayer(kind="conv2d", W=rng.normal(size=(2, 2 * k * k)),
                            b=rng.normal(size=2), kernel_size=k, stride=stride,
-                           pad=pad, in_channels=2, out_channels=2)
+                           pad=pad)
         layers = [conv, MaskedLayer(kind="relu"), MaskedLayer(kind="flatten")]
         x = rng.normal(size=(2, 2, h, w))
         if h + 2 * pad < k or w + 2 * pad < k:
@@ -781,6 +779,18 @@ class TestShapeRule:
         ow = (w + 2 * pad - k) // stride + 1
         assert conv_output_size(h, w, k, stride, pad) == (oh, ow)
         check_shape_rule(Network(layers, (2, h, w), 2 * oh * ow), x)
+
+    def test_conv_weight_width_must_fit_the_input_channels(self):
+        # 9 columns are one channel of 3x3 taps, not the input's 2; the
+        # channel counts are read off W, so the layer cannot contradict it
+        conv = MaskedLayer(kind="conv2d", W=np.ones((4, 9)), b=np.zeros(4),
+                           kernel_size=3, pad=1)
+        assert (conv.in_channels, conv.out_channels) == (1, 4)
+        net = Network([conv, MaskedLayer(kind="flatten")], (2, 5, 5), 100)
+        with pytest.raises(DimensionError, match="cannot take"):
+            net.output_shape()
+        with pytest.raises(DimensionError, match="cannot take"):
+            forward(net, np.zeros((1, 2, 5, 5)))
 
     def test_rule_rejects_shapes_a_layer_cannot_take(self):
         net = build_cnn((1, 5, 5), [2], 6, 3, seed=0)

@@ -25,6 +25,13 @@ def test_readme_piecemeal_names_import_from_package():
 
 
 
+def test_masked_layer_holds_only_independent_state():
+    # a conv's channel counts are read off W, and prune.protected alone
+    # keeps a layer dense: neither is a stored field
+    assert [f.name for f in dataclasses.fields(tscnc.network.MaskedLayer)] == [
+        "kind", "W", "Z", "b", "kernel_size", "stride", "pad", "_plan"]
+
+
 def test_one_fgsm_and_no_clamp():
     # FGSM is pgd on fgsm_spec(eps), and attacks clip to the data's range
     assert [f.name for f in dataclasses.fields(tscnc.AttackSpec)] == [

@@ -30,7 +30,6 @@ def linear_net(W, b=None):
     layer = MaskedLayer(
         kind="linear", W=np.asarray(W, dtype=float),
         b=np.zeros(fan_out) if b is None else np.asarray(b, dtype=float),
-        prunable=True,
     )
     return Network(layers=[layer], input_shape=(fan_in,), class_count=fan_out)
 
@@ -43,7 +42,7 @@ def linear_chain(*widths):
     """
     rng = np.random.default_rng(0)
     layers = [MaskedLayer(kind="linear", W=rng.uniform(0.5, 1.0, size=(a, b)),
-                          b=np.zeros(b), prunable=True)
+                          b=np.zeros(b))
               for a, b in zip(widths, widths[1:])]
     return Network(layers=layers, input_shape=(widths[0],),
                    class_count=widths[-1])
@@ -187,6 +186,19 @@ class TestSelectMask:
                             PruneSpec(0.5))
         assert masks[0].dtype == bool
         assert np.array_equal(masks[0], [[True, False, True, False]])
+
+    def test_hand_built_layer_is_pruned(self):
+        # a layer carries no pruning flag: every linear and conv layer is
+        # scored and pruned unless prune.protected names it
+        layer = MaskedLayer(kind="linear", W=np.arange(1.0, 13.0).reshape(4, 3),
+                            b=np.zeros(3))
+        net = Network([layer], (4,), 3)
+        scores = magnitude_scores(net)
+        assert list(scores) == [0]
+        masks = select_mask(net, scores, PruneSpec(0.9))
+        assert int((~masks[0]).sum()) == 10
+        apply_masks(net, masks)
+        assert prune_report(net)["global_sparsity"] == 10 / 12
 
     def test_zero_sparsity_keeps_everything(self):
         net = linear_chain(1, 3)

@@ -322,6 +322,12 @@ class TestLayerSpectrum:
         with pytest.raises(NumericError):
             layer_spectrum(np.eye(3))
 
+    def test_overflowing_sigma_max_is_numeric_error(self):
+        # every entry is finite but sigma_max, sqrt(12) * 1e308, is not; a
+        # rank tolerance scaled by it would report rank 0
+        with pytest.raises(NumericError, match="overflows"):
+            layer_spectrum(np.full((3, 4), 1e308))
+
 
 # ---------------------------------------------------------------------------
 # condition number
