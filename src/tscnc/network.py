@@ -15,21 +15,19 @@ no label check and no loss value, since ``_labels`` checked the labels once
 per attack, and the same input-gradient bits, since both take the softmax
 arithmetic from ``_softmax_terms``.  A conv layer works in row chunks, as
 many examples as fit their patch columns in _CHUNK_BYTES (256 KiB, about an
-L2 cache), so forward and the input gradient build no batch-sized column
-matrix or scatter index; the weight pass builds one, as said below.  Its
-memoized chunk index (``MaskedLayer.conv_plan``) is the flat position of
-every patch tap in a chunk's flattened input, each example with one zero
-sentinel column appended where every padding tap points; it is cut in one
-step from a grid of those positions by ``sliding_window_view``.  forward
-gathers a chunk by ``np.take`` and runs each example's ``np.matmul`` into
-one preallocated output; the input gradient scatters each chunk's
-``W.T @ dz`` back through the same index by one ``np.bincount``, which adds
-in the same order as an element-wise ``np.add.at``, and drops the sentinel
-bins.  Each example's product and bins are its own, so the chunking changes
-no bit.  The dW ``einsum`` sums in an order set by operand strides, so
-backward gathers the whole batch's columns once, batch-innermost: the
-layout of the fancy-index gather ``flat[:, idx]`` that the trained bytes
-depend on.
+L2 cache), so forward and backward build no batch-sized column matrix or
+scatter index.  Its memoized chunk index (``MaskedLayer.conv_plan``) is the
+flat position of every patch tap in a chunk's flattened input, each example
+with one zero sentinel column appended where every padding tap points; it
+is cut in one step from a grid of those positions by
+``sliding_window_view``.  forward gathers a chunk by ``np.take`` and runs
+each example's ``np.matmul`` into one preallocated output; the input
+gradient scatters each chunk's ``W.T @ dz`` back through the same index by
+one ``np.bincount``, which adds in the same order as an element-wise
+``np.add.at``, and drops the sentinel bins.  The weight pass gathers each chunk's columns as forward does and
+adds each example's ``dz_b @ cols_b.T``, one BLAS product, into dW in batch
+order.  Each example's products and bins are its own, so the chunking
+changes no bit.
 
 Each bias is added in place to the fresh product of its layer, and a ReLU
 right after a parameterized layer rectifies that fresh output in place, so
@@ -106,24 +104,32 @@ class MaskedLayer:
 
     def output_shape(self, shape: tuple) -> tuple:
         """One example's output shape for input ``shape``, or DimensionError:
-        the one shape rule that forward, the builders and load_checkpoint read."""
-        kind = self.kind
+        the one shape rule that forward, the builders and load_checkpoint read.
+        A parameterized layer's b must be (fan_out,) or (c_out,)."""
+        kind, k = self.kind, self.kernel_size
         if kind == "relu":
             return shape
+        if kind == "flatten":
+            return (math.prod(shape),)
         if kind == "linear":
             fan_in, fan_out = self.W.shape
             if shape != (fan_in,):
                 raise DimensionError(f"linear layer expects ({fan_in},), got {shape}")
-            return (fan_out,)
-        if kind == "conv2d":
-            if len(shape) != 3 or shape[0] * self.kernel_size ** 2 != self.W.shape[1]:
+            out = (fan_out,)
+        elif kind == "conv2d":
+            if k < 1:
+                raise DimensionError(f"conv kernel_size must be >= 1, got {k}")
+            if len(shape) != 3 or shape[0] * k ** 2 != self.W.shape[1]:
                 raise DimensionError(f"conv layer of weight {self.W.shape}, kernel "
-                                     f"{self.kernel_size} cannot take {shape}")
-            return (self.out_channels, *conv_output_size(
-                shape[1], shape[2], self.kernel_size, self.stride, self.pad))
-        if kind == "flatten":
-            return (math.prod(shape),)
-        raise ValidationError(f"unknown layer kind {kind!r}")
+                                     f"{k} cannot take {shape}")
+            out = (self.out_channels, *conv_output_size(
+                shape[1], shape[2], k, self.stride, self.pad))
+        else:
+            raise ValidationError(f"unknown layer kind {kind!r}")
+        if np.shape(self.b) != out[:1]:
+            raise DimensionError(f"{kind} layer of weight {self.W.shape} needs a "
+                                 f"bias of shape {out[:1]}, got {np.shape(self.b)}")
+        return out
 
     def conv_plan(self, h: int, w: int) -> np.ndarray:
         """The chunk index for input (h, w), memoized: (rows, c_in*k*k, oh*ow).
@@ -181,9 +187,10 @@ class Network:
 class ForwardCache:
     """Each layer's input, retained by forward for the matching backward.
 
-    No patch columns are kept: backward gathers again what it needs.  The
-    entry in inputs of a ReLU that follows a parameterized layer is the
-    ReLU's rectified output, which is also the next layer's input.
+    No patch columns are kept: backward gathers each chunk's again when it
+    takes dW.  The entry in inputs of a ReLU that follows a parameterized
+    layer is the ReLU's rectified output, which is also the next layer's
+    input.
     """
 
     net_id: int
@@ -333,15 +340,17 @@ def backward(
             plan = layer.conv_plan(*a.shape[2:])
             dz = grad.reshape(batch, layer.out_channels, math.prod(grad.shape[2:]))
             if weights:
-                # einsum sums in an order set by operand strides: gather the
-                # whole batch's columns batch-innermost to fix that order
-                cols = np.take(_padded(a).T, plan[0], axis=0).transpose(2, 0, 1)
-                dW[li] = np.einsum("bos,bks->ok", dz, cols)
+                flat, dW[li] = _padded(a), np.zeros_like(layer.W)
                 db[li] = dz.sum(axis=(0, 2))
             dflat = np.empty((batch, size))
             for lo in range(0, batch, len(plan)):
-                dcols = np.matmul(layer.W.T, dz[lo:lo + len(plan)])
-                n = len(dcols)
+                dzc = dz[lo:lo + len(plan)]
+                n = len(dzc)
+                if weights:
+                    cols = np.take(flat[lo:lo + n], plan[:n])
+                    for prod in np.matmul(dzc, cols.transpose(0, 2, 1)):
+                        dW[li] += prod  # in batch order, whatever the chunk
+                dcols = np.matmul(layer.W.T, dzc)
                 dflat[lo:lo + n] = np.bincount(plan[:n].ravel(), weights=dcols.ravel(),
                                                minlength=n * size).reshape(n, size)
             grad = dflat[:, :-1].reshape(a.shape)

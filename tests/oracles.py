@@ -14,6 +14,12 @@ the new one.  The Hypothesis property over random conv nets in
 computes from the C-contiguous columns must equal, bit for bit, this scatter
 of the column gradients.
 
+``conv_weight_grad_in_batch_order`` is the bitwise oracle of a conv layer's
+dW since ``backward`` came to take it in its row chunks, one BLAS product per
+example added in batch order, in place of a whole-batch ``einsum`` whose
+summation order its operand strides set.  The same property checks it at
+every chunk budget.
+
 ``im2col_indices``, one example's gather plan, was the package's until each
 conv layer came to build its whole chunk index in one step
 (``MaskedLayer.conv_plan``); it stays here, unchanged, as the reference
@@ -324,6 +330,18 @@ def col2im_add_at(dcols: np.ndarray, idx: np.ndarray, in_shape) -> np.ndarray:
     dflat = np.zeros((batch, size + 1))
     np.add.at(dflat, (np.arange(batch)[:, None, None], idx[None]), dcols)
     return dflat[:, :size].reshape(in_shape)
+
+
+def conv_weight_grad_in_batch_order(dz: np.ndarray, flat: np.ndarray,
+                                    idx: np.ndarray) -> np.ndarray:
+    """A conv layer's dW as each example's ``dz[b] @ cols_b.T``, summed in
+    batch order from zero.
+
+    ``dz`` has shape ``(batch, c_out, out_h*out_w)``, ``flat`` is the batch's
+    examples flattened, each with the zero sentinel column appended, and
+    ``idx`` is the gather plan of ``im2col_indices``.
+    """
+    return sum(dz[b] @ flat[b, idx].T for b in range(len(dz)))
 
 
 def apply_scaling(net: Network, layer: int, mu: float) -> Network:

@@ -729,13 +729,24 @@ class TestSharedSamplingPass:
 def test_radius_on_cnn_evaluates_no_weight_gradient(monkeypatch):
     net = build_cnn((1, 6, 6), [2, 3], 8, 4, seed=2)
     x = np.random.default_rng(2).random((1, 6, 6))
-    calls = []
-    real_einsum = np.einsum
+    calls, passes = [], []
+    real_backward = tscnc.metrics.backward
 
-    def counting_einsum(*args, **kwargs):
-        calls.append(args[0])
-        return real_einsum(*args, **kwargs)
+    def recording_backward(*args, **kwargs):
+        calls.append(kwargs.get("weights", True))
+        grads = real_backward(*args, **kwargs)
+        passes.append(grads)
+        return grads
 
-    monkeypatch.setattr(np, "einsum", counting_einsum)
+    monkeypatch.setattr(tscnc.metrics, "backward", recording_backward)
+    logits, cache = forward(net, x[None])
+    tscnc.metrics.backward(net, cache, np.ones_like(logits))
+    assert calls == [True], "the full pass must be seen to compute dW"
+    assert passes[0].weight and passes[0].bias
+    calls.clear()
+    passes.clear()
+
     assert robustness_radius(net, x, r=0.1, q=2, n=10, seed=0) >= 0.0
-    assert calls == []
+    assert calls and not any(calls)
+    for grads in passes:
+        assert grads.weight == {} and grads.bias == {}
