@@ -1,12 +1,14 @@
-"""Checkpoint persistence for masked networks and optimizer state.
+"""Checkpoint persistence for masked networks and their trainer state.
 
 Layout: 4-byte magic, u32 format version, u32 header length, JSON header,
 u32 CRC32 of the header, then one blob per parameterized layer (weights and
 bias as little-endian float64, the mask as a bitmap packed
-least-significant-bit first), optional momentum blobs, and a final u32
-CRC32 over all payload bytes.  A reloaded network reproduces forward
-outputs bitwise; weights stored under a 0 mask bit load as +0.0.  The
-derived "prunable" flag and conv channel counts are written and checked.
+least-significant-bit first), and a final u32 CRC32 over all payload bytes.
+The header's "momentum" field is always false: no optimizer state is
+stored, and a file whose header says true is a FormatError.  A reloaded
+network reproduces forward outputs bitwise; weights stored under a 0 mask
+bit load as +0.0.  The derived "prunable" flag and conv channel counts are
+written and checked.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from .network import MaskedLayer, Network
 
 MAGIC = b"TSCN"
 VERSION = 1
+# the state keys save_checkpoint writes and load_checkpoint returns
+_STATE_KEYS = ("epoch", "architecture", "config")
 # a conv layer's geometry, in its descriptor; pad alone may be 0
 _CONV_KEYS = ("kernel_size", "stride", "pad", "in_channels", "out_channels")
 
@@ -62,28 +66,29 @@ def _layer_descriptor(layer: MaskedLayer) -> dict:
 def save_checkpoint(path, net: Network, state: dict | None = None) -> None:
     """Write the network and optional trainer state to one binary file.
 
-    state may carry "epoch", "architecture", "config", and "momentum" (a
-    dict of per-layer {"W": array, "b": array} velocity tensors).  A NaN or
-    infinite value, or a momentum entry missing, shaped unlike its layer or
-    keyed by no parameterized layer, is a ValidationError naming it, raised
-    before the file is opened, so a file already at path is left as it was.
+    state may carry "epoch", "architecture" and "config"; any other key is a
+    ValidationError.  The network must pass the loader's checks: a
+    parameterized layer (else ValidationError) and layers that compose to
+    (class_count,) (else DimensionError).  These errors, and a NaN or
+    infinite value (a ValidationError naming it), are raised before the file
+    is opened, so a file already at path is left as it was.
     """
     state = state or {}
-    momentum = state.get("momentum")
+    unknown = sorted(set(state) - set(_STATE_KEYS))
+    if unknown:
+        raise ValidationError(f"unknown checkpoint state keys: {unknown}")
+    if not net.parameterized_indices():
+        raise ValidationError("cannot save a network with no parameterized layer")
+    net.output_shape()
     header = {
         "format": "tscnc-checkpoint",
-        "architecture": state.get("architecture"),
         "input_shape": list(net.input_shape),
         "class_count": net.class_count,
-        "epoch": state.get("epoch"),
-        "config": state.get("config"),
         "layers": [_layer_descriptor(l) for l in net.layers],
-        "momentum": momentum is not None,
+        "momentum": False,
+        **{key: state.get(key) for key in _STATE_KEYS},
     }
     hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    for key in momentum or ():
-        if key not in net.parameterized_indices():
-            raise ValidationError(f"momentum key {key!r} is not a parameterized layer")
     payload = bytearray()
     for li, layer in enumerate(net.layers):
         if not layer.parameterized:
@@ -91,15 +96,6 @@ def save_checkpoint(path, net: Network, state: dict | None = None) -> None:
         payload += _weight_bytes(layer.W, f"layer {li} weights")
         payload += _weight_bytes(layer.b, f"layer {li} bias")
         payload += _mask_bytes(layer.Z)
-        if momentum is not None:
-            entry = momentum.get(li) or {}
-            for key, what in (("W", "weight"), ("b", "bias")):
-                want, got = getattr(layer, key).shape, np.shape(entry.get(key))
-                if got != want:
-                    raise ValidationError(
-                        f"layer {li} {what} momentum has shape {got}, not {want}"
-                        if key in entry else f"layer {li} has no {what} momentum")
-                payload += _weight_bytes(entry[key], f"layer {li} {what} momentum")
     with atomic_open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
@@ -168,8 +164,9 @@ def load_checkpoint(path) -> Checkpoint:
     if pcrc != zlib.crc32(payload[off:]):
         raise FormatError(f"{path}: payload checksum mismatch", offset=off)
 
+    if _field(header, "momentum", bool, path):
+        raise FormatError(f"{path}: header field 'momentum' must be false", offset=12)
     layers = []
-    momentum = {} if _field(header, "momentum", bool, path) else None
     pos = off
     for li, desc in enumerate(_field(header, "layers", list, path)):
         kind = _field(desc, "kind", str, path)
@@ -199,10 +196,6 @@ def load_checkpoint(path) -> Checkpoint:
                                   "does not match its channels and kernel", offset=12)
             layer.kernel_size, layer.stride, layer.pad = k, stride, pad
         layers.append(layer)
-        if momentum is not None:
-            vW, pos = _floats(payload, pos, shape, path)
-            vb, pos = _floats(payload, pos, (b_len,), path)
-            momentum[li] = {"W": vW, "b": vb}
     if pos != len(payload):
         raise FormatError(
             f"{path}: {len(payload) - pos} unexpected trailing bytes", offset=pos
@@ -216,17 +209,10 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"{path}: no parameterized layer", offset=12)
     # shape arithmetic only: nothing is allocated by the header's sizes
     try:
-        shape = net.output_shape()
-        if shape != (net.class_count,):
-            raise DimensionError(f"output shape {shape}, expected "
-                                 f"({net.class_count},)")
+        net.output_shape()
     except DimensionError as exc:
         raise FormatError(f"{path}: layers do not compose: {exc}", offset=12) from exc
     state = {
-        key: header.get(key)
-        for key in ("epoch", "architecture", "config")
-        if header.get(key) is not None
+        key: header.get(key) for key in _STATE_KEYS if header.get(key) is not None
     }
-    if momentum is not None:
-        state["momentum"] = momentum
     return Checkpoint(net=net, state=state)

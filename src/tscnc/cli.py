@@ -91,7 +91,10 @@ def _cmd_train(args):
                      f"loss={rec.loss_total:.4f} kappa_max={rec.kappa_max:.4g}")
 
     try:
-        net, _ = run_tscnc(config, on_epoch=on_epoch)
+        # a diverging run overflows before its loss turns non-finite;
+        # DivergenceError, not numpy's warnings, reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            net, _ = run_tscnc(config, on_epoch=on_epoch)
     except DivergenceError as exc:
         if records:
             write_metrics(records, os.path.join(args.out, "metrics"))

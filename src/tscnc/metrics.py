@@ -23,23 +23,24 @@ from .tensor_ops import INFINITE, as_tensor, frobenius_norm_sq, layer_spectrum
 
 # ------------------------------------------------------------ L_CC
 
+# keeps each log finite on an all-zero layer
+_TAU = 1e-4
 
-def condition_constraint(net: Network, tau: float) -> tuple:
+
+def condition_constraint(net: Network) -> tuple:
     """The conditioning penalty and its gradient: (loss, {layer: dW}).
 
-    The loss is the sum over parameterized layers of log(tau + ||W||_F^2).
+    The loss is the sum over parameterized layers of log(_TAU + ||W||_F^2).
     The log makes the penalty scale-aware: multiplying a layer by mu and the
     next by 1/mu (which leaves the network function unchanged) cannot game
     it the way a plain norm penalty can.  The gradient is
-    2 W / (tau + ||W||_F^2), which is zero at masked entries since W stores
+    2 W / (_TAU + ||W||_F^2), which is zero at masked entries since W stores
     0.0 there.
     """
-    if tau <= 0.0:
-        raise ValidationError(f"smoothing factor must be positive, got {tau}")
     loss, grad = 0.0, {}
     for li in net.parameterized_indices():
         W = net.layers[li].W
-        denom = tau + frobenius_norm_sq(W)
+        denom = _TAU + frobenius_norm_sq(W)
         loss += math.log(denom)
         grad[li] = (2.0 / denom) * W
     return loss, grad

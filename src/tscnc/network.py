@@ -176,10 +176,14 @@ class Network:
         return self.parameterized_indices()
 
     def output_shape(self) -> tuple:
-        """One example's logits shape: each layer's rule from input_shape."""
+        """One example's logits shape: each layer's rule from input_shape,
+        ending at (class_count,), or DimensionError."""
         shape = tuple(self.input_shape)
         for layer in self.layers:
             shape = layer.output_shape(shape)
+        if shape != (self.class_count,):
+            raise DimensionError(f"output shape {shape}, expected "
+                                 f"({self.class_count},)")
         return shape
 
 

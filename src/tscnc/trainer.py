@@ -48,7 +48,6 @@ class TrainConfig:
     lr_milestones: tuple[int, ...] = (30, 45)
     lr_factor: float = 0.1
     lam: float = 0.001
-    tau: float = 1e-4
     train_attack: AttackSpec = field(
         default_factory=lambda: AttackSpec(
             epsilon=8.0 / 255.0, step_size=2.0 / 255.0, steps=10, random_start=True
@@ -74,8 +73,8 @@ class TrainConfig:
             if value < low:
                 need = f"at least {low}" if low else "non-negative"
                 raise ValidationError(f"{name} must be {need}, got {value}")
-        for name, zero_ok in (("lr", False), ("lam", True), ("tau", False),
-                              ("lr_factor", False), ("weight_decay", True)):
+        for name, zero_ok in (("lr", False), ("lam", True), ("lr_factor", False),
+                              ("weight_decay", True)):
             value = getattr(self, name)
             if value < 0.0 or (value == 0.0 and not zero_ok):
                 need = "non-negative" if zero_ok else "positive"
@@ -247,7 +246,7 @@ def _train_epoch(net, data, config, lr, velocity, rng):
         if not np.isfinite(loss_e):
             return float("nan")
         if config.lam > 0.0:
-            cc = condition_constraint(net, config.tau)[1]
+            cc = condition_constraint(net)[1]
             for li in grads.weight:
                 grads.weight[li] = grads.weight[li] + config.lam * cc[li]
         sgd_step(net, grads, velocity, lr, config.momentum, config.weight_decay)
@@ -258,7 +257,7 @@ def _train_epoch(net, data, config, lr, velocity, rng):
 
 def _record(net, config, epoch, lr, loss_e, data, rng) -> MetricsRecord:
     crep = condition_report(net)
-    loss_cc = condition_constraint(net, config.tau)[0]
+    loss_cc = condition_constraint(net)[0]
     accs = evaluate(net, data, config.eval_attacks, rng=rng)
     return MetricsRecord(
         epoch=epoch,

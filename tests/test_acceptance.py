@@ -110,8 +110,7 @@ class TestGradientExactness:
                     rel = np.max(np.abs(g - fd)) / max(np.max(np.abs(fd)), 1e-12)
                     worst_layer = max(worst_layer, rel)
 
-            tau = 1e-4
-            cc = condition_constraint(net, tau)[1]
+            cc = condition_constraint(net)[1]
             for li in net.prunable_indices():
                 arr = net.layers[li].W
                 fd = np.zeros_like(arr)
@@ -119,10 +118,10 @@ class TestGradientExactness:
                     old = arr[idx]
                     arr[idx] = old + h
                     net.bump()
-                    up = condition_constraint(net, tau)[0]
+                    up = condition_constraint(net)[0]
                     arr[idx] = old - h
                     net.bump()
-                    dn = condition_constraint(net, tau)[0]
+                    dn = condition_constraint(net)[0]
                     arr[idx] = old
                     net.bump()
                     fd[idx] = (up - dn) / (2.0 * h)

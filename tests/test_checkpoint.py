@@ -12,8 +12,8 @@ from oracles import edited_bytes
 
 from tscnc.checkpoint import load_checkpoint, save_checkpoint
 from tscnc.cli import main
-from tscnc.errors import FormatError, ValidationError
-from tscnc.network import build_cnn, build_mlp, forward
+from tscnc.errors import DimensionError, FormatError, ValidationError
+from tscnc.network import MaskedLayer, build_cnn, build_mlp, forward
 from tscnc.pruning import PruneSpec, apply_masks, magnitude_scores, select_mask
 
 
@@ -63,23 +63,14 @@ class TestRoundTrip:
 
     def test_state_round_trip(self, tmp_path):
         net = build_mlp(4, [3], 2, seed=0)
-        momentum = {
-            li: {"W": np.full_like(net.layers[li].W, 0.25),
-                 "b": np.full_like(net.layers[li].b, -0.5)}
-            for li in net.parameterized_indices()
-        }
         state = {"epoch": 12, "architecture": "mlp-3",
-                 "config": {"dataset": "blobs-c2-d4-n5-s0.1", "seed": 9},
-                 "momentum": momentum}
+                 "config": {"dataset": "blobs-c2-d4-n5-s0.1", "seed": 9}}
         path = tmp_path / "s.tscn"
         save_checkpoint(path, net, state=state)
         ck = load_checkpoint(path)
         assert ck.state["epoch"] == 12
         assert ck.state["architecture"] == "mlp-3"
         assert ck.state["config"]["seed"] == 9
-        for li, blob in momentum.items():
-            assert np.array_equal(ck.state["momentum"][li]["W"], blob["W"])
-            assert np.array_equal(ck.state["momentum"][li]["b"], blob["b"])
 
     def test_no_state_loads_clean(self, tmp_path):
         net = build_mlp(3, [], 2, seed=1)
@@ -226,20 +217,15 @@ class TestFreshPayloadCrc:
         assert err.value.offset == end
 
     # file offsets, from the payload start, of the blobs of build_mlp(5, [4],
-    # 3) saved with momentum: layer 0's W (5x4), b (4), 3-byte mask, momentum
-    # W and b, then layer 2's W (4x3)
+    # 3): layer 0's W (5x4), b (4), 3-byte mask, then layer 2's W (4x3)
     @pytest.mark.parametrize("start, index", [
-        (0, 7), (160, 2), (195, 19), (355, 0), (387, 11),
-    ], ids=["W", "b", "momentum-W", "momentum-b", "second-layer-W"])
+        (0, 7), (160, 2), (195, 11),
+    ], ids=["W", "b", "second-layer-W"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_at_its_blob_offset(self, tmp_path, capsys, start,
                                                  index, value):
-        net = build_mlp(5, [4], 3, seed=7)
-        momentum = {li: {"W": np.zeros_like(net.layers[li].W),
-                         "b": np.zeros_like(net.layers[li].b)}
-                    for li in net.parameterized_indices()}
         path = tmp_path / "m.tscn"
-        save_checkpoint(path, net, state={"momentum": momentum})
+        save_checkpoint(path, build_mlp(5, [4], 3, seed=7))
         blob = payload_start(path) + start
         rewrite_payload(path, blob + 8 * index, struct.pack("<d", value))
         with pytest.raises(FormatError, match="non-finite") as err:
@@ -253,97 +239,86 @@ class TestFreshPayloadCrc:
             assert err.count("\n") == 1
 
 
+def _refuse_to_open(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("save_checkpoint opened the file")
+    monkeypatch.setattr("tscnc.checkpoint.atomic_open", refuse)
+
+
 class TestNonFiniteSave:
     """save_checkpoint refuses what load_checkpoint would refuse, before it
     opens anything at the path."""
 
-    @pytest.mark.parametrize("li, key, momentum, name", [
-        (0, "W", False, "layer 0 weights"), (0, "b", False, "layer 0 bias"),
-        (0, "W", True, "layer 0 weight momentum"),
-        (0, "b", True, "layer 0 bias momentum"),
-        (2, "W", False, "layer 2 weights"),
-    ], ids=["W", "b", "momentum-W", "momentum-b", "second-layer-W"])
+    @pytest.mark.parametrize("li, key, name", [
+        (0, "W", "layer 0 weights"), (0, "b", "layer 0 bias"),
+        (2, "W", "layer 2 weights"),
+    ], ids=["W", "b", "second-layer-W"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_raises_and_leaves_existing_file(self, tmp_path, monkeypatch, li,
-                                             key, momentum, name, value):
+                                             key, name, value):
         net = build_mlp(5, [4], 3, seed=7)
-        velocity = {i: {"W": np.zeros_like(net.layers[i].W),
-                        "b": np.zeros_like(net.layers[i].b)}
-                    for i in net.parameterized_indices()}
         path = tmp_path / "m.tscn"
-        save_checkpoint(path, net, state={"momentum": velocity})
+        save_checkpoint(path, net)
         before = path.read_bytes()
-        target = velocity[li] if momentum else vars(net.layers[li])
-        target[key].flat[1] = value
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("save_checkpoint opened the file")
-        monkeypatch.setattr("tscnc.checkpoint.atomic_open", refuse)
+        vars(net.layers[li])[key].flat[1] = value
+        _refuse_to_open(monkeypatch)
         with pytest.raises(ValidationError, match=f"non-finite value in {name}$"):
-            save_checkpoint(path, net, state={"momentum": velocity})
+            save_checkpoint(path, net)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tscn"]
 
 
-def _edit_missing(velocity, net):
-    del velocity[2]
+def _misfit_layers(net):
+    # layer 2 takes 3 inputs; layer 0 gives 4
+    net.layers[2] = MaskedLayer(kind="linear", W=np.ones((3, 3)), b=np.zeros(3))
 
 
-def _edit_transposed(velocity, net):
-    velocity[0]["W"] = np.zeros_like(net.layers[0].W).T  # same size
+def _misfit_class_count(net):
+    net.class_count = 4
 
 
-def _edit_resized(velocity, net):
-    velocity[0]["W"] = np.zeros((5, 5))
+def _no_parameterized_layer(net):
+    net.layers = [l for l in net.layers if not l.parameterized]
 
 
-def _edit_bias(velocity, net):
-    velocity[2]["b"] = np.zeros((1, 3))
+def _zero_kernel(net):
+    net.layers = [MaskedLayer(kind="conv2d", W=np.ones((2, 9)), b=np.zeros(2),
+                              kernel_size=0), MaskedLayer(kind="flatten")]
 
 
-def _edit_relu_key(velocity, net):
-    velocity[1] = {"W": np.zeros((9, 9)), "b": np.zeros(9)}
+def _momentum_state(net):
+    # optimizer velocity is not a checkpoint state key
+    return {"epoch": 1, "momentum": {
+        li: {"W": np.zeros_like(net.layers[li].W),
+             "b": np.zeros_like(net.layers[li].b)}
+        for li in net.parameterized_indices()}}
 
 
-def _edit_absent_key(velocity, net):
-    velocity[7] = velocity[0]
+class TestSaveRefusesWhatLoadRefuses:
+    """A network whose file would not load, or a state key the file does not
+    hold, is refused before the file is opened, so a file already at path is
+    left as it was.  Each edit changes the net in place or returns the state
+    to save."""
 
-
-def _edit_string_key(velocity, net):
-    velocity["0"] = velocity[0]
-
-
-class TestMomentumShapeSave:
-    """A momentum entry that is missing, shaped unlike its layer or keyed by
-    no parameterized layer is refused before the file is opened, under the
-    non-finite check's rule."""
-
-    @pytest.mark.parametrize("edit, message", [
-        (_edit_missing, "layer 2 has no weight momentum"),
-        (_edit_transposed, r"layer 0 weight momentum has shape \(4, 5\), not \(5, 4\)"),
-        (_edit_resized, r"layer 0 weight momentum has shape \(5, 5\), not \(5, 4\)"),
-        (_edit_bias, r"layer 2 bias momentum has shape \(1, 3\), not \(3,\)"),
-        (_edit_relu_key, "momentum key 1 is not a parameterized layer"),
-        (_edit_absent_key, "momentum key 7 is not a parameterized layer"),
-        (_edit_string_key, "momentum key '0' is not a parameterized layer"),
-    ], ids=["missing", "transposed", "resized", "bias", "relu-key", "absent-key",
-            "string-key"])
+    @pytest.mark.parametrize("edit, error, message", [
+        (_misfit_layers, DimensionError, r"linear layer expects \(3,\), got \(4,\)"),
+        (_misfit_class_count, DimensionError, r"output shape \(3,\), expected \(4,\)"),
+        (_no_parameterized_layer, ValidationError, "no parameterized layer"),
+        (_zero_kernel, DimensionError, "kernel_size must be >= 1, got 0"),
+        (_momentum_state, ValidationError,
+         r"unknown checkpoint state keys: \['momentum'\]"),
+    ], ids=["layers-misfit", "class-count-misfit", "no-parameterized-layer",
+            "zero-kernel", "momentum-state"])
     def test_raises_and_leaves_existing_file(self, tmp_path, monkeypatch, edit,
-                                             message):
+                                             error, message):
         net = build_mlp(5, [4], 3, seed=7)
-        velocity = {i: {"W": np.zeros_like(net.layers[i].W),
-                        "b": np.zeros_like(net.layers[i].b)}
-                    for i in net.parameterized_indices()}
         path = tmp_path / "m.tscn"
-        save_checkpoint(path, net, state={"momentum": velocity})
+        save_checkpoint(path, net)
         before = path.read_bytes()
-        edit(velocity, net)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("save_checkpoint opened the file")
-        monkeypatch.setattr("tscnc.checkpoint.atomic_open", refuse)
-        with pytest.raises(ValidationError, match=f"^{message}$"):
-            save_checkpoint(path, net, state={"momentum": velocity})
+        state = edit(net)
+        _refuse_to_open(monkeypatch)
+        with pytest.raises(error, match=message):
+            save_checkpoint(path, net, state=state)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tscn"]
 
@@ -381,8 +356,17 @@ def _with(*keys, value=_DROP):
     return edit
 
 
-def _unparameterized(header):
-    """No edit: the case saves a network of relu and flatten layers only."""
+def _unparameterized(path):
+    """Rewrite path, by hand from the documented layout, as a checkpoint of
+    its relu and flatten layers only: magic, version, header length, header,
+    header CRC, an empty payload and its CRC.  save_checkpoint refuses to
+    write such a network."""
+    raw = path.read_bytes()
+    header = json.loads(raw[12 : 12 + struct.unpack("<I", raw[8:12])[0]])
+    header["layers"] = [d for d in header["layers"] if not d["prunable"]]
+    hbytes = json.dumps(header).encode()
+    path.write_bytes(b"TSCN" + struct.pack("<II", 1, len(hbytes)) + hbytes
+                     + struct.pack("<II", zlib.crc32(hbytes), zlib.crc32(b"")))
 
 
 class TestHeaderSchema:
@@ -396,6 +380,7 @@ class TestHeaderSchema:
         lambda h: b"[" * 100000 + b"]" * 100000,
         _with("momentum"),
         _with("momentum", value=0),
+        _with("momentum", value=True),
         _with("layers", value={"0": {"kind": "conv2d"}}),
         _unparameterized,
         _with("layers", 0, "w_shape"),
@@ -415,7 +400,7 @@ class TestHeaderSchema:
         _with("input_shape", value=[1, 600, 600]),
     ], ids=[
         "not-an-object", "not-json", "deeply-nested", "no-momentum",
-        "momentum-not-bool", "layers-not-a-list", "no-parameterized-layer",
+        "momentum-not-bool", "momentum-true", "layers-not-a-list", "no-parameterized-layer",
         "no-w_shape", "negative-w_shape", "float-w_shape", "b_len-mismatch",
         "unknown-kind", "kernel-mismatch", "zero-stride", "no-prunable",
         "flat-input-shape", "channel-misfit", "zero-input-shape",
@@ -424,12 +409,12 @@ class TestHeaderSchema:
     ])
     def test_rejected_with_fresh_crc(self, tmp_path, capsys, edit):
         path = tmp_path / "c.tscn"
-        net = build_cnn((1, 6, 6), [4], 10, 3, seed=5)
+        save_checkpoint(path, build_cnn((1, 6, 6), [4], 10, 3, seed=5))
         if edit is _unparameterized:
             # the header lists no blob and the payload is empty
-            net.layers = [l for l in net.layers if not l.parameterized]
-        save_checkpoint(path, net)
-        rewrite_header(path, edit)
+            _unparameterized(path)
+        else:
+            rewrite_header(path, edit)
         with pytest.raises(FormatError) as err:
             load_checkpoint(path)
         assert err.value.offset == 12
@@ -516,14 +501,11 @@ _JSON = st.lists(_INT, min_size=1, max_size=3) | st.recursive(
 
 @pytest.fixture(scope="module", params=["mlp", "cnn"])
 def saved(request, tmp_path_factory):
-    """A saved checkpoint with momentum: its path and its bytes."""
+    """A saved checkpoint: its path and its bytes."""
     net = (build_mlp(5, [4], 3, seed=7) if request.param == "mlp"
            else build_cnn((1, 6, 6), [2], 4, 3, seed=5))
-    momentum = {li: {"W": net.layers[li].W * 0.5, "b": net.layers[li].b + 1.0}
-                for li in net.parameterized_indices()}
     path = tmp_path_factory.mktemp(request.param) / "base.tscn"
-    save_checkpoint(path, net, state={"epoch": 3, "architecture": "x",
-                                      "momentum": momentum})
+    save_checkpoint(path, net, state={"epoch": 3, "architecture": "x"})
     return path, path.read_bytes()
 
 

@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,17 @@ class TestTrain:
         assert "Traceback" not in proc.stderr
         assert "configuration error" in proc.stderr
 
+    def test_tau_key_exits_2(self, tmp_path, config_path, capsys):
+        # the penalty's smoothing constant is fixed; a config that still
+        # sets it is refused, not read and ignored
+        doc = json.loads(config_path.read_text())
+        doc["tau"] = 1e-4
+        config_path.write_text(json.dumps(doc))
+        assert main(["--quiet", "train", "--config", str(config_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: unknown config keys: ['tau']\n")
+
     def test_clamp_key_exits_2(self, tmp_path, config_path, capsys):
         # attacks clip to the data's fixed range; a config that still sets
         # a clamp is refused, not read and ignored
@@ -237,12 +249,16 @@ class TestTrain:
         config_path.write_text(json.dumps(doc))
         return doc
 
-    def test_divergence_exits_4(self, tmp_path, config_path):
+    def test_divergence_exits_4(self, tmp_path, config_path, capsys):
+        # numpy's overflow warnings stay quiet: the one line says it all
         self._diverging(config_path)
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rc = main(["--quiet", "train", "--config", str(config_path),
                        "--out", str(tmp_path / "o")])
         assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("training diverged: ") and err.count("\n") == 1
 
     def test_divergence_writes_the_epochs_before_it(self, tmp_path, config_path):
         records = []

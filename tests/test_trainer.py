@@ -155,7 +155,6 @@ class TestConfigFromDict:
         assert cfg.weight_decay == 5e-4
         assert cfg.lr_milestones == (30, 45)
         assert cfg.lam == 0.001
-        assert cfg.tau == 1e-4
         assert cfg.prune.sparsity == 0.0
 
     def test_empty_prune_object_means_no_pruning(self):
@@ -168,7 +167,7 @@ class TestConfigFromDict:
         cfg = TrainConfig(
             dataset="blobs-c3-d6-n5-s0.1", architecture="mlp-4", epochs=7,
             batch_size=16, lr=0.25, momentum=0.5, weight_decay=1e-3,
-            lr_milestones=(3, 5), lr_factor=0.5, lam=0.01, tau=1e-3,
+            lr_milestones=(3, 5), lr_factor=0.5, lam=0.01,
             train_attack=AttackSpec(epsilon=0.2, step_size=0.05, steps=4,
                                     random_start=True),
             eval_attacks={"a": AttackSpec(epsilon=0.1, step_size=0.1,
@@ -280,7 +279,7 @@ class TestConfigFromDict:
         # numeric keys take JSON numbers, not strings that parse as numbers
         {"epochs": "7"},
         {"lr": " 0.5 "},
-        {"tau": "1e-3"},
+        {"lam": "1e-3"},
         {"train_attack": {"epsilon": "0.1"}},
         {"lr_milestones": ["20"]},
     ])
@@ -300,6 +299,12 @@ class TestConfigFromDict:
             config_from_dict({"dataset": "x", "architecture": "y", **over})
         assert str(info.value) == f"unknown config keys: ['{key}']"
 
+    def test_tau_is_an_unknown_key(self):
+        # the penalty's smoothing constant is fixed, not a config key
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({"dataset": "x", "architecture": "y", "tau": 1e-4})
+        assert str(info.value) == "unknown config keys: ['tau']"
+
     def test_trades_beta_reserved(self):
         # the smoothness-regularized objective is not implemented, so its
         # key is unknown rather than accepted and ignored
@@ -316,7 +321,7 @@ class TestConfigFromDict:
         assert cfg.train_attack.steps == 4 and type(cfg.train_attack.steps) is int
 
     @pytest.mark.parametrize("key", ["lr", "momentum", "weight_decay",
-                                     "lr_factor", "lam", "tau"])
+                                     "lr_factor", "lam"])
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_float_fields_rejected(self, key, value):
         doc = json.loads(f'{{"dataset": "x", "architecture": "y", "{key}": {value}}}')
@@ -339,7 +344,7 @@ class TestConfigFromDict:
 
     def test_validate_rejects_bad_numbers(self):
         for over in ({"epochs": 0}, {"lr": 0.0}, {"lam": -0.1},
-                     {"tau": 0.0}, {"batch_size": 0}, {"warmup_epochs": -1},
+                     {"batch_size": 0}, {"warmup_epochs": -1},
                      {"lr_milestones": (2, -1)}, {"momentum": 1.0},
                      {"momentum": 1.5}, {"momentum": -0.5},
                      {"weight_decay": -0.1}, {"lr_factor": 0.0},
