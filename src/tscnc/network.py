@@ -1,11 +1,15 @@
 """Masked feed-forward networks with exact reverse-mode gradients.
 
 Layers are plain dataclasses, parameters are float64 numpy arrays, and every
-parameterized layer carries a bool mask Z.  A pruned weight is a stored +0.0
-in W, so forward and backward read W as it is.  Convolution weights are
-stored pre-flattened as (c_out, c_in*k*k) so the matrix view used by the
-condition-number and saliency paths is the storage layout itself.
+parameterized layer carries a bool mask Z.  ``build_network`` is the one
+builder; it reads an architecture id such as "mlp-32x16" or "cnn-8x16-32".
+A pruned weight is a stored +0.0 in W, so forward and backward read W as it
+is.  Convolution weights are stored pre-flattened as (c_out, c_in*k*k) so
+the matrix view used by the condition-number and saliency paths is the
+storage layout itself.
 
+A ``ForwardCache`` names its network by reference, with its version, so
+``backward`` refuses a cache of another network or from before a mutation.
 ``backward`` returns the input gradient and each parameterized layer's dW
 and db; ``backward(..., weights=False)`` computes the input gradient only,
 for attacks and Lipschitz estimates.  ``loss_gradients`` is the
@@ -172,7 +176,7 @@ class Network:
         return [i for i, l in enumerate(self.layers) if l.parameterized]
 
     def prunable_indices(self) -> list:
-        """Alias of parameterized_indices, kept for perfbench/workloads.py."""
+        """Alias of parameterized_indices; only perfbench/workloads.py calls it."""
         return self.parameterized_indices()
 
     def output_shape(self) -> tuple:
@@ -191,13 +195,14 @@ class Network:
 class ForwardCache:
     """Each layer's input, retained by forward for the matching backward.
 
-    No patch columns are kept: backward gathers each chunk's again when it
-    takes dW.  The entry in inputs of a ReLU that follows a parameterized
-    layer is the ReLU's rectified output, which is also the next layer's
-    input.
+    net is the network itself, not its id(), which a new network can reuse
+    once this one is freed.  No patch columns are kept: backward gathers
+    each chunk's again when it takes dW.  The entry in inputs of a ReLU
+    that follows a parameterized layer is the ReLU's rectified output,
+    which is also the next layer's input.
     """
 
-    net_id: int
+    net: Network
     version: int
     inputs: list
     batch: int
@@ -252,7 +257,7 @@ def forward(net: Network, x) -> tuple:
         raise DimensionError(
             f"network produced shape {a.shape}, expected (batch, {net.class_count})"
         )
-    return a, ForwardCache(id(net), net.version, inputs, batch)
+    return a, ForwardCache(net, net.version, inputs, batch)
 
 
 def _padded(a) -> np.ndarray:
@@ -323,7 +328,7 @@ def backward(
     weights=False the weight and bias maps are empty and only the input
     gradient, bitwise that of the full pass, is computed.
     """
-    if cache.net_id != id(net) or cache.version != net.version:
+    if cache.net is not net or cache.version != net.version:
         raise StateError("forward cache is stale: network mutated since forward")
     grad = as_tensor(grad_logits)
     if grad.shape != (cache.batch, net.class_count):
@@ -414,16 +419,6 @@ def _build(input_shape, channels, widths, class_count: int, seed: int) -> Networ
                         W=_kaiming_uniform(rng, (shape[0], fan_out), shape[0]),
                         b=np.zeros(fan_out)))
     return Network(layers, tuple(input_shape), class_count)
-
-
-def build_mlp(input_dim: int, hidden, class_count: int, seed: int = 0) -> Network:
-    """Fully-connected ReLU network: input_dim -> hidden... -> class_count."""
-    return _build((input_dim,), [], hidden, class_count, seed)
-
-
-def build_cnn(input_shape, channels, fc_width, class_count, seed=0) -> Network:
-    """3x3 convs with the given channel counts, then two fc layers."""
-    return _build(input_shape, channels, [fc_width], class_count, seed)
 
 
 # positive decimal widths, "x"-separated

@@ -380,7 +380,7 @@ def random_bernoulli_masks(net: Network, alphas, seed: int) -> dict:
     alphas is a scalar or one drop probability per prunable layer.  Used by
     the Lipschitz monotonicity experiment, not by the training path.
     """
-    prunable = net.prunable_indices()
+    prunable = net.parameterized_indices()
     if np.isscalar(alphas):
         alphas = [float(alphas)] * len(prunable)
     if len(alphas) != len(prunable):

@@ -25,8 +25,7 @@ from tscnc.metrics import (
 )
 from tscnc.network import (
     backward,
-    build_cnn,
-    build_mlp,
+    build_network,
     cross_entropy,
     forward,
     loss_gradients,
@@ -60,17 +59,17 @@ def _batch_loss(net, x, y):
 class TestGradientExactness:
     def test_layer_and_constraint_gradients_match_finite_differences(self, capsys):
         nets = [
-            (build_mlp(4, [6], 3, seed=0), 3),
-            (build_mlp(5, [8, 4], 3, seed=1), 3),
-            (build_mlp(3, [], 2, seed=2), 2),
-            (build_cnn((1, 6, 6), [2], 4, 3, seed=3), 3),
-            (build_cnn((2, 5, 5), [3], 5, 4, seed=4), 4),
+            (build_network("mlp-6", (4,), 3, seed=0), 3),
+            (build_network("mlp-8x4", (5,), 3, seed=1), 3),
+            (build_network("mlp", (3,), 2, seed=2), 2),
+            (build_network("cnn-2-4", (1, 6, 6), 3, seed=3), 3),
+            (build_network("cnn-3-5", (2, 5, 5), 4, seed=4), 4),
         ]
         # the last net also exercises the masked-gradient path
         masked = nets[-1][0]
         rng = np.random.default_rng(77)
         apply_masks(masked, {li: rng.uniform(size=masked.layers[li].Z.shape) >= 0.3
-                             for li in masked.prunable_indices()})
+                             for li in masked.parameterized_indices()})
 
         h = 1e-5
         worst_layer = 0.0
@@ -111,7 +110,7 @@ class TestGradientExactness:
                     worst_layer = max(worst_layer, rel)
 
             cc = condition_constraint(net)[1]
-            for li in net.prunable_indices():
+            for li in net.parameterized_indices():
                 arr = net.layers[li].W
                 fd = np.zeros_like(arr)
                 for idx in np.ndindex(arr.shape):
@@ -209,11 +208,11 @@ class TestConditioningOracles:
         for i in range(20):
             rng = np.random.default_rng(i)
             if i % 2:
-                net = build_cnn((1, 6, 6), [2, 3], 8, 4, seed=i)
+                net = build_network("cnn-2x3-8", (1, 6, 6), 4, seed=i)
             else:
-                net = build_mlp(int(rng.integers(4, 12)),
-                                [int(rng.integers(4, 12)), int(rng.integers(4, 10))],
-                                int(rng.integers(2, 6)), seed=i)
+                d, h1, h2, c = (int(rng.integers(*r))
+                                for r in [(4, 12), (4, 12), (4, 10), (2, 6)])
+                net = build_network(f"mlp-{h1}x{h2}", (d,), c, seed=i)
             apply_masks(net, random_bernoulli_masks(net, [0.0, 0.3, 0.6][i % 3],
                                                     seed=i))
             x = rng.uniform(size=net.input_shape)
@@ -243,7 +242,7 @@ class TestAttackOracles:
         bitwise = True
         for i in range(5):
             rng = np.random.default_rng(i)
-            net = build_mlp(4, [5], 3, seed=i)
+            net = build_network("mlp-5", (4,), 3, seed=i)
             x = rng.uniform(size=(20, 4))
             y = rng.integers(0, 3, size=20)
             g = loss_gradients(net, x, y)[1].input
@@ -251,7 +250,7 @@ class TestAttackOracles:
             if not np.array_equal(pgd(net, x, y, fgsm_spec(0.1)), want):
                 bitwise = False
 
-        net = build_mlp(6, [8], 3, seed=9)
+        net = build_network("mlp-8", (6,), 3, seed=9)
         inside = True
         total = 0
         for rep in range(20):
@@ -274,7 +273,7 @@ class TestAttackOracles:
         # brute-force grid over the whole 1-d ball
         worst_gap = 0.0
         for i in range(5):
-            net = build_mlp(1, [], 2, seed=i)
+            net = build_network("mlp", (1,), 2, seed=i)
             x = np.array([[0.45]])
             y = np.array([i % 2])
             eps = 0.2
@@ -302,7 +301,7 @@ class TestSaliencyOracle:
         seed = 2
         data = synth_blobs(3, 3, 60, 0.15, seed=seed)
         X, y = data.images, data.labels
-        net = build_mlp(3, [18, 8], 3, seed=seed)
+        net = build_network("mlp-18x8", (3,), 3, seed=seed)
         spec = AttackSpec(epsilon=0.05, step_size=0.0125, steps=8, random_start=False)
         rng = np.random.default_rng(seed + 100)
         for _ in range(150):
@@ -320,7 +319,7 @@ class TestSaliencyOracle:
         sal = saliency(net, [(xa, y)])
         base = _batch_loss(net, xa, y)
         scores, deltas = [], []
-        for li in net.prunable_indices():
+        for li in net.parameterized_indices():
             layer = net.layers[li]
             for idx in np.ndindex(layer.W.shape):
                 old = layer.W[idx]
@@ -341,7 +340,7 @@ class TestSaliencyOracle:
         ratios = []
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            net = build_mlp(10, [16], 3, seed=seed)
+            net = build_network("mlp-16", (10,), 3, seed=seed)
             X = rng.uniform(size=(32, 10))
             y = rng.integers(0, 3, size=32)
             logits, cache = forward(net, X)
@@ -349,7 +348,7 @@ class TestSaliencyOracle:
             g = backward(net, cache, gl)
             flat = [
                 (li, idx)
-                for li in net.prunable_indices()
+                for li in net.parameterized_indices()
                 for idx in np.ndindex(net.layers[li].W.shape)
             ]
             pick = rng.choice(len(flat), size=8, replace=False)
@@ -488,7 +487,7 @@ class TestTrainingTrends:
 
 class TestMaskedLipschitz:
     def test_mean_estimate_non_increasing_under_random_masking(self, capsys):
-        net = build_mlp(12, [16, 10], 4, seed=5)
+        net = build_network("mlp-16x10", (12,), 4, seed=5)
         rng = np.random.default_rng(5)
         x = rng.uniform(size=(12,))
         means = []
@@ -556,9 +555,9 @@ class TestReproducibility:
 
         after_prune = [r.sparsity for r in rec1[cfg.warmup_epochs :]]
         constant = len(set(after_prune)) == 1 and after_prune[0] > 0.0
-        total = sum(net1.layers[li].Z.size for li in net1.prunable_indices())
+        total = sum(net1.layers[li].Z.size for li in net1.parameterized_indices())
         zeros = sum(
-            int((net1.layers[li].Z == 0.0).sum()) for li in net1.prunable_indices()
+            int((net1.layers[li].Z == 0.0).sum()) for li in net1.parameterized_indices()
         )
         exact_count = zeros == int(np.floor(0.5 * total))
 

@@ -13,8 +13,7 @@ from tscnc.network import (
     MaskedLayer,
     Network,
     backward,
-    build_cnn,
-    build_mlp,
+    build_network,
     cross_entropy,
     forward,
     loss_gradients,
@@ -46,7 +45,7 @@ def toy_net():
     )
     x = np.clip(x, 0.0, 1.0)
     y = np.concatenate([np.zeros(n, dtype=int), np.ones(n, dtype=int)])
-    net = build_mlp(2, [8], 2, seed=7)
+    net = build_network("mlp-8", (2,), 2, seed=7)
     for _ in range(150):
         logits, cache = forward(net, x)
         _, gl = cross_entropy(logits, y)
@@ -221,7 +220,7 @@ class TestPgd:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_zero_rows_rejected(self):
-        net = build_cnn((1, 4, 4), [2], 8, 3, seed=0)
+        net = build_network("cnn-2-8", (1, 4, 4), 3, seed=0)
         x, y = np.zeros((0, 1, 4, 4)), np.zeros(0, dtype=np.int64)
         with pytest.raises(DimensionError, match="rows"):
             pgd(net, x, y, AttackSpec(epsilon=0.1, step_size=0.05, steps=2))
@@ -250,7 +249,7 @@ class TestInputGradientOnly:
         lambda net, x, y: pgd(net, x, y, fgsm_spec(0.1)),
     ], ids=["pgd", "fgsm"])
     def test_cnn_attack_evaluates_no_weight_gradient(self, attack, monkeypatch):
-        net = build_cnn((2, 6, 6), [3, 4], 8, 3, seed=0)
+        net = build_network("cnn-3x4-8", (2, 6, 6), 3, seed=0)
         rng = np.random.default_rng(0)
         x = rng.random((4, 2, 6, 6))
         y = rng.integers(0, 3, size=4)
@@ -309,9 +308,10 @@ class TestInPlaceAttackLoop:
         kind, inputs, spec = self.CASES[case]
         rng = np.random.default_rng(3)
         if kind == "cnn":
-            net, x = build_cnn((2, 4, 4), [3], 6, 3, seed=1), rng.random((5, 2, 4, 4))
+            net = build_network("cnn-3-6", (2, 4, 4), 3, seed=1)
+            x = rng.random((5, 2, 4, 4))
         else:
-            net, x = build_mlp(6, [5], 3, seed=1), rng.random((5, 6))
+            net, x = build_network("mlp-5", (6,), 3, seed=1), rng.random((5, 6))
         if kind == "zero-gradient":
             # no hidden unit is live, so every input gradient is exactly 0
             net.layers[0].W = np.zeros_like(net.layers[0].W)
@@ -335,7 +335,7 @@ class TestInPlaceAttackLoop:
 
     @pytest.mark.parametrize("steps", [0, 1, 10])
     def test_labels_checked_once_and_no_loss_taken(self, monkeypatch, steps):
-        net = build_mlp(6, [5], 3, seed=1)
+        net = build_network("mlp-5", (6,), 3, seed=1)
         rng = np.random.default_rng(2)
         x, y = rng.random((4, 6)), rng.integers(0, 3, size=4)
         checks, losses = [], []
@@ -361,21 +361,21 @@ class TestInPlaceAttackLoop:
 class TestAttackLabels:
     @pytest.mark.parametrize("label", [2.9, 0.5, -0.5, np.nan, np.inf])
     def test_label_that_is_not_a_whole_number_rejected(self, label):
-        net = build_mlp(4, [], 3, seed=0)
+        net = build_network("mlp", (4,), 3, seed=0)
         x = np.full((2, 4), 0.5)
         with pytest.raises(ValidationError, match="whole numbers"):
             pgd(net, x, [0, label], AttackSpec(0.1, 0.05, 2))
 
     @pytest.mark.parametrize("label", [3, -1, 3.0])
     def test_label_outside_the_classes_does_not_fit(self, label):
-        net = build_mlp(4, [], 3, seed=0)
+        net = build_network("mlp", (4,), 3, seed=0)
         x = np.full((2, 4), 0.5)
         with pytest.raises(DimensionError, match=f"^label {int(label)} does not "
                                                  "fit a network with 3 classes$"):
             pgd(net, x, [0, label], AttackSpec(0.1, 0.05, 2))
 
     def test_whole_number_float_labels_attack_their_class(self):
-        net = build_mlp(4, [5], 3, seed=0)
+        net = build_network("mlp-5", (4,), 3, seed=0)
         x = np.random.default_rng(1).random((3, 4))
         spec = AttackSpec(0.1, 0.05, 3)
         assert np.array_equal(pgd(net, x, [2.0, 0.0, 1.0], spec),

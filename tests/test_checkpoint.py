@@ -13,7 +13,7 @@ from oracles import edited_bytes
 from tscnc.checkpoint import load_checkpoint, save_checkpoint
 from tscnc.cli import main
 from tscnc.errors import DimensionError, FormatError, ValidationError
-from tscnc.network import MaskedLayer, build_cnn, build_mlp, forward
+from tscnc.network import MaskedLayer, build_network, forward
 from tscnc.pruning import PruneSpec, apply_masks, magnitude_scores, select_mask
 
 
@@ -32,7 +32,7 @@ def nets_equal(a, b):
 
 class TestRoundTrip:
     def test_mlp_bitwise(self, tmp_path):
-        net = build_mlp(6, [5, 4], 3, seed=2)
+        net = build_network("mlp-5x4", (6,), 3, seed=2)
         masks = {li: net.layers[li].Z.copy() for li in (0, 2)}
         masks[0][1, 2] = False
         masks[2][:, 0] = False
@@ -47,7 +47,7 @@ class TestRoundTrip:
         assert np.array_equal(ya, yb)
 
     def test_cnn_bitwise(self, tmp_path):
-        net = build_cnn((1, 6, 6), [4], 10, 3, seed=5)
+        net = build_network("cnn-4-10", (1, 6, 6), 3, seed=5)
         mask = net.layers[0].Z.copy()
         mask[2, 3] = False
         apply_masks(net, {0: mask})
@@ -62,7 +62,7 @@ class TestRoundTrip:
         assert np.array_equal(ya, yb)
 
     def test_state_round_trip(self, tmp_path):
-        net = build_mlp(4, [3], 2, seed=0)
+        net = build_network("mlp-3", (4,), 2, seed=0)
         state = {"epoch": 12, "architecture": "mlp-3",
                  "config": {"dataset": "blobs-c2-d4-n5-s0.1", "seed": 9}}
         path = tmp_path / "s.tscn"
@@ -73,7 +73,7 @@ class TestRoundTrip:
         assert ck.state["config"]["seed"] == 9
 
     def test_no_state_loads_clean(self, tmp_path):
-        net = build_mlp(3, [], 2, seed=1)
+        net = build_network("mlp", (3,), 2, seed=1)
         path = tmp_path / "n.tscn"
         save_checkpoint(path, net)
         ck = load_checkpoint(path)
@@ -84,7 +84,7 @@ class TestRoundTrip:
 class TestMaskEncoding:
     def test_pack_order_is_lsb_first(self, tmp_path):
         # mask flat pattern 1,0,1,1 must land in one byte as 0b00001101
-        net = build_mlp(2, [], 2, seed=0)
+        net = build_network("mlp", (2,), 2, seed=0)
         net.layers[0].W = np.zeros((2, 2))
         net.layers[0].b = np.zeros(2)
         apply_masks(net, {0: np.array([[True, False], [True, True]])})
@@ -102,19 +102,19 @@ class TestMaskEncoding:
     def test_all_masks_survive(self, tmp_path):
         rng = np.random.default_rng(3)
         for trial in range(5):
-            net = build_mlp(7, [6, 5], 4, seed=trial)
+            net = build_network("mlp-6x5", (7,), 4, seed=trial)
             apply_masks(net, {li: rng.uniform(size=net.layers[li].Z.shape) > 0.5
-                              for li in net.prunable_indices()})
+                              for li in net.parameterized_indices()})
             path = tmp_path / f"t{trial}.tscn"
             save_checkpoint(path, net)
             back = load_checkpoint(path).net
-            for li in net.prunable_indices():
+            for li in net.parameterized_indices():
                 assert np.array_equal(back.layers[li].Z, net.layers[li].Z)
 
 
 class TestCorruption:
     def _saved(self, tmp_path):
-        net = build_mlp(5, [4], 3, seed=7)
+        net = build_network("mlp-4", (5,), 3, seed=7)
         path = tmp_path / "x.tscn"
         save_checkpoint(path, net)
         return path
@@ -209,15 +209,16 @@ class TestFreshPayloadCrc:
 
     def test_trailing_payload_bytes(self, tmp_path):
         path = tmp_path / "m.tscn"
-        save_checkpoint(path, build_mlp(5, [4], 3, seed=7))
+        save_checkpoint(path, build_network("mlp-4", (5,), 3, seed=7))
         end = len(path.read_bytes()) - 4
         rewrite_payload(path, end, b"\x00" * 8)
         with pytest.raises(FormatError, match="8 unexpected trailing bytes") as err:
             load_checkpoint(path)
         assert err.value.offset == end
 
-    # file offsets, from the payload start, of the blobs of build_mlp(5, [4],
-    # 3): layer 0's W (5x4), b (4), 3-byte mask, then layer 2's W (4x3)
+    # file offsets, from the payload start, of the blobs of "mlp-4" on (5,)
+    # with 3 classes: layer 0's W (5x4), b (4), 3-byte mask, then layer 2's
+    # W (4x3)
     @pytest.mark.parametrize("start, index", [
         (0, 7), (160, 2), (195, 11),
     ], ids=["W", "b", "second-layer-W"])
@@ -225,7 +226,7 @@ class TestFreshPayloadCrc:
     def test_non_finite_value_at_its_blob_offset(self, tmp_path, capsys, start,
                                                  index, value):
         path = tmp_path / "m.tscn"
-        save_checkpoint(path, build_mlp(5, [4], 3, seed=7))
+        save_checkpoint(path, build_network("mlp-4", (5,), 3, seed=7))
         blob = payload_start(path) + start
         rewrite_payload(path, blob + 8 * index, struct.pack("<d", value))
         with pytest.raises(FormatError, match="non-finite") as err:
@@ -256,7 +257,7 @@ class TestNonFiniteSave:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_raises_and_leaves_existing_file(self, tmp_path, monkeypatch, li,
                                              key, name, value):
-        net = build_mlp(5, [4], 3, seed=7)
+        net = build_network("mlp-4", (5,), 3, seed=7)
         path = tmp_path / "m.tscn"
         save_checkpoint(path, net)
         before = path.read_bytes()
@@ -311,7 +312,7 @@ class TestSaveRefusesWhatLoadRefuses:
             "zero-kernel", "momentum-state"])
     def test_raises_and_leaves_existing_file(self, tmp_path, monkeypatch, edit,
                                              error, message):
-        net = build_mlp(5, [4], 3, seed=7)
+        net = build_network("mlp-4", (5,), 3, seed=7)
         path = tmp_path / "m.tscn"
         save_checkpoint(path, net)
         before = path.read_bytes()
@@ -409,7 +410,7 @@ class TestHeaderSchema:
     ])
     def test_rejected_with_fresh_crc(self, tmp_path, capsys, edit):
         path = tmp_path / "c.tscn"
-        save_checkpoint(path, build_cnn((1, 6, 6), [4], 10, 3, seed=5))
+        save_checkpoint(path, build_network("cnn-4-10", (1, 6, 6), 3, seed=5))
         if edit is _unparameterized:
             # the header lists no blob and the payload is empty
             _unparameterized(path)
@@ -428,7 +429,7 @@ class TestHeaderSchema:
     def test_loading_builds_no_gather_plan(self, tmp_path):
         # composition is checked by shapes; the first forward builds the plan
         path = tmp_path / "c.tscn"
-        save_checkpoint(path, build_cnn((1, 6, 6), [2, 3], 10, 3, seed=5))
+        save_checkpoint(path, build_network("cnn-2x3-10", (1, 6, 6), 3, seed=5))
         net = load_checkpoint(path).net
         convs = [l for l in net.layers if l.kind == "conv2d"]
         assert len(convs) == 2 and all(not l._plan for l in convs)
@@ -442,7 +443,7 @@ class TestPrunableFlag:
 
     def test_false_flag_loads_prunable(self, tmp_path):
         path = tmp_path / "m.tscn"
-        save_checkpoint(path, build_mlp(4, [3], 2, seed=0))
+        save_checkpoint(path, build_network("mlp-3", (4,), 2, seed=0))
         rewrite_header(path, _with("layers", 2, "prunable", value=False))
         net = load_checkpoint(path).net
         masks = select_mask(net, magnitude_scores(net),
@@ -465,7 +466,7 @@ class TestOffsets:
         # the payload starts after the header; the read runs out where the
         # payload CRC begins
         path = tmp_path / "m.tscn"
-        save_checkpoint(path, build_mlp(5, [4], 3, seed=7))
+        save_checkpoint(path, build_network("mlp-4", (5,), 3, seed=7))
 
         def widen(header):
             header["layers"][0].update(w_shape=[5, 400], b_len=400)
@@ -477,7 +478,7 @@ class TestOffsets:
 
     def test_file_ending_inside_the_header(self, tmp_path):
         path = tmp_path / "m.tscn"
-        save_checkpoint(path, build_mlp(5, [4], 3, seed=7))
+        save_checkpoint(path, build_network("mlp-4", (5,), 3, seed=7))
         path.write_bytes(path.read_bytes()[:40])
         with pytest.raises(FormatError) as err:
             load_checkpoint(path)
@@ -502,8 +503,8 @@ _JSON = st.lists(_INT, min_size=1, max_size=3) | st.recursive(
 @pytest.fixture(scope="module", params=["mlp", "cnn"])
 def saved(request, tmp_path_factory):
     """A saved checkpoint: its path and its bytes."""
-    net = (build_mlp(5, [4], 3, seed=7) if request.param == "mlp"
-           else build_cnn((1, 6, 6), [2], 4, 3, seed=5))
+    net = (build_network("mlp-4", (5,), 3, seed=7) if request.param == "mlp"
+           else build_network("cnn-2-4", (1, 6, 6), 3, seed=5))
     path = tmp_path_factory.mktemp(request.param) / "base.tscn"
     save_checkpoint(path, net, state={"epoch": 3, "architecture": "x"})
     return path, path.read_bytes()

@@ -20,7 +20,7 @@ from tscnc.checkpoint import load_checkpoint, save_checkpoint
 from tscnc.cli import _parse_attacks, main
 from tscnc.errors import ConfigError, DivergenceError
 from tscnc.metrics_io import write_metrics
-from tscnc.network import build_cnn, build_mlp, build_network
+from tscnc.network import build_network
 from tscnc.pruning import apply_masks
 from tscnc.trainer import config_from_dict, run_tscnc
 
@@ -442,7 +442,7 @@ class TestInspect:
         # finite weights that overflow at the probe leave no Lipschitz
         # estimate: "violated" would claim a bug the check cannot see.  Each
         # layer's spectrum is finite; the logits, +-6e400, are not
-        net = build_mlp(3, [4], 2, seed=0)
+        net = build_network("mlp-4", (3,), 2, seed=0)
         net.layers[0].W[...] = 1e200
         net.layers[2].W[...] = [1e200, -1e200]
         path = tmp_path / "overflow.tscn"
@@ -456,7 +456,7 @@ class TestInspect:
     def test_overflowing_spectrum_is_a_numeric_error(self, tmp_path, capsys):
         # every weight is finite, but layer 0's sigma_max, sqrt(12) * 1e308,
         # is not: rank 0 and kappa inf would misreport a full-rank layer
-        net = build_mlp(3, [4], 2, seed=0)
+        net = build_network("mlp-4", (3,), 2, seed=0)
         net.layers[0].W[...] = 1e308
         path = tmp_path / "overflow.tscn"
         save_checkpoint(path, net)
@@ -692,7 +692,7 @@ class TestMalformedInputs:
     def test_inspect_tied_logits_skip_bound_check(self, tmp_path, capsys):
         # every weight masked: both logits are 0, so the runner-up is the
         # predicted class and check_eq7 has no margin to bound
-        net = build_mlp(3, [4], 2, seed=0)
+        net = build_network("mlp-4", (3,), 2, seed=0)
         apply_masks(net, {li: np.zeros_like(net.layers[li].Z)
                           for li in net.parameterized_indices()})
         path = tmp_path / "tied.tscn"
@@ -748,7 +748,7 @@ class TestOversized:
     def test_inspect_declared_input(self, tmp_path, side, stride):
         pytest.importorskip("resource")
         path = tmp_path / "c.tscn"
-        save_checkpoint(path, build_cnn((1, 6, 6), [4], 10, 3, seed=5))
+        save_checkpoint(path, build_network("cnn-4-10", (1, 6, 6), 3, seed=5))
 
         def edit(header):
             header["input_shape"] = [1, side, side]

@@ -23,8 +23,6 @@ from tscnc.network import (
     MaskedLayer,
     Network,
     backward,
-    build_cnn,
-    build_mlp,
     build_network,
     cross_entropy,
     forward,
@@ -51,19 +49,19 @@ def set_layer_fro_sq(layer, target):
 
 class TestConditionConstraintLoss:
     def test_all_zero_effective_weights(self):
-        net = build_mlp(3, [], 2, seed=0)
+        net = build_network("mlp", (3,), 2, seed=0)
         apply_masks(net, {0: np.zeros_like(net.layers[0].Z)})
         got = condition_constraint(net)[0]
         assert abs(got - math.log(1e-4)) <= 1e-12
 
     def test_unit_frobenius(self):
-        net = build_mlp(3, [], 2, seed=1)
+        net = build_network("mlp", (3,), 2, seed=1)
         set_layer_fro_sq(net.layers[0], 1.0)
         got = condition_constraint(net)[0]
         assert abs(got - math.log(1.0001)) <= 1e-12
 
     def test_three_layer_sum_against_script(self):
-        net = build_mlp(4, [5, 6], 3, seed=2)
+        net = build_network("mlp-5x6", (4,), 3, seed=2)
         targets = [1.0, 4.0, 9.0]
         for li, t in zip(net.parameterized_indices(), targets):
             set_layer_fro_sq(net.layers[li], t)
@@ -74,7 +72,7 @@ class TestConditionConstraintLoss:
         assert abs(condition_constraint(net)[0] - want) <= 1e-12
 
     def test_shrinking_weights_strictly_decreases(self):
-        net = build_mlp(5, [6], 3, seed=3)
+        net = build_network("mlp-6", (5,), 3, seed=3)
         base = condition_constraint(net)[0]
         for c in (0.9, 0.5, 0.1):
             shrunk = copy.deepcopy(net)
@@ -83,7 +81,7 @@ class TestConditionConstraintLoss:
             assert condition_constraint(shrunk)[0] < base
 
     def test_masked_weights_do_not_contribute(self):
-        net = build_mlp(4, [4], 2, seed=4)
+        net = build_network("mlp-4", (4,), 2, seed=4)
         before = condition_constraint(net)[0]
         net.layers[0].W[0, 0] = 1e6
         mask = net.layers[0].Z.copy()
@@ -95,7 +93,7 @@ class TestConditionConstraintLoss:
 
 class TestConditionConstraintGrad:
     def test_zero_weights_zero_grad(self):
-        net = build_mlp(3, [], 2, seed=0)
+        net = build_network("mlp", (3,), 2, seed=0)
         net.layers[0].W[:] = 0.0
         g = condition_constraint(net)[1]
         assert np.array_equal(g[0], np.zeros_like(net.layers[0].W))
@@ -125,7 +123,7 @@ class TestConditionConstraintGrad:
         assert np.abs(g - fd).max() / denom <= 1e-6
 
     def test_one_call_covers_every_parameterized_layer(self):
-        net = build_cnn((1, 6, 6), [2], 5, 3, seed=0)
+        net = build_network("cnn-2-5", (1, 6, 6), 3, seed=0)
         loss, g = condition_constraint(net)
         assert sorted(g) == net.parameterized_indices()
         want = sum(math.log(1e-4 + float((net.layers[li].W ** 2).sum()))
@@ -172,7 +170,7 @@ class TestConditionReport:
 
     def test_matches_direct_svd_ratio(self):
         rng = np.random.default_rng(2)
-        net = build_mlp(6, [8, 7], 4, seed=2)
+        net = build_network("mlp-8x7", (6,), 4, seed=2)
         rep = condition_report(net)
         for row in rep.layers:
             m = net.layers[row.layer].W
@@ -181,7 +179,7 @@ class TestConditionReport:
             assert abs(row.kappa - want) / want <= 1e-8
 
     def test_scale_invariance_under_rebalancing(self):
-        net = build_mlp(5, [6], 3, seed=3)
+        net = build_network("mlp-6", (5,), 3, seed=3)
         base = condition_report(net)
         for mu in (0.1, 2.0, 10.0):
             rep = condition_report(apply_scaling(net, 0, mu))
@@ -222,7 +220,7 @@ class TestLocalLipschitzEstimate:
     def test_rival_must_be_one_class_index(self, fn, k):
         # None (every rival) is robustness_radius's path only, and a float
         # or a bool is no class index
-        net = build_mlp(4, [5], 3, seed=0)
+        net = build_network("mlp-5", (4,), 3, seed=0)
         with pytest.raises(ValidationError, match="rival k must be a class index"):
             fn(net, np.full(4, 0.5), k, r=0.1, q=2, n=5, seed=0)
 
@@ -235,7 +233,7 @@ class TestLocalLipschitzEstimate:
 
     def test_two_dim_relu_net_matches_dense_grid(self):
         rng = np.random.default_rng(6)
-        net = build_mlp(2, [8], 2, seed=6)
+        net = build_network("mlp-8", (2,), 2, seed=6)
         x = np.array([0.4, 0.6])
         logits, _ = forward(net, x[None])
         yhat = int(np.argmax(logits[0]))
@@ -259,7 +257,7 @@ class TestLocalLipschitzEstimate:
     def test_monotone_in_sample_count_with_nested_sets(self):
         rng = np.random.default_rng(10)
         for trial in range(5):
-            net = build_mlp(3, [6], 3, seed=20 + trial)
+            net = build_network("mlp-6", (3,), 3, seed=20 + trial)
             x = rng.uniform(0.2, 0.8, size=3)
             logits, _ = forward(net, x[None])
             yhat = int(np.argmax(logits[0]))
@@ -327,7 +325,7 @@ class TestRobustnessRadius:
         ])
         x = np.clip(x, 0, 1)
         y = np.repeat(np.arange(2), n)
-        net = build_mlp(2, [8], 2, seed=11)
+        net = build_network("mlp-8", (2,), 2, seed=11)
         for _ in range(120):
             logits, cache = forward(net, x)
             _, gl = cross_entropy(logits, y)
@@ -398,7 +396,7 @@ class TestCheckEq7:
 
     def test_multilayer_report_structure(self):
         rng = np.random.default_rng(5)
-        net = build_mlp(4, [6, 5], 3, seed=5)
+        net = build_network("mlp-6x5", (4,), 3, seed=5)
         x = rng.uniform(0.2, 0.8, size=4)
         logits, _ = forward(net, x[None])
         yhat = int(np.argmax(logits[0]))
@@ -421,7 +419,7 @@ class TestCheckEq7:
     def test_constant_products_scale_with_final_layer(self):
         # doubling the last layer doubles the bound at either q
         rng = np.random.default_rng(6)
-        net = build_mlp(3, [4], 3, seed=6)
+        net = build_network("mlp-4", (3,), 3, seed=6)
         x = rng.uniform(0.2, 0.8, size=3)
         logits, _ = forward(net, x[None])
         k = (int(np.argmax(logits[0])) + 1) % 3
@@ -453,7 +451,7 @@ class TestCheckEq7:
     def test_under_reported_sigma_max_is_flagged(self, monkeypatch):
         # two hidden layers at a tenth of their sigma_max put the bound a
         # hundred times too low: the check must say so
-        net = build_mlp(4, [6, 5], 3, seed=5)
+        net = build_network("mlp-6x5", (4,), 3, seed=5)
         x = np.random.default_rng(5).uniform(0.2, 0.8, size=4)
         k = (int(np.argmax(forward(net, x[None])[0][0])) + 1) % 3
         assert check_eq7(net, x, k, r=0.1, q=2, n=80, seed=1)["holds"]
@@ -497,11 +495,11 @@ class TestReportedSpectra:
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_report_of_another_net_is_rejected(self, q):
-        net = build_mlp(4, [6, 5], 3, seed=5)
+        net = build_network("mlp-6x5", (4,), 3, seed=5)
         x = np.full(4, 0.5)
         k = (int(np.argmax(forward(net, x[None])[0][0])) + 1) % 3
-        for other in (build_mlp(4, [6], 3, seed=5),
-                      build_cnn((1, 4, 4), [2], 8, 3, seed=5)):
+        for other in (build_network("mlp-6", (4,), 3, seed=5),
+                      build_network("cnn-2-8", (1, 4, 4), 3, seed=5)):
             with pytest.raises(ValidationError, match="condition report covers"):
                 check_eq7(net, x, k, r=0.1, q=q, n=20, seed=0,
                           report=condition_report(other))
@@ -604,8 +602,9 @@ class TestSamplerContract:
 
     @pytest.mark.parametrize("q", [1, 2])
     @pytest.mark.parametrize("net, x, r", [
-        (build_mlp(4, [8], 3, seed=1), np.random.default_rng(1).uniform(size=4), 0.5),
-        (build_cnn((1, 4, 4), [2], 8, 3, seed=3),
+        (build_network("mlp-8", (4,), 3, seed=1),
+         np.random.default_rng(1).uniform(size=4), 0.5),
+        (build_network("cnn-2-8", (1, 4, 4), 3, seed=3),
          np.random.default_rng(0).uniform(size=(1, 4, 4)), 2.0),
     ], ids=["mlp", "cnn"])
     def test_estimate_recomputed_from_the_draws(self, net, x, r, q):
@@ -720,7 +719,7 @@ class TestSharedSamplingPass:
 
 
 def test_radius_on_cnn_evaluates_no_weight_gradient(monkeypatch):
-    net = build_cnn((1, 6, 6), [2, 3], 8, 4, seed=2)
+    net = build_network("cnn-2x3-8", (1, 6, 6), 4, seed=2)
     x = np.random.default_rng(2).random((1, 6, 6))
     calls, passes = [], []
     real_backward = tscnc.metrics.backward

@@ -15,7 +15,7 @@ from tscnc import checkpoint, cli, metrics_io
 from tscnc.errors import ValidationError
 from tscnc.metrics import LayerCondition
 from tscnc.metrics_io import atomic_open, write_metrics
-from tscnc.network import build_mlp
+from tscnc.network import build_network
 from tscnc.trainer import MetricsRecord
 
 
@@ -267,7 +267,7 @@ class TestAtomicWrites:
 
     def test_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "model.tscn"
-        checkpoint.save_checkpoint(path, build_mlp(4, [3], 2, seed=0))
+        checkpoint.save_checkpoint(path, build_network("mlp-3", (4,), 2, seed=0))
         before = path.read_bytes()
 
         def crc32(data):
@@ -275,7 +275,7 @@ class TestAtomicWrites:
 
         monkeypatch.setattr(checkpoint, "zlib", SimpleNamespace(crc32=crc32))
         with pytest.raises(OSError):
-            checkpoint.save_checkpoint(path, build_mlp(4, [3], 2, seed=1))
+            checkpoint.save_checkpoint(path, build_network("mlp-3", (4,), 2, seed=1))
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["model.tscn"]
 

@@ -1,6 +1,7 @@
 """Forward/backward correctness for the masked network layers."""
 
 import copy
+import hashlib
 import itertools
 import tracemalloc
 from unittest import mock
@@ -20,8 +21,6 @@ from tscnc.network import (
     MaskedLayer,
     Network,
     backward,
-    build_cnn,
-    build_mlp,
     build_network,
     cross_entropy,
     forward,
@@ -111,7 +110,7 @@ class TestForward:
             forward(net, np.zeros((1, 3)))
 
     def test_fully_pruned_net_outputs_zero(self):
-        net = build_mlp(5, [7], 3, seed=1)
+        net = build_network("mlp-7", (5,), 3, seed=1)
         apply_masks(net, {li: np.zeros_like(net.layers[li].Z)
                           for li in net.parameterized_indices()})
         logits, _ = forward(net, np.random.default_rng(0).normal(size=(4, 5)))
@@ -119,7 +118,7 @@ class TestForward:
 
     def test_two_layer_mlp_matches_straight_line_eval(self):
         rng = np.random.default_rng(42)
-        net = build_mlp(6, [8], 3, seed=42)
+        net = build_network("mlp-8", (6,), 3, seed=42)
         x = rng.normal(size=(5, 6))
         logits, _ = forward(net, x)
         # independent straight-line evaluation
@@ -152,12 +151,12 @@ class TestForward:
         assert np.abs(logits - want.reshape(3, -1)).max() <= 1e-12
 
     def test_input_shape_mismatch_raises(self):
-        net = build_mlp(4, [], 2, seed=0)
+        net = build_network("mlp", (4,), 2, seed=0)
         with pytest.raises(DimensionError):
             forward(net, np.zeros((3, 5)))
 
     def test_forward_is_deterministic(self):
-        net = build_cnn((1, 6, 6), [3], 8, 4, seed=3)
+        net = build_network("cnn-3-8", (1, 6, 6), 4, seed=3)
         x = np.random.default_rng(7).normal(size=(2, 1, 6, 6))
         a, _ = forward(net, x)
         b, _ = forward(net, x)
@@ -167,7 +166,7 @@ class TestForward:
         # noise written under a mask is zeroed by the next apply_masks, so
         # the output does not move, exactly
         rng = np.random.default_rng(11)
-        net = build_mlp(6, [10], 3, seed=11)
+        net = build_network("mlp-10", (6,), 3, seed=11)
         masks = {li: rng.uniform(size=net.layers[li].Z.shape) > 0.5
                  for li in net.parameterized_indices()}
         apply_masks(net, masks)
@@ -283,7 +282,7 @@ class TestBackward:
         assert only_input.input.shape == (0, 1, 4, 4)
 
     def test_zero_upstream_grad_gives_zero_everywhere(self):
-        net = build_cnn((1, 5, 5), [2], 6, 3, seed=0)
+        net = build_network("cnn-2-6", (1, 5, 5), 3, seed=0)
         x = np.random.default_rng(1).normal(size=(2, 1, 5, 5))
         logits, cache = forward(net, x)
         grads = backward(net, cache, np.zeros_like(logits))
@@ -295,7 +294,7 @@ class TestBackward:
     def test_all_layer_gradients_match_finite_differences(self):
         # conv and fc analytic gradients against central differences
         rng = np.random.default_rng(123)
-        net = build_cnn((1, 6, 6), [2, 3], 10, 3, seed=123)
+        net = build_network("cnn-2x3-10", (1, 6, 6), 3, seed=123)
         x = rng.normal(size=(3, 1, 6, 6)) * 0.5
         y = rng.integers(0, 3, size=3)
         logits, cache = forward(net, x)
@@ -309,7 +308,7 @@ class TestBackward:
 
     def test_mlp_gradients_match_finite_differences(self):
         rng = np.random.default_rng(77)
-        net = build_mlp(7, [9, 6], 4, seed=77)
+        net = build_network("mlp-9x6", (7,), 4, seed=77)
         x = rng.normal(size=(5, 7))
         y = rng.integers(0, 4, size=5)
         logits, cache = forward(net, x)
@@ -320,7 +319,7 @@ class TestBackward:
             assert rel_err(grads.weight[li], fdW) <= 1e-4
 
     def test_stale_cache_rejected(self):
-        net = build_mlp(4, [5], 2, seed=0)
+        net = build_network("mlp-5", (4,), 2, seed=0)
         x = np.random.default_rng(0).normal(size=(2, 4))
         logits, cache = forward(net, x)
         net.layers[0].W *= 1.01
@@ -381,8 +380,8 @@ class TestBackward:
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("net", [
-        build_mlp(7, [9, 6], 4, seed=3),
-        build_cnn((2, 6, 6), [3, 4], 10, 4, seed=3),
+        build_network("mlp-9x6", (7,), 4, seed=3),
+        build_network("cnn-3x4-10", (2, 6, 6), 4, seed=3),
     ], ids=["mlp", "cnn"])
     def test_input_only_pass_matches_full_pass_bitwise(self, net):
         rng = np.random.default_rng(9)
@@ -396,11 +395,24 @@ class TestBackward:
         assert sorted(full.weight) == sorted(full.bias) == net.parameterized_indices()
 
     def test_input_only_pass_rejects_stale_cache(self):
-        net = build_cnn((1, 5, 5), [2], 6, 3, seed=0)
+        net = build_network("cnn-2-6", (1, 5, 5), 3, seed=0)
         logits, cache = forward(net, np.zeros((2, 1, 5, 5)))
         net.bump()
         with pytest.raises(StateError):
             backward(net, cache, np.ones_like(logits), weights=False)
+
+    def test_cache_keeps_its_network_id_from_reuse(self):
+        # a cache that named its network by id() alone would let a new
+        # network at a freed address, also at version 0, pass the check
+        net = build_network("mlp-5", (4,), 2, seed=0)
+        logits, cache = forward(net, np.zeros((3, 4)))
+        old_id = id(net)
+        del net
+        others = [Network([], (4,), 2) for _ in range(10_000)]  # all alive
+        assert old_id not in {id(o) for o in others}
+        other = build_network("mlp-5", (4,), 2, seed=0)
+        with pytest.raises(StateError):
+            backward(other, cache, np.ones_like(logits))
 
 
 # ---------------------------------------------------------------- conv bits
@@ -499,10 +511,10 @@ class TestConvBitwise:
         check_conv_bits(**case)
 
     @pytest.mark.parametrize("lead, shape, body", [
-        ([], (4,), build_mlp(4, [5], 3, seed=3)),
-        (["relu"], (4,), build_mlp(4, [5], 3, seed=3)),
-        (["flatten", "relu"], (1, 2, 2), build_mlp(4, [5], 3, seed=3)),
-        (["relu"], (1, 3, 3), build_cnn((1, 3, 3), [2], 4, 3, seed=3)),
+        ([], (4,), build_network("mlp-5", (4,), 3, seed=3)),
+        (["relu"], (4,), build_network("mlp-5", (4,), 3, seed=3)),
+        (["flatten", "relu"], (1, 2, 2), build_network("mlp-5", (4,), 3, seed=3)),
+        (["relu"], (1, 3, 3), build_network("cnn-2-4", (1, 3, 3), 3, seed=3)),
     ], ids=["mlp", "relu-first", "flatten-relu", "relu-conv"])
     def test_forward_leaves_input_unwritten(self, lead, shape, body):
         net = Network([MaskedLayer(kind=k) for k in lead] + body.layers, shape, 3)
@@ -592,7 +604,7 @@ class TestInputGradient:
 
     def test_loss_gradients_is_forward_cross_entropy_backward(self):
         rng = np.random.default_rng(9)
-        net = build_cnn((1, 5, 5), [2], 8, 3, seed=9)
+        net = build_network("cnn-2-8", (1, 5, 5), 3, seed=9)
         x = rng.normal(size=(3, 1, 5, 5))
         y = rng.integers(0, 3, size=3)
         logits, cache = forward(net, x)
@@ -616,7 +628,7 @@ class TestInputGradient:
 
     def test_cnn_input_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(55)
-        net = build_cnn((1, 5, 5), [2], 8, 3, seed=55)
+        net = build_network("cnn-2-8", (1, 5, 5), 3, seed=55)
         x = rng.normal(size=(2, 1, 5, 5)) * 0.3
         y = rng.integers(0, 3, size=2)
         g = loss_gradients(net, x, y)[1].input
@@ -640,7 +652,7 @@ class TestInputGradient:
 
 class TestApplyScaling:
     def test_mu_one_is_identity(self):
-        net = build_mlp(5, [6], 3, seed=4)
+        net = build_network("mlp-6", (5,), 3, seed=4)
         scaled = apply_scaling(net, 0, 1.0)
         for a, b in zip(net.layers, scaled.layers):
             if a.parameterized:
@@ -650,7 +662,7 @@ class TestApplyScaling:
     @pytest.mark.parametrize("mu", [0.1, 0.5, 2.0, 10.0])
     def test_relu_mlp_logits_unchanged(self, mu):
         rng = np.random.default_rng(13)
-        net = build_mlp(6, [9], 4, seed=13)
+        net = build_network("mlp-9", (6,), 4, seed=13)
         x = rng.normal(size=(5, 6))
         before, _ = forward(net, x)
         after, _ = forward(apply_scaling(net, 0, mu), x)
@@ -658,7 +670,7 @@ class TestApplyScaling:
 
     def test_conv_relu_fc_logits_unchanged(self):
         rng = np.random.default_rng(21)
-        net = build_cnn((1, 5, 5), [3], 7, 2, seed=21)
+        net = build_network("cnn-3-7", (1, 5, 5), 2, seed=21)
         x = rng.normal(size=(3, 1, 5, 5))
         before, _ = forward(net, x)
         # scale the second conv against the first fc, across flatten
@@ -666,13 +678,13 @@ class TestApplyScaling:
         assert np.abs(before - after).max() <= 1e-10
 
     def test_nonpositive_mu_rejected(self):
-        net = build_mlp(4, [4], 2, seed=0)
+        net = build_network("mlp-4", (4,), 2, seed=0)
         for mu in (0.0, -1.0):
             with pytest.raises(ValidationError):
                 apply_scaling(net, 0, mu)
 
     def test_original_network_untouched(self):
-        net = build_mlp(4, [4], 2, seed=6)
+        net = build_network("mlp-4", (4,), 2, seed=6)
         w0 = net.layers[0].W.copy()
         apply_scaling(net, 0, 3.0)
         assert np.array_equal(net.layers[0].W, w0)
@@ -715,6 +727,37 @@ class TestBuilders:
     def test_logistic_regression_id(self):
         net = build_network("mlp", (7,), 3, seed=0)
         assert len([l for l in net.layers if l.parameterized]) == 1
+
+    # sha256 over every parameterized layer's W, Z and b (dtype, shape and
+    # bytes), 6 classes; a change to _build's draw order shows here
+    PINNED = {
+        ("mlp", (64,), 0):
+            "bd726c96a68fcf5c93877aed89464e37b5ad97dee07f6f6dd9ae3c579bbd46e8",
+        ("mlp", (64,), 3):
+            "aadcb31b079d92c819f3ba1154cf7343431481fb834748894155ed8d9b22461a",
+        ("mlp-32x16", (64,), 0):
+            "64460d4fdefee341fbb183aec0fbf06901fd593baa09d1bf313ffd752991b112",
+        ("mlp-32x16", (64,), 3):
+            "cce30e8a5d6234359c88b33d0347fc4b0400dcf92815a08f0796187aad738c66",
+        ("cnn-8x16-32", (1, 8, 8), 0):
+            "263db0efcffbfce543146f3d31e241fd9eaa2dcd71c2c6eb2af5048030ce1c3c",
+        ("cnn-8x16-32", (1, 8, 8), 3):
+            "93d8c13f50c534d6acfd238c3c921faf57df019aaeb9a59072acd860902f0afa",
+        ("cnn-2x3-10", (1, 8, 8), 0):
+            "9d80579bd4de6829bd79db074188deaa16e441e7158faa127f42aaba05213f7b",
+        ("cnn-2x3-10", (1, 8, 8), 3):
+            "aea4736e61fda7f68fb6cddc1c0c8acac920d264b806360e8c84ccb02962b600",
+    }
+
+    @pytest.mark.parametrize("arch, shape, seed", sorted(PINNED))
+    def test_parameter_bytes_are_pinned(self, arch, shape, seed):
+        net = build_network(arch, shape, 6, seed=seed)
+        h = hashlib.sha256()
+        for li in net.parameterized_indices():
+            for arr in (net.layers[li].W, net.layers[li].Z, net.layers[li].b):
+                h.update(f"{arr.dtype.str}{arr.shape}".encode())
+                h.update(np.ascontiguousarray(arr).tobytes())
+        assert h.hexdigest() == self.PINNED[arch, shape, seed]
 
 
 def check_shape_rule(net, x):
@@ -824,7 +867,7 @@ class TestShapeRule:
             forward(net, np.zeros((1, 1, 3, 3)))
 
     def test_rule_rejects_shapes_a_layer_cannot_take(self):
-        net = build_cnn((1, 5, 5), [2], 6, 3, seed=0)
+        net = build_network("cnn-2-6", (1, 5, 5), 3, seed=0)
         conv, linear = net.layers[0], net.layers[3]
         for layer, shape in ((conv, (2, 5, 5)), (conv, (5, 5)),
                              (linear, (49,)), (linear, (1, 50))):
@@ -841,8 +884,8 @@ def _random_masked_nets(seed):
     """An MLP and a CNN with random weights and random masks, not yet applied."""
     rng = np.random.default_rng(seed)
     out = []
-    for net in (build_mlp(6, [5, 4], 3, seed=seed),
-                build_cnn((2, 5, 5), [3], 6, 4, seed=seed)):
+    for net in (build_network("mlp-5x4", (6,), 3, seed=seed),
+                build_network("cnn-3-6", (2, 5, 5), 4, seed=seed)):
         for li in net.parameterized_indices():
             net.layers[li].W = rng.normal(size=net.layers[li].W.shape)
         masks = {li: rng.uniform(size=net.layers[li].W.shape) > 0.4

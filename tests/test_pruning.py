@@ -9,7 +9,7 @@ from tscnc.network import (
     MaskedLayer,
     Network,
     backward,
-    build_mlp,
+    build_network,
     cross_entropy,
     forward,
 )
@@ -70,12 +70,12 @@ class TestTaylorScores:
 
 class TestSaliency:
     def test_empty_stream_rejected(self):
-        net = build_mlp(4, [5], 2, seed=0)
+        net = build_network("mlp-5", (4,), 2, seed=0)
         with pytest.raises(ValidationError):
             saliency(net, [])
 
     def test_label_outside_the_classes_does_not_fit(self):
-        net = build_mlp(4, [5], 2, seed=0)
+        net = build_network("mlp-5", (4,), 2, seed=0)
         x = np.full((3, 4), 0.5)
         with pytest.raises(DimensionError, match="label 2 does not fit a network "
                                                  "with 2 classes"):
@@ -83,7 +83,7 @@ class TestSaliency:
 
     def test_zero_weight_gets_zero_score(self):
         rng = np.random.default_rng(3)
-        net = build_mlp(5, [6], 3, seed=3)
+        net = build_network("mlp-6", (5,), 3, seed=3)
         net.layers[0].W[2, 1] = 0.0
         net.bump()
         x = rng.uniform(0, 1, size=(8, 5))
@@ -93,20 +93,20 @@ class TestSaliency:
 
     def test_scores_nonnegative_and_shaped(self):
         rng = np.random.default_rng(4)
-        net = build_mlp(6, [7], 2, seed=4)
+        net = build_network("mlp-7", (6,), 2, seed=4)
         batches = [
             (rng.uniform(0, 1, size=(10, 6)), rng.integers(0, 2, size=10))
             for _ in range(3)
         ]
         scores = saliency(net, batches)
-        assert sorted(scores) == net.prunable_indices()
-        for li in net.prunable_indices():
+        assert sorted(scores) == net.parameterized_indices()
+        for li in net.parameterized_indices():
             assert scores[li].shape == net.layers[li].W.shape
             assert (scores[li] >= 0.0).all()
 
     def test_masked_entries_score_zero(self):
         rng = np.random.default_rng(5)
-        net = build_mlp(4, [6], 2, seed=5)
+        net = build_network("mlp-6", (4,), 2, seed=5)
         mask = net.layers[0].Z.copy()
         mask[1, 3] = False
         apply_masks(net, {0: mask})
@@ -118,7 +118,7 @@ class TestSaliency:
     def test_mean_over_batches(self):
         # two identical batches must score the same as one
         rng = np.random.default_rng(6)
-        net = build_mlp(5, [4], 2, seed=6)
+        net = build_network("mlp-4", (5,), 2, seed=6)
         x = rng.uniform(0, 1, size=(9, 5))
         y = rng.integers(0, 2, size=9)
         one = saliency(net, [(x, y)])
@@ -135,7 +135,7 @@ class TestSaliency:
         ])
         x = np.clip(x, 0, 1)
         y = np.repeat(np.arange(2), n)
-        net = build_mlp(2, [10], 2, seed=11)
+        net = build_network("mlp-10", (2,), 2, seed=11)
         for _ in range(100):
             logits, cache = forward(net, x)
             _, gl = cross_entropy(logits, y)
@@ -147,7 +147,7 @@ class TestSaliency:
         scores_by_layer = saliency(net, [(x, y)])
         base, _ = cross_entropy(forward(net, x)[0], y)
         scores, exact = [], []
-        for li in net.prunable_indices():
+        for li in net.parameterized_indices():
             W = net.layers[li].W
             for fi in range(W.size):
                 scores.append(scores_by_layer[li].ravel()[fi])
@@ -305,7 +305,7 @@ class TestSelectMask:
     @pytest.mark.parametrize("protected", [(99,), (1,), (-1,), (0, 1)])
     def test_protected_must_name_a_prunable_layer(self, protected):
         # layers 0 and 2 are prunable; 1 is the ReLU between them
-        net = build_mlp(2, [2], 1, seed=0)
+        net = build_network("mlp-2", (2,), 1, seed=0)
         scores = magnitude_scores(net)
         with pytest.raises(ValidationError, match="not prunable"):
             select_mask(net, scores, PruneSpec(0.5, protected=protected))
@@ -315,14 +315,14 @@ class TestSelectMask:
 
     @pytest.mark.parametrize("li", [1, 99, -1])
     def test_scores_must_name_a_prunable_layer(self, li):
-        net = build_mlp(2, [2], 1, seed=0)
+        net = build_network("mlp-2", (2,), 1, seed=0)
         scores = {**magnitude_scores(net), li: np.ones((2, 2))}
         with pytest.raises(ValidationError, match="prunable layer"):
             select_mask(net, scores, PruneSpec(0.5))
 
     @pytest.mark.parametrize("shape", [(2,), (1, 2), (2, 1, 1), (4,)])
     def test_score_shape_must_match_the_mask(self, shape):
-        net = build_mlp(2, [2], 1, seed=0)  # layer 2 has a (2, 1) mask
+        net = build_network("mlp-2", (2,), 1, seed=0)  # layer 2 has a (2, 1) mask
         scores = {**magnitude_scores(net), 2: np.ones(shape)}
         with pytest.raises(ValidationError, match="shaped like the mask"):
             select_mask(net, scores, PruneSpec(0.5))
@@ -348,13 +348,13 @@ class TestSelectMask:
 
 class TestPruneReport:
     def test_fresh_net_all_zero_ratios(self):
-        net = build_mlp(6, [5], 3, seed=0)
+        net = build_network("mlp-5", (6,), 3, seed=0)
         rep = prune_report(net)
         assert rep["global_sparsity"] == 0.0
         assert all(row["ratio"] == 0.0 for row in rep["layers"])
 
     def test_hand_built_masks(self):
-        net = build_mlp(2, [2], 2, seed=0)  # layer sizes 4 and 4
+        net = build_network("mlp-2", (2,), 2, seed=0)  # layer sizes 4 and 4
         apply_masks(net, {0: np.array([[False, False], [False, True]]),
                           2: np.array([[False, True], [True, True]])})
         rep = prune_report(net)
@@ -363,24 +363,24 @@ class TestPruneReport:
 
     def test_selected_mask_ratio_within_floor(self):
         rng = np.random.default_rng(2)
-        net = build_mlp(8, [12], 4, seed=2)
+        net = build_network("mlp-12", (8,), 4, seed=2)
         x = rng.uniform(0, 1, size=(16, 8))
         scores = saliency(net, [(x, rng.integers(0, 4, size=16))])
         apply_masks(net, select_mask(net, scores, PruneSpec(0.9)))
-        total = sum(net.layers[li].Z.size for li in net.prunable_indices())
+        total = sum(net.layers[li].Z.size for li in net.parameterized_indices())
         got = prune_report(net)["global_sparsity"]
         assert 0.9 - 1.0 / total <= got <= 0.9
 
 
 class TestRandomBernoulliMasks:
     def test_zero_drop_rate_keeps_all(self):
-        net = build_mlp(5, [5], 2, seed=0)
+        net = build_network("mlp-5", (5,), 2, seed=0)
         masks = random_bernoulli_masks(net, 0.0, seed=1)
         for m in masks.values():
             assert np.array_equal(m, np.ones_like(m))
 
     def test_extreme_drop_rate(self):
-        net = build_mlp(40, [50], 10, seed=0)  # 2500 weights
+        net = build_network("mlp-50", (40,), 10, seed=0)  # 2500 weights
         masks = random_bernoulli_masks(net, 0.999, seed=2)
         ones = sum(int(m.sum()) for m in masks.values())
         total = sum(m.size for m in masks.values())
@@ -388,28 +388,28 @@ class TestRandomBernoulliMasks:
         assert ones / total <= 0.01
 
     def test_half_drop_rate_concentration(self):
-        net = build_mlp(100, [100], 10, seed=0)  # > 10^4 weights
+        net = build_network("mlp-100", (100,), 10, seed=0)  # > 10^4 weights
         masks = random_bernoulli_masks(net, 0.5, seed=3)
         ones = sum(int(m.sum()) for m in masks.values())
         total = sum(m.size for m in masks.values())
         assert abs(ones / total - 0.5) <= 0.02
 
     def test_seed_determinism(self):
-        net = build_mlp(10, [10], 3, seed=0)
+        net = build_network("mlp-10", (10,), 3, seed=0)
         a = random_bernoulli_masks(net, (0.25, 0.75), seed=9)
         b = random_bernoulli_masks(net, (0.25, 0.75), seed=9)
         for li in a:
             assert np.array_equal(a[li], b[li])
 
     def test_bad_drop_rate_rejected(self):
-        net = build_mlp(4, [4], 2, seed=0)
+        net = build_network("mlp-4", (4,), 2, seed=0)
         with pytest.raises(ValidationError):
             random_bernoulli_masks(net, 1.0, seed=0)
 
 
 class TestApplyMasks:
     def test_masks_installed_and_version_bumped(self):
-        net = build_mlp(4, [5], 2, seed=1)
+        net = build_network("mlp-5", (4,), 2, seed=1)
         v = net.version
         apply_masks(net, select_mask(net, magnitude_scores(net), PruneSpec(0.5)))
         assert net.version > v
@@ -417,6 +417,6 @@ class TestApplyMasks:
         assert rep["global_sparsity"] > 0.4
 
     def test_shape_mismatch_rejected(self):
-        net = build_mlp(4, [5], 2, seed=1)
+        net = build_network("mlp-5", (4,), 2, seed=1)
         with pytest.raises(ValidationError):
             apply_masks(net, {0: np.ones((2, 2))})

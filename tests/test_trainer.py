@@ -16,8 +16,6 @@ from tscnc.data import Dataset, load_dataset
 from tscnc.errors import ConfigError, DimensionError, DivergenceError, ValidationError
 from tscnc.network import (
     Gradients,
-    build_cnn,
-    build_mlp,
     build_network,
     cross_entropy,
     forward,
@@ -71,7 +69,7 @@ class TestSchedule:
 
 class TestSgdStep:
     def test_hand_recurrence(self):
-        net = build_mlp(1, [], 1, seed=0)
+        net = build_network("mlp", (1,), 1, seed=0)
         net.layers[0].W = np.array([[1.0]])
         net.layers[0].b = np.array([0.0])
         g = Gradients(None, weight={0: np.array([[0.3]])}, bias={0: np.array([0.0])})
@@ -84,7 +82,7 @@ class TestSgdStep:
         assert abs(net.layers[0].W[0, 0] - 0.913) < 1e-12
 
     def test_wrongly_shaped_gradient_rejected(self):
-        net = build_mlp(3, [], 2, seed=0)
+        net = build_network("mlp", (3,), 2, seed=0)
         g = Gradients(None, weight={0: np.zeros((2, 3))}, bias={0: np.zeros(2)})
         with pytest.raises(ValidationError, match="gradient shape mismatch on layer 0"):
             sgd_step(net, g, {}, lr=0.1, momentum=0.9, weight_decay=0.0)
@@ -92,7 +90,7 @@ class TestSgdStep:
     def test_matches_reference_recurrence(self):
         # oracle: the same update written as explicit scalar loops
         rng = np.random.default_rng(8)
-        net = build_mlp(3, [4], 2, seed=8)
+        net = build_network("mlp-4", (3,), 2, seed=8)
         w_ref = {li: net.layers[li].W.copy() for li in (0, 2)}
         b_ref = {li: net.layers[li].b.copy() for li in (0, 2)}
         v_ref = {li: (np.zeros_like(w_ref[li]), np.zeros_like(b_ref[li]))
@@ -117,7 +115,7 @@ class TestSgdStep:
             assert np.allclose(net.layers[li].b, b_ref[li], atol=1e-12)
 
     def test_no_weight_decay_on_bias(self):
-        net = build_mlp(2, [], 2, seed=1)
+        net = build_network("mlp", (2,), 2, seed=1)
         net.layers[0].b = np.array([1.0, -1.0])
         before = net.layers[0].b.copy()
         g = Gradients(None, weight={0: np.zeros((2, 2))}, bias={0: np.zeros(2)})
@@ -126,7 +124,7 @@ class TestSgdStep:
         assert not np.array_equal(net.layers[0].W, np.zeros((2, 2)))
 
     def test_masked_weights_stay_zero(self):
-        net = build_mlp(3, [], 2, seed=2)
+        net = build_network("mlp", (3,), 2, seed=2)
         mask = net.layers[0].Z.copy()
         mask[1, :] = False
         apply_masks(net, {0: mask})
@@ -138,7 +136,7 @@ class TestSgdStep:
         assert np.any(net.layers[0].W[0, :] != 0.0)
 
     def test_version_bumps(self):
-        net = build_mlp(2, [], 2, seed=0)
+        net = build_network("mlp", (2,), 2, seed=0)
         v0 = net.version
         g = Gradients(None, weight={0: np.zeros((2, 2))}, bias={0: np.zeros(2)})
         sgd_step(net, g, {}, lr=0.1, momentum=0.0, weight_decay=0.0)
@@ -379,7 +377,7 @@ class TestEvaluate:
         # logits_k = sum of the coordinates belonging to residue class k;
         # on block-pattern blobs this recovers the label with a wide margin
         data = load_dataset("blobs-c3-d12-n30-s0.02", seed=5)
-        net = build_mlp(12, [], 3, seed=0)
+        net = build_network("mlp", (12,), 3, seed=0)
         net.layers[0].W = np.array(
             [[1.0 if j % 3 == k else 0.0 for k in range(3)]
              for j in range(12)])
@@ -392,7 +390,7 @@ class TestEvaluate:
 
     def test_constant_logits_give_chance(self):
         data = load_dataset("blobs-c4-d8-n25-s0.1", seed=1)
-        net = build_mlp(8, [], 4, seed=0)
+        net = build_network("mlp", (8,), 4, seed=0)
         net.layers[0].W = np.zeros((8, 4))
         net.layers[0].b = np.zeros(4)
         res = evaluate(net, data, {})
@@ -412,7 +410,7 @@ class TestEvaluate:
         # margin |x - 0.5| - 0.2 for class 1: x = 0.45 is misclassified, and
         # one full-budget sign step overshoots the valley to x = 0.75, where
         # class 1 wins; the example still counts as not robust
-        net = build_mlp(1, [2], 2, seed=0)
+        net = build_network("mlp-2", (1,), 2, seed=0)
         net.layers[0].W = np.array([[1.0, -1.0]])
         net.layers[0].b = np.array([-0.5, 0.5])
         net.layers[2].W = np.array([[0.0, 1.0], [0.0, 1.0]])
@@ -434,7 +432,7 @@ class TestEvaluate:
         # two random-start attacks interleave their draws batch by batch, so
         # only these cases hold whatever the batch size
         data = load_dataset("blobs-c3-d12-n30-s0.1", seed=2)
-        net = build_mlp(12, [6], 3, seed=2)
+        net = build_network("mlp-6", (12,), 3, seed=2)
         whole = evaluate(net, data, attacks, np.random.default_rng(4))
         monkeypatch.setattr(tscnc.attacks, "EVAL_BATCH_SIZE", 7)
         assert evaluate(net, data, attacks, np.random.default_rng(4)) == whole
@@ -445,14 +443,14 @@ class TestEvaluate:
     ])
     def test_matches_attacking_every_row(self, monkeypatch, case):
         data = load_dataset("blobs-c3-d12-n30-s0.3", seed=0)
-        net = build_mlp(12, [6], 3, seed=2)
+        net = build_network("mlp-6", (12,), 3, seed=2)
         rs = AttackSpec(epsilon=0.1, step_size=0.025, steps=3, random_start=True)
         attacks = {"pgd": AttackSpec(epsilon=0.1, step_size=0.025, steps=10),
                    "fgsm": fgsm_spec(0.1)}
         batch = tscnc.attacks.EVAL_BATCH_SIZE
         if case == "cnn-pgd-fgsm":
             data = load_dataset("blobs-c3-d16-n30-s0.3-i1x4x4", seed=0)
-            net = build_cnn((1, 4, 4), [2], 8, 3, seed=1)
+            net = build_network("cnn-2-8", (1, 4, 4), 3, seed=1)
         elif case == "one-random-start":
             attacks = {"rs": rs}
         elif case == "two-random-starts":
@@ -481,7 +479,7 @@ class TestEvaluate:
         data = load_dataset("blobs-c3-d12-n30-s0.3", seed=0)
         keep = data.labels > 0
         data = Dataset(data.images[keep], data.labels[keep], data.classes)
-        net = build_mlp(12, [], 3, seed=0)
+        net = build_network("mlp", (12,), 3, seed=0)
         net.layers[0].W = np.zeros((12, 3))
         net.layers[0].b = np.array([1.0, 0.0, 0.0])
         attacks = {"pgd": AttackSpec(epsilon=0.1, step_size=0.025, steps=3),
@@ -514,7 +512,7 @@ class TestEvaluate:
         labels = data.labels.copy()
         labels[::4] = (labels[::4] + 1) % 3
         data = Dataset(data.images, labels, data.classes)
-        net = build_mlp(12, [], 3, seed=0)
+        net = build_network("mlp", (12,), 3, seed=0)
         net.layers[0].W = np.array(
             [[1.0 if j % 3 == k else 0.0 for k in range(3)] for j in range(12)])
         net.layers[0].b = np.zeros(3)
@@ -536,14 +534,14 @@ class TestEvaluate:
         assert passes == expected
 
     def test_empty_dataset_rejected(self):
-        net = build_mlp(3, [], 2, seed=0)
+        net = build_network("mlp", (3,), 2, seed=0)
         empty = Dataset(images=np.zeros((0, 3)),
                         labels=np.zeros(0, dtype=np.int64), classes=2)
         with pytest.raises(ValidationError, match="empty"):
             evaluate(net, empty, {})
 
     def test_label_beyond_the_classes_rejected_before_any_attack(self, monkeypatch):
-        net = build_mlp(3, [], 2, seed=0)
+        net = build_network("mlp", (3,), 2, seed=0)
         data = Dataset(images=np.zeros((2, 3)), labels=np.array([0, 2]), classes=3)
         attacked = []
         monkeypatch.setattr(tscnc.attacks, "_start", lambda *a, **k: attacked.append(a))
@@ -553,7 +551,7 @@ class TestEvaluate:
         assert attacked == []
 
     def test_negative_label_rejected_like_one_beyond_the_classes(self):
-        net = build_mlp(3, [], 2, seed=0)
+        net = build_network("mlp", (3,), 2, seed=0)
         data = Dataset(images=np.zeros((4, 3)), labels=np.array([0, 1, -1, 0]),
                        classes=2)
         with pytest.raises(DimensionError,
@@ -563,7 +561,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("case", ["half", "nan", "inf"])
     def test_label_that_is_not_a_whole_number_rejected(self, case):
         data = load_dataset("blobs-c3-d12-n30-s0.3", seed=0)
-        net = build_mlp(12, [6], 3, seed=2)
+        net = build_network("mlp-6", (12,), 3, seed=2)
         labels = np.argmax(forward(net, data.images)[0], axis=1).astype(float)
         if case == "half":
             labels += 0.5
@@ -576,7 +574,7 @@ class TestEvaluate:
 
     def test_whole_number_float_labels_accepted(self):
         data = load_dataset("blobs-c3-d12-n30-s0.3", seed=0)
-        net = build_mlp(12, [6], 3, seed=2)
+        net = build_network("mlp-6", (12,), 3, seed=2)
         attacks = {"pgd": AttackSpec(epsilon=0.1, step_size=0.025, steps=3),
                    "rs": AttackSpec(epsilon=0.1, step_size=0.025, steps=2,
                                     random_start=True)}
@@ -652,9 +650,9 @@ class TestRunTscnc:
         net, records = run_tscnc(cfg)
         for rec in records:
             assert abs(rec.sparsity - records[0].sparsity) < 1e-15
-        total = sum(net.layers[li].Z.size for li in net.prunable_indices())
+        total = sum(net.layers[li].Z.size for li in net.parameterized_indices())
         zeros = sum(int((net.layers[li].Z == 0).sum())
-                    for li in net.prunable_indices())
+                    for li in net.parameterized_indices())
         assert zeros == int(0.9 * total)
 
     def test_total_loss_identity(self):
