@@ -84,7 +84,10 @@ class MaskedLayer:
 
     @property
     def in_channels(self) -> int:
-        return self.W.shape[1] // self.kernel_size ** 2
+        k = self.kernel_size
+        if k < 1:
+            raise DimensionError(f"conv kernel_size must be >= 1, got {k}")
+        return self.W.shape[1] // k ** 2
 
     @property
     def out_channels(self) -> int:
@@ -121,9 +124,8 @@ class MaskedLayer:
                 raise DimensionError(f"linear layer expects ({fan_in},), got {shape}")
             out = (fan_out,)
         elif kind == "conv2d":
-            if k < 1:
-                raise DimensionError(f"conv kernel_size must be >= 1, got {k}")
-            if len(shape) != 3 or shape[0] * k ** 2 != self.W.shape[1]:
+            c = self.in_channels  # raises for a kernel_size below 1
+            if len(shape) != 3 or shape[0] != c or c * k ** 2 != self.W.shape[1]:
                 raise DimensionError(f"conv layer of weight {self.W.shape}, kernel "
                                      f"{k} cannot take {shape}")
             out = (self.out_channels, *conv_output_size(
@@ -328,7 +330,9 @@ def backward(
     weights=False the weight and bias maps are empty and only the input
     gradient, bitwise that of the full pass, is computed.
     """
-    if cache.net is not net or cache.version != net.version:
+    if cache.net is not net:
+        raise StateError("forward cache belongs to another network")
+    if cache.version != net.version:
         raise StateError("forward cache is stale: network mutated since forward")
     grad = as_tensor(grad_logits)
     if grad.shape != (cache.batch, net.class_count):

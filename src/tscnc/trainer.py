@@ -1,10 +1,11 @@
 """Two-phase training: adversarial saliency pruning, then masked adversarial
 training on the combined objective R = L_E + lam * L_CC.
 
-Phase 1 builds a dense reference by a short warmup, scores weights on
-attacked batches, and installs masks at the requested sparsity.  Phase 2
-runs SGD with momentum and weight decay on adversarial batches, re-applying
-masks after every step, and records per-epoch metrics.
+``run_tscnc(config)`` loads config.dataset, builds config.architecture and
+warms it up dense into the reference; nothing else enters a run.  Phase 1
+then scores weights on attacked batches and installs masks at the requested
+sparsity.  Phase 2 runs masked adversarial SGD with momentum and weight
+decay, re-applying masks after every step, and records per-epoch metrics.
 """
 
 from __future__ import annotations
@@ -273,31 +274,25 @@ def _record(net, config, epoch, lr, loss_e, data, rng) -> MetricsRecord:
     )
 
 
-def run_tscnc(config: TrainConfig, data: Dataset | None = None,
-              reference: Network | None = None, on_epoch=None):
-    """Full two-phase run; returns the final network and the metric trace.
+def run_tscnc(config: TrainConfig, *, on_epoch=None):
+    """Full two-phase run of config; returns the final network and the trace.
 
-    data defaults to the config's dataset id.  reference optionally supplies
-    pre-trained weights for the scoring phase, replacing the warmup.
-    on_epoch, when given, receives each MetricsRecord as it is produced.
+    The dataset and the network come from config's ids, both at config.seed,
+    and the warmup trains the dense reference.  on_epoch, when given,
+    receives each MetricsRecord as it is produced.
     """
     config.validate()
-    if data is None:
-        data = load_dataset(config.dataset, seed=config.seed)
+    data = load_dataset(config.dataset, seed=config.seed)
     rng = np.random.default_rng(config.seed)
-    if reference is not None:
-        net = reference
-    else:
-        net = build_network(
-            config.architecture, data.images.shape[1:], data.classes,
-            seed=config.seed,
-        )
+    net = build_network(
+        config.architecture, data.images.shape[1:], data.classes,
+        seed=config.seed,
+    )
     check_protected(config.prune.protected, net.parameterized_indices())
     velocity = {}
     records = []
     # epochs below 0 are the dense warmup, at config.lr and without records
-    start = 0 if reference is not None else -config.warmup_epochs
-    for epoch in range(start, config.epochs):
+    for epoch in range(-config.warmup_epochs, config.epochs):
         if epoch == 0 and config.prune.sparsity > 0.0:
             scores = score_weights(net, data, config, rng)
             apply_masks(net, select_mask(net, scores, config.prune))
@@ -308,7 +303,7 @@ def run_tscnc(config: TrainConfig, data: Dataset | None = None,
         lr = lr_at(epoch, config)
         loss_e = _train_epoch(net, data, config, lr, velocity, rng)
         if not np.isfinite(loss_e):
-            where = (f"in warmup epoch {epoch - start}" if epoch < 0
+            where = (f"in warmup epoch {epoch + config.warmup_epochs}" if epoch < 0
                      else f"at epoch {epoch}")
             raise DivergenceError(f"non-finite loss {where}")
         if epoch < 0:

@@ -205,6 +205,17 @@ class TestPgd:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_random_start_without_generator_draws_from_seed_0(self, toy_net):
+        # the documented default: rng=None starts from default_rng(0), so
+        # two such calls agree and equal a call that passes that generator
+        net, x, y = toy_net
+        spec = AttackSpec(0.1, 0.02, 3, random_start=True)
+        a = pgd(net, x, y, spec)
+        b = pgd(net, x, y, spec)
+        want = pgd(net, x, y, spec, rng=np.random.default_rng(0))
+        assert np.array_equal(a, want) and np.array_equal(b, want)
+        assert not np.array_equal(a, pgd(net, x, y, AttackSpec(0.1, 0.02, 3)))
+
     def test_loss_monotone_in_budget(self, toy_net):
         net, x, y = toy_net
         means = []

@@ -324,7 +324,7 @@ class TestBackward:
         logits, cache = forward(net, x)
         net.layers[0].W *= 1.01
         net.bump()
-        with pytest.raises(StateError):
+        with pytest.raises(StateError, match="network mutated since forward"):
             backward(net, cache, np.ones_like(logits))
 
     def test_masked_entries_report_premask_gradient(self):
@@ -398,7 +398,7 @@ class TestBackward:
         net = build_network("cnn-2-6", (1, 5, 5), 3, seed=0)
         logits, cache = forward(net, np.zeros((2, 1, 5, 5)))
         net.bump()
-        with pytest.raises(StateError):
+        with pytest.raises(StateError, match="network mutated since forward"):
             backward(net, cache, np.ones_like(logits), weights=False)
 
     def test_cache_keeps_its_network_id_from_reuse(self):
@@ -410,8 +410,10 @@ class TestBackward:
         del net
         others = [Network([], (4,), 2) for _ in range(10_000)]  # all alive
         assert old_id not in {id(o) for o in others}
+        # other is unmutated, so the message names the other-network case
         other = build_network("mlp-5", (4,), 2, seed=0)
-        with pytest.raises(StateError):
+        with pytest.raises(StateError,
+                           match="^forward cache belongs to another network$"):
             backward(other, cache, np.ones_like(logits))
 
 
@@ -857,9 +859,13 @@ class TestShapeRule:
 
     @pytest.mark.parametrize("k, width", [(0, 9), (-1, 1)])
     def test_conv_kernel_size_must_be_positive(self, k, width):
-        # 0 is the dataclass default, so a conv built without a kernel has it
+        # 0 is the dataclass default, so a conv built without a kernel has
+        # it; in_channels holds the one check, so it once divided by zero
         conv = MaskedLayer(kind="conv2d", W=np.ones((2, width)), b=np.zeros(2),
                            kernel_size=k)
+        with pytest.raises(DimensionError,
+                           match=f"^conv kernel_size must be >= 1, got {k}$"):
+            conv.in_channels
         net = Network([conv, MaskedLayer(kind="flatten")], (1, 3, 3), 18)
         with pytest.raises(DimensionError, match="kernel_size must be >= 1"):
             net.output_shape()

@@ -25,6 +25,16 @@ def test_readme_piecemeal_names_import_from_package():
 
 
 
+def test_a_run_takes_its_config_alone():
+    # the config names the dataset and the architecture; the callback is
+    # keyword-only, so a stale run_tscnc(config, data) fails at the call
+    params = inspect.signature(tscnc.run_tscnc).parameters
+    assert [(p.name, p.kind) for p in params.values()] == [
+        ("config", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+        ("on_epoch", inspect.Parameter.KEYWORD_ONLY)]
+    assert params["on_epoch"].default is None
+
+
 def test_masked_layer_holds_only_independent_state():
     # a conv's channel counts are read off W, and prune.protected alone
     # keeps a layer dense: neither is a stored field

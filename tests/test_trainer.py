@@ -696,16 +696,6 @@ class TestRunTscnc:
         with pytest.raises(ValidationError, match="not prunable"):
             run_tscnc(cfg)
 
-    def test_reference_network_skips_warmup(self):
-        cfg = small_config(epochs=1, warmup_epochs=50)
-        data = load_dataset(cfg.dataset, seed=cfg.seed)
-        ref = build_network(cfg.architecture, data.images.shape[1:],
-                            data.classes, seed=cfg.seed)
-        net, records = run_tscnc(cfg, data=data, reference=ref)
-        assert net is ref
-        assert len(records) == 1
-        assert prune_report(net)["global_sparsity"] > 0.4
-
     def test_magnitude_criterion(self):
         cfg = small_config(
             epochs=1,
@@ -724,7 +714,7 @@ class TestRunTscnc:
         assert [r.epoch for r in seen] == [0, 1, 2]
         assert seen == records
 
-    @pytest.mark.parametrize("case", ["warmup", "reference", "dense"])
+    @pytest.mark.parametrize("case", ["warmup", "no-warmup", "dense"])
     def test_one_epoch_loop(self, monkeypatch, case):
         calls = []
         train_epoch, score_weights = trainer._train_epoch, trainer.score_weights
@@ -741,14 +731,11 @@ class TestRunTscnc:
         monkeypatch.setattr(trainer, "score_weights", log_score)
         cfg = small_config(epochs=4, warmup_epochs=2, lr_milestones=(0, 2),
                            lr_factor=0.5)
-        reference = None
-        if case == "reference":
-            data = load_dataset(cfg.dataset, seed=cfg.seed)
-            reference = build_network(cfg.architecture, data.images.shape[1:],
-                                      data.classes, seed=cfg.seed)
+        if case == "no-warmup":
+            cfg.warmup_epochs = 0
         if case == "dense":
             cfg.prune = PruneSpec(sparsity=0.0)
-        _, records = run_tscnc(cfg, reference=reference)
+        _, records = run_tscnc(cfg)
         # warmup trains at config.lr; scoring resets the momentum; phase 2
         # follows the schedule, whose milestone 0 applies from epoch 0
         phase2 = [("train", lr_at(e, cfg), e > 0) for e in range(4)]
@@ -756,7 +743,7 @@ class TestRunTscnc:
         want = {
             "warmup": [("train", 0.1, False), ("train", 0.1, True), ("score",)]
             + phase2,
-            "reference": [("score",)] + phase2,
+            "no-warmup": [("score",)] + phase2,
             "dense": [("train", 0.1, False), ("train", 0.1, True),
                       ("train", 0.05, True)] + phase2[1:],
         }[case]
